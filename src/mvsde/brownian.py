@@ -4,9 +4,15 @@ Reproducibility contract
 ------------------------
 The increment for (particle ``i``, step ``k``, component ``r``) is a pure
 function of ``(seed, i, k, r)``.  Each (seed, particle, chunk-of-steps) pair
-owns a private Philox-4x64 counter stream; the 64-bit word at the fixed
-in-stream position ``(k mod chunk) * m + r`` is mapped through the inverse
-normal CDF,
+owns a private Philox-4x64-10 counter stream: word ``w`` of the stream of
+(purpose tag, particle, chunk) is word ``w mod 4`` of the block at counter
+``[w // 4 + 1, chunk, particle, tag]``.  The key is what numpy makes of the
+list ``[seed, 0x9E3779B97F4A7C15]``: for ``seed < 2**63`` the list passes
+through float64, so the key is ``[float64(seed), 0x9E3779B97F4A8000]`` (seeds
+in ``[2**53, 2**63)`` lose their low bits and can share streams); for larger
+seeds it is ``[seed, 0x9E3779B97F4A7C15]`` exactly.  The 64-bit word at the
+fixed in-stream position ``(k mod chunk) * m + r`` is mapped through the
+inverse normal CDF,
 
     u = (word >> 11 + 0.5) * 2**-53,    z = ndtri(u),
 
@@ -24,6 +30,8 @@ therefore runs the exact same floating-point reduction as
 
 Grids whose root stream holds at most ``2**26`` values are materialized in
 memory; larger grids regenerate chunks from the counter stream on demand.
+Either way a chunk is generated in particle slabs of at most
+``_SLAB_WORDS`` words, so temporaries do not grow with N.
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ import numpy as np
 from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
-_KEY_CONST = 0x9E3779B97F4A7C15  # fixed second Philox key word
+_KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
 CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
 _MATERIALIZE_LIMIT = 1 << 26  # max root values kept in memory
+_SLAB_WORDS = 1 << 20  # max Philox words per generation slab (8 MiB of uint64)
 
 # purpose tags keep the increment, initial-normal and initial-uniform
 # streams of one seed disjoint in counter space
@@ -51,12 +60,36 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _stream_words(seed, tag, particle, chunk, n_words):
-    """First `n_words` of the Philox stream keyed by (seed, tag, particle, chunk)."""
-    bg = np.random.Philox(
-        counter=[0, chunk, particle, tag], key=[int(seed) & _MASK64, _KEY_CONST]
-    )
-    return bg.random_raw(n_words)
+class _Streams:
+    """One Philox generator re-keyed in place to each (particle, chunk) stream.
+
+    Building a generator costs a SeedSequence draw that is then discarded;
+    assigning a held state dict only rewrites the counter.  Each instance is
+    owned by one call, so threads share no generator.
+    """
+
+    def __init__(self, seed, tag):
+        self._bg = np.random.Philox(
+            counter=[0, 0, 0, tag], key=[int(seed) & _MASK64, _KEY_CONST]
+        )
+        # the state setter reads each word; from Python ints that costs half
+        # of what numpy array items cost
+        state = self._bg.state
+        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        state["buffer_pos"] = 4  # empty buffer: the next draw computes a block
+        self._state = state
+        self._counter = state["state"]["counter"]
+        self._tag = tag
+
+    def words(self, particle, chunk, w0, w1):
+        """Words [w0, w1) of the stream of (particle, chunk)."""
+        # numpy increments the counter before it computes a block, so
+        # counter b yields the block holding stream words [4b, 4b + 4)
+        b = w0 // 4
+        self._counter[:] = (b, chunk, particle, self._tag)
+        self._bg.state = self._state
+        return self._bg.random_raw(w1 - 4 * b)[w0 - 4 * b :]
 
 
 def _words_to_uniform(raw):
@@ -102,17 +135,21 @@ class PathGrid:
             return self._root[:, k0:k1, :]
         scale = np.sqrt(self.T / self.n_fine)
         out = np.empty((self.N, k1 - k0, self.m))
+        streams = _Streams(self.seed, _TAG_INCREMENTS)
         first, last = k0 // CHUNK_STEPS, (k1 - 1) // CHUNK_STEPS
         for c in range(first, last + 1):
             lo = max(k0, c * CHUNK_STEPS)
             hi = min(k1, (c + 1) * CHUNK_STEPS)
             w0 = (lo - c * CHUNK_STEPS) * self.m
             w1 = (hi - c * CHUNK_STEPS) * self.m
-            raw = np.empty((self.N, w1 - w0), dtype=np.uint64)
-            for i in range(self.N):
-                raw[i] = _stream_words(self.seed, _TAG_INCREMENTS, i, c, w1)[w0:]
-            z = ndtri(_words_to_uniform(raw))
-            out[:, lo - k0 : hi - k0, :] = z.reshape(self.N, hi - lo, self.m) * scale
+            rows = max(1, _SLAB_WORDS // (w1 - w0))
+            for s0 in range(0, self.N, rows):
+                s1 = min(self.N, s0 + rows)
+                raw = np.empty((s1 - s0, w1 - w0), dtype=np.uint64)
+                for i in range(s0, s1):
+                    raw[i - s0] = streams.words(i, c, w0, w1)
+                z = ndtri(_words_to_uniform(raw)).reshape(s1 - s0, hi - lo, self.m)
+                out[s0:s1, lo - k0 : hi - k0, :] = z * scale
         return out
 
     def increments_block(self, k0, k1):
@@ -154,7 +191,7 @@ def generate(seed, n_fine, T, N, m, materialize=None) -> PathGrid:
     if materialize is None:
         materialize = int(N) * int(n_fine) * int(m) <= _MATERIALIZE_LIMIT
     if materialize:
-        root = grid._root_block(0, grid.n_fine).copy()
+        root = grid._root_block(0, grid.n_fine)
         root.flags.writeable = False
         grid._root = root
     return grid
@@ -202,9 +239,10 @@ class InitStream:
         return (self.N, self.d)
 
     def _block(self, tag):
+        streams = _Streams(self.seed, tag)
         raw = np.empty((self.N, self.d), dtype=np.uint64)
         for i in range(self.N):
-            raw[i] = _stream_words(self.seed, tag, i, 0, self.d)
+            raw[i] = streams.words(i, 0, 0, self.d)
         return _words_to_uniform(raw)
 
     def normals(self):

@@ -277,6 +277,7 @@ def simulate(
     k = 0
     while k < n:
         hi = min(k + block, n)
+        dw = None  # release the previous block before drawing the next
         dw = grid.increments_block(k, hi)
         for j in range(hi - k):
             try:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from mvsde import brownian
 from mvsde.brownian import InitStream, coarsen, derive_seed, generate
@@ -148,3 +151,100 @@ def test_init_stream_independent_of_increments():
     assert not np.allclose(z[:, 0], inc[:, 0, 0])
     u = stream.uniforms()
     assert u.shape == (4, 1) and np.all((u > 0) & (u < 1))
+
+
+# -- stream contract against a direct reference --------------------------------
+#
+# The reference builds one fresh numpy Philox per (seed, tag, particle, chunk)
+# stream and reads it from word 0, which is the documented contract; the
+# module re-keys a single generator and starts mid-stream instead.
+
+_MASK = (1 << 64) - 1
+_K = 0x9E3779B97F4A7C15
+# one seed from each of numpy's key-conversion regimes: exact below 2**53,
+# rounded through float64 in [2**53, 2**63), exact uint64 from 2**63
+_SEEDS = [7, 2**60, 2**63 + 5]
+
+
+def _reference_words(seed, tag, particle, chunk, n_words):
+    bg = np.random.Philox(counter=[0, chunk, particle, tag], key=[seed & _MASK, _K])
+    return bg.random_raw(n_words)
+
+
+def _reference_uniforms(raw):
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _reference_increments(seed, n_fine, T, N, m, k0, k1):
+    scale = np.sqrt(T / n_fine)
+    out = np.empty((N, k1 - k0, m))
+    for i in range(N):
+        for k in range(k0, k1):
+            c, j = divmod(k, brownian.CHUNK_STEPS)
+            raw = _reference_words(seed, 0, i, c, (j + 1) * m)[j * m :]
+            out[i, k - k0] = ndtri(_reference_uniforms(raw)) * scale
+    return out
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("materialize", [True, False])
+def test_increments_match_reference_streams(seed, materialize):
+    grid = generate(seed, 24, 1.0, 3, 2, materialize=materialize)
+    # with m=2 the block starts at word 14, inside a Philox block
+    assert np.array_equal(
+        grid.increments_block(7, 13), _reference_increments(seed, 24, 1.0, 3, 2, 7, 13)
+    )
+    assert np.array_equal(
+        grid.increments_block(0, 24), _reference_increments(seed, 24, 1.0, 3, 2, 0, 24)
+    )
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_streamed_chunk_crossing_matches_reference(seed):
+    n = brownian.CHUNK_STEPS + 10
+    k0, k1 = brownian.CHUNK_STEPS - 3, brownian.CHUNK_STEPS + 5
+    grid = generate(seed, n, 1.0, 2, 2, materialize=False)
+    assert np.array_equal(
+        grid.increments_block(k0, k1), _reference_increments(seed, n, 1.0, 2, 2, k0, k1)
+    )
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_init_stream_matches_reference(seed):
+    N, d = 5, 3
+    stream = InitStream(seed, N, d)
+    normal_words = np.array([_reference_words(seed, 1, i, 0, d) for i in range(N)])
+    uniform_words = np.array([_reference_words(seed, 2, i, 0, d) for i in range(N)])
+    assert np.array_equal(stream.normals(), ndtri(_reference_uniforms(normal_words)))
+    assert np.array_equal(stream.uniforms(), _reference_uniforms(uniform_words))
+
+
+def test_philox_key_words_in_use():
+    # numpy turns [seed, _KEY_CONST] into float64 when seed < 2**63, so the
+    # second key word is rounded and large seeds lose their low bits
+    def key(seed):
+        return [int(w) for w in brownian._Streams(seed, 0)._bg.state["state"]["key"]]
+
+    assert key(7) == [7, 0x9E3779B97F4A8000]
+    assert key(2**60) == key(2**60 + 1) == [2**60, 0x9E3779B97F4A8000]
+    assert key(2**63 + 5) == [2**63 + 5, 0x9E3779B97F4A7C15]
+    a = generate(2**60, 8, 1.0, 2, 1).increments_block(0, 8)
+    b = generate(2**60 + 1, 8, 1.0, 2, 1).increments_block(0, 8)
+    assert np.array_equal(a, b)
+
+
+def test_on_demand_block_memory_bounded_in_n():
+    # peak allocation beyond the returned block is set by the slab size,
+    # not by the particle count
+    def excess(N):
+        grid = generate(3, 1024, 1.0, N, 1, materialize=False)
+        tracemalloc.start()
+        try:
+            block = grid.increments_block(0, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - block.nbytes
+
+    small, large = excess(2048), excess(8192)
+    assert large <= small + (1 << 20)
