@@ -31,7 +31,8 @@ therefore runs the exact same floating-point reduction as
 Grids whose root stream holds at most ``2**26`` values are materialized in
 memory; larger grids regenerate chunks from the counter stream on demand.
 Either way a chunk is generated in particle slabs of at most
-``_SLAB_WORDS`` words, so temporaries do not grow with N.
+``_SLAB_WORDS`` words, and a coarsened view sums each slab into its coarse
+steps as it is drawn, so temporaries grow neither with N nor with the factor.
 """
 
 from __future__ import annotations
@@ -82,19 +83,45 @@ class _Streams:
         self._counter = state["state"]["counter"]
         self._tag = tag
 
-    def words(self, particle, chunk, w0, w1):
-        """Words [w0, w1) of the stream of (particle, chunk)."""
+    def words(self, particles, chunk, w0, w1):
+        """Words [w0, w1) of the (particle, chunk) streams, one row per particle."""
         # numpy increments the counter before it computes a block, so
         # counter b yields the block holding stream words [4b, 4b + 4)
         b = w0 // 4
-        self._counter[:] = (b, chunk, particle, self._tag)
-        self._bg.state = self._state
-        return self._bg.random_raw(w1 - 4 * b)[w0 - 4 * b :]
+        raw = np.empty((len(particles), w1 - w0), dtype=np.uint64)
+        for row, particle in enumerate(particles):
+            self._counter[:] = (b, chunk, particle, self._tag)
+            self._bg.state = self._state
+            raw[row] = self._bg.random_raw(w1 - 4 * b)[w0 - 4 * b :]
+        return raw
 
 
 def _words_to_uniform(raw):
-    # one word per double; strictly inside (0, 1) so ndtri stays finite
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # one word per double; strictly inside (0, 1) so ndtri stays finite.
+    # raw is consumed: the shift is done in place and u is the only copy
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
+
+
+def _add_terms(out, root, first, f):
+    """Sum root increments into out's coarse steps of f root steps each.
+
+    root[:, i] is root step first + i, counted from out's first root step.
+    A coarse step's first term is assigned and the rest added, so calls must
+    arrive in ascending root-step order."""
+    for j in range(f):
+        i = (j - first) % f  # first column of root that is term j
+        if i >= root.shape[1]:
+            continue
+        terms = root[:, i::f, :]
+        q = (first + i) // f
+        if j == 0:
+            out[:, q : q + terms.shape[1], :] = terms
+        else:
+            out[:, q : q + terms.shape[1], :] += terms
 
 
 class PathGrid:
@@ -125,31 +152,28 @@ class PathGrid:
         """Step size of this grid."""
         return self.T * self.factor / self.n_fine
 
-    @property
-    def h_fine(self) -> float:
-        return self.T / self.n_fine
-
-    def _root_block(self, k0, k1):
-        """Root increments for root steps [k0, k1), shape (N, k1-k0, m)."""
-        if self._root is not None:
-            return self._root[:, k0:k1, :]
+    def _generate(self, k0, k1):
+        """Increments for steps [k0, k1) drawn from the counter stream; each
+        slab of root values is summed into its coarse steps as it is drawn."""
+        f, m = self.factor, self.m
+        r0, r1 = k0 * f, k1 * f  # root steps
         scale = np.sqrt(self.T / self.n_fine)
-        out = np.empty((self.N, k1 - k0, self.m))
+        out = np.empty((self.N, k1 - k0, m))
         streams = _Streams(self.seed, _TAG_INCREMENTS)
-        first, last = k0 // CHUNK_STEPS, (k1 - 1) // CHUNK_STEPS
+        first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
         for c in range(first, last + 1):
-            lo = max(k0, c * CHUNK_STEPS)
-            hi = min(k1, (c + 1) * CHUNK_STEPS)
-            w0 = (lo - c * CHUNK_STEPS) * self.m
-            w1 = (hi - c * CHUNK_STEPS) * self.m
+            lo = max(r0, c * CHUNK_STEPS)
+            hi = min(r1, (c + 1) * CHUNK_STEPS)
+            w0 = (lo - c * CHUNK_STEPS) * m
+            w1 = (hi - c * CHUNK_STEPS) * m
             rows = max(1, _SLAB_WORDS // (w1 - w0))
             for s0 in range(0, self.N, rows):
                 s1 = min(self.N, s0 + rows)
-                raw = np.empty((s1 - s0, w1 - w0), dtype=np.uint64)
-                for i in range(s0, s1):
-                    raw[i - s0] = streams.words(i, c, w0, w1)
-                z = ndtri(_words_to_uniform(raw)).reshape(s1 - s0, hi - lo, self.m)
-                out[s0:s1, lo - k0 : hi - k0, :] = z * scale
+                z = None  # release the previous slab before drawing the next
+                z = _words_to_uniform(streams.words(range(s0, s1), c, w0, w1))
+                ndtri(z, out=z)
+                z *= scale
+                _add_terms(out[s0:s1], z.reshape(s1 - s0, hi - lo, m), lo - r0, f)
         return out
 
     def increments_block(self, k0, k1):
@@ -160,19 +184,15 @@ class PathGrid:
         """
         if not 0 <= k0 <= k1 <= self.n_steps:
             raise ValueError(f"step range [{k0}, {k1}) outside [0, {self.n_steps}]")
+        if self._root is None:
+            return self._generate(k0, k1)
         f = self.factor
-        fine = self._root_block(k0 * f, k1 * f)
+        fine = self._root[:, k0 * f : k1 * f, :]
         if f == 1:
             return fine
-        grouped = fine.reshape(self.N, k1 - k0, f, self.m)
-        out = grouped[:, :, 0, :].copy()
-        for j in range(1, f):
-            out += grouped[:, :, j, :]
+        out = np.empty((self.N, k1 - k0, self.m))
+        _add_terms(out, fine, 0, f)
         return out
-
-    def step_increments(self, k):
-        """Increments for single step k, shape (N, m)."""
-        return self.increments_block(k, k + 1)[:, 0, :]
 
 
 def generate(seed, n_fine, T, N, m, materialize=None) -> PathGrid:
@@ -191,7 +211,7 @@ def generate(seed, n_fine, T, N, m, materialize=None) -> PathGrid:
     if materialize is None:
         materialize = int(N) * int(n_fine) * int(m) <= _MATERIALIZE_LIMIT
     if materialize:
-        root = grid._root_block(0, grid.n_fine)
+        root = grid._generate(0, grid.n_fine)
         root.flags.writeable = False
         grid._root = root
     return grid
@@ -240,14 +260,12 @@ class InitStream:
 
     def _block(self, tag):
         streams = _Streams(self.seed, tag)
-        raw = np.empty((self.N, self.d), dtype=np.uint64)
-        for i in range(self.N):
-            raw[i] = streams.words(i, 0, 0, self.d)
-        return _words_to_uniform(raw)
+        return _words_to_uniform(streams.words(range(self.N), 0, 0, self.d))
 
     def normals(self):
         """Standard normal block of shape (N, d)."""
-        return ndtri(self._block(_TAG_INIT_NORMAL))
+        u = self._block(_TAG_INIT_NORMAL)
+        return ndtri(u, out=u)
 
     def uniforms(self):
         """Uniform(0, 1) block of shape (N, d)."""

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import experiments, output, svgplot, verify
-from .config import ExperimentConfig, load_config, paper_scale
+from .config import ExperimentConfig, load_config, paper_scale, parse_formats
 from .errors import ConfigError
 from .models import BUILTIN_MODELS, make_model
 from .taming import parse_taming
-
-_EXPERIMENTS = ("converge", "density", "paths", "moments", "nscaling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=name != "check", help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for cells")
+        p.add_argument("--threads", type=int, default=1, metavar="K", help="run up to K cells at once")
         p.add_argument("--out-dir", default=None, help="override the output directory")
         p.add_argument(
             "--paper-scale",
@@ -64,10 +64,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     if args.format is not None:
-        cfg.formats = [f.strip().lower() for f in args.format.split(",") if f.strip()]
-        bad = [f for f in cfg.formats if f not in ("csv", "svg")]
-        if bad:
-            raise ConfigError(f"unknown output formats: {bad}")
+        cfg.formats = parse_formats(args.format)
     if args.paper_scale and cfg.h_ref is not None:
         cfg = paper_scale(cfg)
     return cfg
@@ -86,11 +83,10 @@ def _fingerprint(args) -> str:
 
 def _check_battery(cfg: ExperimentConfig | None):
     """Default assumption battery for the `check` subcommand."""
-    ops = [("identity", None), ("dte(0.5)", None), ("me", None), ("te(1)", None), ("se(1)", None)]
     model_names = [cfg.model_name] if cfg is not None else sorted(BUILTIN_MODELS)
     reports = []
     spec = verify.SampleSpec()
-    for text, _ in ops:
+    for text in ("identity", "dte(0.5)", "me", "te(1)", "se(1)"):
         op = parse_taming(text)
         for assumption in ("H1", "H2", "H3"):
             constants = {"L": 1.0}
@@ -106,6 +102,86 @@ def _check_battery(cfg: ExperimentConfig | None):
         for assumption in ("A2", "A3", "A5", "A6"):
             reports.append(verify.check_model(model, assumption, None, spec))
     return reports
+
+
+class _Study(NamedTuple):
+    """How the CLI runs and renders one study.  The fields are functions, so
+    experiments/output/svgplot attributes are looked up when a command runs."""
+
+    run: Callable  # (cfg, threads) -> result
+    csv: Callable  # (result, cfg) -> {file name: bytes}
+    svgs: Callable  # (result, cfg) -> [(file name, render(fingerprint=...))]
+    diverged: Callable  # result -> whether some cell diverged
+    summary: Callable  # result -> lines to print
+
+
+_STUDIES = {
+    "converge": _Study(
+        run=lambda cfg, threads: experiments.run_convergence(cfg, threads=threads),
+        csv=lambda reports, cfg: output.convergence_files(reports),
+        svgs=lambda reports, cfg: [
+            (f"converge_{rep.model}_{rep.scheme}.svg", partial(svgplot.convergence_svg, rep))
+            for rep in reports
+        ],
+        diverged=lambda reports: any(r.diverged for rep in reports for r in rep.rows),
+        summary=lambda reports: [
+            f"{rep.model}/{rep.scheme}: slope={rep.slope:.3f} "
+            f"intercept={rep.intercept:.3f} r2={rep.r2:.4f} ({rep.n_fit} points)"
+            for rep in reports
+        ],
+    ),
+    "density": _Study(
+        run=lambda cfg, threads: experiments.run_density(cfg, threads=threads),
+        csv=lambda bundle, cfg: output.density_files(bundle, cfg.h_values),
+        svgs=lambda bundle, cfg: [
+            (f"density_T{t:g}.svg", partial(svgplot.density_svg, bundle.entries, t))
+            for t in bundle.times()
+        ],
+        diverged=lambda bundle: any(e.note == "diverged" for e in bundle.entries),
+        summary=lambda bundle: [
+            f"density: {len(bundle.entries)} curves at times {bundle.times()}"
+        ],
+    ),
+    "paths": _Study(
+        run=lambda cfg, threads: experiments.run_paths(cfg, threads=threads),
+        csv=lambda bundle, cfg: output.path_files(bundle, cfg.h_values),
+        svgs=lambda bundle, cfg: [
+            (f"paths_{c.scheme}{output.h_suffix(c.h, cfg.h_values)}.svg",
+             partial(svgplot.paths_svg, c))
+            for c in bundle.cells
+        ],
+        diverged=lambda bundle: any(c.diverged for c in bundle.cells),
+        summary=lambda bundle: [
+            f"{c.scheme} h={c.h:g}: max|X| over records = {c.max_abs_recorded:.4g}, "
+            f"first non-finite t = {c.first_nonfinite_time}"
+            for c in bundle.cells
+        ],
+    ),
+    "moments": _Study(
+        run=lambda cfg, threads: experiments.run_moments(cfg, threads=threads),
+        csv=lambda bundle, cfg: output.moment_files(bundle, cfg.h_values),
+        svgs=lambda bundle, cfg: [
+            (f"moments_{c.scheme}{output.h_suffix(c.h, cfg.h_values)}.svg",
+             partial(svgplot.moments_svg, c))
+            for c in bundle.cells
+        ],
+        diverged=lambda bundle: any(c.nonfinite for c in bundle.cells),
+        summary=lambda bundle: [
+            f"{c.scheme} h={c.h:g}: {len(c.times)} rows"
+            + (" [non-finite]" if c.nonfinite else (" [ceiling]" if c.exceeded else ""))
+            for c in bundle.cells
+        ],
+    ),
+    "nscaling": _Study(
+        run=lambda cfg, threads: experiments.run_nscaling(cfg, threads=threads),
+        csv=lambda report, cfg: output.nscaling_files(report),
+        svgs=lambda report, cfg: [("nscaling.svg", partial(svgplot.nscaling_svg, report))],
+        diverged=lambda report: False,
+        summary=lambda report: [
+            f"nscaling {report.model}/{report.scheme}: slope={report.slope:.3f}"
+        ],
+    ),
+}
 
 
 def _run_command(args) -> int:
@@ -131,100 +207,21 @@ def _run_command(args) -> int:
         return 0
 
     cfg = _apply_overrides(load_config(args.config), args)
-    fp = _fingerprint(args)
-    threads = max(1, args.threads)
-    files = {}
-    diverged = False
-
-    if args.command == "converge":
-        reports = experiments.run_convergence(cfg, threads=threads)
-        files.update(output.convergence_files(reports))
-        if "svg" in cfg.formats:
-            for rep in reports:
-                try:
-                    doc = svgplot.convergence_svg(rep, fp)
-                except ValueError:
-                    continue
-                files[f"converge_{rep.model}_{rep.scheme}.svg"] = doc.encode("utf-8")
-        diverged = any(r.diverged for rep in reports for r in rep.rows)
-        for rep in reports:
-            print(
-                f"{rep.model}/{rep.scheme}: slope={rep.slope:.3f} "
-                f"intercept={rep.intercept:.3f} r2={rep.r2:.4f} ({rep.n_fit} points)"
-            )
-
-    elif args.command == "density":
-        bundle = experiments.run_density(cfg, threads=threads)
-        files.update(output.density_files(bundle, cfg.h_values))
-        if "svg" in cfg.formats:
-            for t in bundle.times():
-                try:
-                    doc = svgplot.density_svg(bundle.entries, t, fp)
-                except ValueError:
-                    continue
-                files[f"density_T{t:g}.svg"] = doc.encode("utf-8")
-        diverged = any(e.note == "diverged" for e in bundle.entries)
-        print(f"density: {len(bundle.entries)} curves at times {bundle.times()}")
-
-    elif args.command == "paths":
-        bundle = experiments.run_paths(cfg, threads=threads)
-        files.update(output.path_files(bundle, cfg.h_values))
-        if "svg" in cfg.formats:
-            for cell_ in bundle.cells:
-                suffix = "" if len(cfg.h_values) <= 1 else f"_h{cell_.h:g}"
-                try:
-                    doc = svgplot.paths_svg(cell_, fp)
-                except ValueError:
-                    continue
-                files[f"paths_{cell_.scheme}{suffix}.svg"] = doc.encode("utf-8")
-        diverged = any(c.diverged for c in bundle.cells)
-        for c in bundle.cells:
-            print(
-                f"{c.scheme} h={c.h:g}: max|X| over records = {c.max_abs_recorded:.4g}, "
-                f"first non-finite t = {c.first_nonfinite_time}"
-            )
-
-    elif args.command == "moments":
-        bundle = experiments.run_moments(cfg, threads=threads)
-        files.update(output.moment_files(bundle, cfg.h_values))
-        if "svg" in cfg.formats:
-            for c in bundle.cells:
-                suffix = "" if len(cfg.h_values) <= 1 else f"_h{c.h:g}"
-                series = [
-                    (f"m{k}", list(c.times), list(c.moments[k])) for k in sorted(c.moments)
-                ]
-                try:
-                    doc = svgplot.series_svg(
-                        series,
-                        title=f"moments: {c.scheme} (h={c.h:g})",
-                        xlabel="t",
-                        ylabel="moment",
-                        fingerprint=fp,
-                    )
-                except ValueError:
-                    continue
-                files[f"moments_{c.scheme}{suffix}.svg"] = doc.encode("utf-8")
-        diverged = any(c.nonfinite for c in bundle.cells)
-        for c in bundle.cells:
-            flag = " [non-finite]" if c.nonfinite else (" [ceiling]" if c.exceeded else "")
-            print(f"{c.scheme} h={c.h:g}: {len(c.times)} rows{flag}")
-
-    elif args.command == "nscaling":
-        report = experiments.run_nscaling(cfg, threads=threads)
-        files.update(output.nscaling_files(report))
-        if "svg" in cfg.formats:
+    study = _STUDIES[args.command]
+    result = study.run(cfg, max(1, args.threads))
+    files = study.csv(result, cfg)
+    if "svg" in cfg.formats:
+        fp = _fingerprint(args)
+        for name, render in study.svgs(result, cfg):
             try:
-                files["nscaling.svg"] = svgplot.nscaling_svg(report, fp).encode("utf-8")
+                files[name] = render(fingerprint=fp).encode("utf-8")
             except ValueError:
-                pass
-        print(f"nscaling {report.model}/{report.scheme}: slope={report.slope:.3f}")
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown command {args.command}")
-
+                continue
+    for line in study.summary(result):
+        print(line)
     written = output.write_files(cfg.out_dir, files)
     print(f"wrote {len(written)} files to {cfg.out_dir}")
-    if diverged and args.strict:
+    if args.strict and study.diverged(result):
         return 3
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 from .models import ModelSpec, make_model
 from .stepper import MODIFIED_EULER, SPLIT_STEP, NewtonConfig, SchemeConfig
-from .taming import parse_taming
+from .taming import TamingOperator, parse_taming
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
@@ -53,40 +53,38 @@ def exact_divide(a: float, b: float, what: str) -> int:
     return n
 
 
+def _parse_operator(text: str, model_rho: float | None) -> TamingOperator:
+    try:
+        return parse_taming(text, model_rho=model_rho)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def scheme_label(text: str) -> str:
     """Canonical filesystem-safe label for a scheme name like 'te(1)'."""
-    text = text.strip().lower()
-    if text == "ssm":
+    if text.strip().lower() == "ssm":
         return "ssm"
-    name, arg = text, None
-    if "(" in text and text.endswith(")"):
-        name, rest = text.split("(", 1)
-        name, rest = name.strip(), rest[:-1].strip()
-        if rest:
-            arg = float(rest)
-    if name == "dte":
-        return f"dte_l{arg if arg is not None else 0.5:g}"
-    if name == "te":
-        return f"te_a{arg if arg is not None else 1.0:g}"
-    if name == "se":
-        return f"se_a{arg if arg is not None else 1.0:g}"
-    if name in ("me", "fte", "identity"):
-        return name
-    raise ConfigError(f"unknown scheme '{text}'")
+    # the label of 'fte' does not depend on the model's growth exponent
+    return _parse_operator(text, model_rho=0.0).label
 
 
 def build_scheme(text: str, model: ModelSpec, newton: NewtonConfig | None = None) -> SchemeConfig:
     """Scheme from its config name; 'ssm' is the implicit split-step method."""
-    label = scheme_label(text)
     if text.strip().lower() == "ssm":
         return SchemeConfig(
-            method=SPLIT_STEP, newton=newton or NewtonConfig(), label=label
+            method=SPLIT_STEP, newton=newton or NewtonConfig(), label="ssm"
         )
-    try:
-        op = parse_taming(text, model_rho=model.rho)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return SchemeConfig(method=MODIFIED_EULER, t1=op, t2=op, label=label)
+    op = _parse_operator(text, model_rho=model.rho)
+    return SchemeConfig(method=MODIFIED_EULER, t1=op, t2=op, label=op.label)
+
+
+def parse_formats(text: str) -> list:
+    """Output formats from a comma list of csv | svg."""
+    formats = parse_list(text, conv=str.lower)
+    bad = [f for f in formats if f not in ("csv", "svg")]
+    if bad:
+        raise ConfigError(f"unknown output formats: {bad}")
+    return formats
 
 
 @dataclass
@@ -129,8 +127,7 @@ class ExperimentConfig:
     def validate_convergence(self):
         if self.h_ref is None or not self.h_list:
             raise ConfigError("convergence study needs h_ref and h_list in [grid]")
-        exact_divide(self.T, self.h_ref, "T / h_ref")
-        n_ref = round(self.T / self.h_ref)
+        n_ref = exact_divide(self.T, self.h_ref, "T / h_ref")
         for h in [self.h_ref, *self.h_list]:
             if not 0.0 < h < 1.0:
                 raise ConfigError(f"step size {h} outside (0, 1)")
@@ -168,8 +165,7 @@ def load_config(path: str) -> ExperimentConfig:
             cfg.model_params[key] = conv(sec[key])
 
     if parser.has_section("schemes"):
-        raw = parser["schemes"].get("schemes", "")
-        cfg.schemes = [s.strip() for s in raw.split(",") if s.strip()]
+        cfg.schemes = parse_list(parser["schemes"].get("schemes", ""), conv=str)
         if not cfg.schemes:
             raise ConfigError("[schemes] section present but empty")
 
@@ -217,10 +213,7 @@ def load_config(path: str) -> ExperimentConfig:
         if "out_dir" in sec:
             cfg.out_dir = sec["out_dir"].strip()
         if "formats" in sec:
-            cfg.formats = [f.strip().lower() for f in sec["formats"].split(",") if f.strip()]
-            bad = [f for f in cfg.formats if f not in ("csv", "svg")]
-            if bad:
-                raise ConfigError(f"unknown output formats: {bad}")
+            cfg.formats = parse_formats(sec["formats"])
 
     if cfg.T <= 0:
         raise ConfigError("horizon T must be positive")
@@ -228,6 +221,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("particle count N must be positive")
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be at least 1")
+    if any(k < 1 for k in cfg.orders):
+        raise ConfigError(f"moment orders must be at least 1, got {cfg.orders}")
     return cfg
 
 

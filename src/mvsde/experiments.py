@@ -30,6 +30,26 @@ def _run_cells(cells, worker, threads):
     return [worker(c) for c in cells]
 
 
+def _run_schemes(cfg, model, record_times, reduce, threads, extra=(), trace_ids=None):
+    """One run per (scheme, h) cell of the config, plus the `extra` cells.
+
+    A cell is (scheme text, h, label suffix).  Each runs on its own grid
+    from the config seed and records at record_times(cfg, n) for its n steps;
+    reduce(label, h, trajectory) gives the cell's result.
+    """
+    cells = [(text, h, "") for text in cfg.schemes for h in cfg.h_values]
+
+    def cell(spec):
+        text, h, suffix = spec
+        scheme = build_scheme(text, model)
+        n = round(cfg.T / h)
+        grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
+        traj = simulate(model, scheme, grid, record_times(cfg, n), trace_ids=trace_ids)
+        return reduce(scheme.label + suffix, h, traj)
+
+    return _run_cells(cells + list(extra), cell, threads)
+
+
 def fit_loglog(xs, ys):
     """OLS fit of log2(y) against log2(x); returns (slope, intercept, r2)."""
     lx = np.log2(np.asarray(xs, dtype=np.float64))
@@ -151,7 +171,7 @@ class DensityBundle:
         return sorted({e.time for e in self.entries})
 
 
-def _density_record_times(cfg):
+def _density_record_times(cfg, n):
     if cfg.record_times is not None:
         return cfg.record_times
     defaults = [t for t in (1.0, 3.0, 10.0) if t <= cfg.T + 1e-12]
@@ -165,21 +185,13 @@ def run_density(cfg: ExperimentConfig, threads: int = 1) -> DensityBundle:
     model = cfg.build_model()
     if model.d != 1:
         raise ConfigError("density study needs a one-dimensional model")
-    times = _density_record_times(cfg)
-    cells = [(text, h) for text in cfg.schemes for h in cfg.h_values]
+    extra = []
     if cfg.reference_scheme:
         ref_h = cfg.reference_h if cfg.reference_h is not None else 1e-4
         exact_divide(cfg.T, ref_h, "T / reference_h")
-        cells.append((cfg.reference_scheme, ref_h, "ref"))
+        extra.append((cfg.reference_scheme, ref_h, "_ref"))
 
-    def cell(spec):
-        text, h = spec[0], spec[1]
-        suffix = "_ref" if len(spec) > 2 else ""
-        scheme = build_scheme(text, model)
-        label = scheme.label + suffix
-        n = round(cfg.T / h)
-        grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
-        traj = simulate(model, scheme, grid, times)
+    def reduce(label, h, traj):
         out = []
         for rt, _, ens in traj.records:
             if np.all(np.isfinite(ens.states)):
@@ -188,10 +200,8 @@ def run_density(cfg: ExperimentConfig, threads: int = 1) -> DensityBundle:
                 out.append(DensityEntry(label, h, rt, None, note="diverged"))
         return out
 
-    bundle = DensityBundle(model=model.name)
-    for entries in _run_cells(cells, cell, threads):
-        bundle.entries.extend(entries)
-    return bundle
+    cells = _run_schemes(cfg, model, _density_record_times, reduce, threads, extra)
+    return DensityBundle(model=model.name, entries=[e for cell in cells for e in cell])
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +227,7 @@ class PathBundle:
     cells: list = field(default_factory=list)
 
 
-def _paths_record_times(cfg):
+def _paths_record_times(cfg, n):
     if cfg.record_times is not None:
         return cfg.record_times
     return [cfg.T * (k + 1) / 10.0 for k in range(10)]
@@ -229,18 +239,11 @@ def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
     time, if any."""
     cfg.validate_run_steps()
     model = cfg.build_model()
-    times = _paths_record_times(cfg)
     ids = cfg.trace_particles
     if ids is None:
         ids = list(range(min(10, cfg.N)))
-    cells = [(text, h) for text in cfg.schemes for h in cfg.h_values]
 
-    def cell(spec):
-        text, h = spec
-        scheme = build_scheme(text, model)
-        n = round(cfg.T / h)
-        grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
-        traj = simulate(model, scheme, grid, times, trace_ids=ids)
+    def reduce(label, h, traj):
         tt, tv = path_trace(traj, ids, stride=cfg.trace_stride)
         max_abs = 0.0
         for _, _, ens in traj.records:
@@ -248,7 +251,7 @@ def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
             if finite.size:
                 max_abs = max(max_abs, float(np.max(np.abs(finite))))
         return PathCell(
-            scheme=scheme.label,
+            scheme=label,
             h=h,
             times=tt,
             values=tv,
@@ -258,7 +261,8 @@ def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
             diverged=traj.diverged,
         )
 
-    return PathBundle(model=model.name, cells=_run_cells(cells, cell, threads))
+    cells = _run_schemes(cfg, model, _paths_record_times, reduce, threads, trace_ids=ids)
+    return PathBundle(model=model.name, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +296,13 @@ class MomentBundle:
         raise KeyError((scheme, h))
 
 
-def _moment_record_times(cfg, n, T):
+def _moment_record_times(cfg, n):
     if cfg.record_times is not None:
         return cfg.record_times
     steps = range(0, n + 1) if n <= 256 else range(0, n + 1, max(1, n // 256))
-    times = [T * k / n for k in steps]
-    if times[-1] != T:
-        times.append(T)
+    times = [cfg.T * k / n for k in steps]
+    if times[-1] != cfg.T:
+        times.append(cfg.T)
     return times
 
 
@@ -307,29 +311,23 @@ def run_moments(cfg: ExperimentConfig, threads: int = 1) -> MomentBundle:
     they leave the configured ceiling or stop being finite."""
     cfg.validate_run_steps()
     model = cfg.build_model()
-    cells = [(text, h) for text in cfg.schemes for h in cfg.h_values]
 
-    def cell(spec):
-        text, h = spec
-        scheme = build_scheme(text, model)
-        n = round(cfg.T / h)
-        times = _moment_record_times(cfg, n, cfg.T)
-        grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
-        traj = simulate(model, scheme, grid, times)
+    def reduce(label, h, traj):
         rec_t = np.array([rt for rt, _, _ in traj.records])
         table = {}
         for order in cfg.orders:
-            vals = []
-            for _, _, ens in traj.records:
-                with np.errstate(all="ignore"):
-                    vals.append(float(np.sum(np.mean(ens.states**order, axis=0))))
+            with np.errstate(all="ignore"):
+                vals = [
+                    float(np.sum(ens.measure.raw_moment(order)))
+                    for _, _, ens in traj.records
+                ]
             table[order] = np.array(vals)
         all_finite = all(np.isfinite(v).all() for v in table.values())
         exceeded = any(
             np.any(v[np.isfinite(v)] > cfg.moment_ceiling) for v in table.values()
         )
         return MomentCell(
-            scheme=scheme.label,
+            scheme=label,
             h=h,
             times=rec_t,
             moments=table,
@@ -339,7 +337,8 @@ def run_moments(cfg: ExperimentConfig, threads: int = 1) -> MomentBundle:
             first_nonfinite_time=traj.first_nonfinite_time,
         )
 
-    return MomentBundle(model=model.name, cells=_run_cells(cells, cell, threads))
+    cells = _run_schemes(cfg, model, _moment_record_times, reduce, threads)
+    return MomentBundle(model=model.name, cells=cells)
 
 
 # ---------------------------------------------------------------------------

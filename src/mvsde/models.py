@@ -129,51 +129,45 @@ def _as_batch(x, d):
     raise ValueError(f"states must have shape (d,) or (N, {d})")
 
 
-def eval_drift(model: ModelSpec, t, x, mu: MeasureView):
-    """Evaluate b(t, x, mu); raises NonFiniteCoefficient on bad input/output."""
+def _eval(model, coefficient, what, t, x, mu, *args):
+    """Evaluate one coefficient, named `what` in errors, on a state or batch."""
     batch, squeeze = _as_batch(x, model.d)
     if not np.all(np.isfinite(batch)):
-        raise NonFiniteCoefficient("non-finite state passed to drift", t=t, x=batch)
+        raise NonFiniteCoefficient(f"non-finite state passed to {what}", t=t, x=batch)
     with np.errstate(all="ignore"):
-        out = np.asarray(model.drift(t, batch, mu), dtype=np.float64)
+        out = np.asarray(coefficient(t, batch, mu, *args), dtype=np.float64)
     if out.shape != batch.shape:
-        raise ValueError(f"drift returned shape {out.shape}, expected {batch.shape}")
+        raise ValueError(f"{what} returned shape {out.shape}, expected {batch.shape}")
     if not np.all(np.isfinite(out)):
         bad = np.where(~np.isfinite(out).all(axis=1))[0]
         raise NonFiniteCoefficient(
-            f"drift of model '{model.name}' is non-finite at t={t}",
+            f"{what} of model '{model.name}' is non-finite at t={t}",
             t=t,
             x=batch[bad],
             value=out[bad],
         )
     return out[0] if squeeze else out
+
+
+def eval_drift(model: ModelSpec, t, x, mu: MeasureView):
+    """Evaluate b(t, x, mu); raises NonFiniteCoefficient on bad input/output."""
+    return _eval(model, model.drift, "drift", t, x, mu)
 
 
 def eval_diffusion_col(model: ModelSpec, t, x, mu: MeasureView, r: int):
     """Evaluate sigma_r(t, x, mu) for 1 <= r <= m; same error contract as eval_drift."""
     if not 1 <= r <= model.m:
         raise ValueError(f"diffusion column {r} outside 1..{model.m}")
-    batch, squeeze = _as_batch(x, model.d)
-    if not np.all(np.isfinite(batch)):
-        raise NonFiniteCoefficient("non-finite state passed to diffusion", t=t, x=batch)
-    with np.errstate(all="ignore"):
-        out = np.asarray(model.diffusion_col(t, batch, mu, r), dtype=np.float64)
-    if out.shape != batch.shape:
-        raise ValueError(f"diffusion returned shape {out.shape}, expected {batch.shape}")
-    if not np.all(np.isfinite(out)):
-        bad = np.where(~np.isfinite(out).all(axis=1))[0]
-        raise NonFiniteCoefficient(
-            f"diffusion column {r} of model '{model.name}' is non-finite at t={t}",
-            t=t,
-            x=batch[bad],
-            value=out[bad],
-        )
-    return out[0] if squeeze else out
+    return _eval(model, model.diffusion_col, f"diffusion column {r}", t, x, mu, r)
 
 
 # ---------------------------------------------------------------------------
 # built-in benchmark models (all scalar: d = m = 1)
 # ---------------------------------------------------------------------------
+
+
+def _start_at_zero(stream):
+    return np.zeros(stream.shape)
 
 
 def cubic_interaction_model() -> ModelSpec:
@@ -189,9 +183,6 @@ def cubic_interaction_model() -> ModelSpec:
     def diffusion(t, x, mu, r):
         return gamma * (1.0 - x**2)
 
-    def init(stream):
-        return np.zeros(stream.shape)
-
     return ModelSpec(
         name="cubic",
         d=1,
@@ -199,7 +190,7 @@ def cubic_interaction_model() -> ModelSpec:
         drift=drift,
         diffusion_col=diffusion,
         rho=1.0,
-        initial_sampler=init,
+        initial_sampler=_start_at_zero,
         params={"c": c, "gamma": gamma},
     )
 
@@ -217,9 +208,6 @@ def quintic_interaction_model() -> ModelSpec:
     def diffusion(t, x, mu, r):
         return gamma * x**2 + 1.0
 
-    def init(stream):
-        return np.zeros(stream.shape)
-
     return ModelSpec(
         name="quintic",
         d=1,
@@ -227,7 +215,7 @@ def quintic_interaction_model() -> ModelSpec:
         drift=drift,
         diffusion_col=diffusion,
         rho=2.0,
-        initial_sampler=init,
+        initial_sampler=_start_at_zero,
         params={"c": c, "gamma": gamma},
     )
 

@@ -60,14 +60,15 @@ def convergence_files(reports) -> dict:
     return files
 
 
-def _h_suffix(h, h_values) -> str:
+def h_suffix(h, h_values) -> str:
+    """File-name suffix naming h when a study runs several step sizes."""
     return "" if len(h_values) <= 1 else f"_h{h:g}"
 
 
 def density_files(bundle, h_values) -> dict:
     files = {}
     for e in bundle.entries:
-        name = f"density_{e.scheme}{_h_suffix(e.h, h_values)}_T{e.time:g}.csv"
+        name = f"density_{e.scheme}{h_suffix(e.h, h_values)}_T{e.time:g}.csv"
         if e.curve is None:
             files[name] = render_csv(("x", "density"), [])
         else:
@@ -77,15 +78,18 @@ def density_files(bundle, h_values) -> dict:
     return files
 
 
+def _time_csv(times, columns) -> bytes:
+    """A t column followed by one column per (name, values) pair."""
+    rows = [[t] + [values[i] for _, values in columns] for i, t in enumerate(times)]
+    return render_csv(["t"] + [name for name, _ in columns], rows)
+
+
 def path_files(bundle, h_values) -> dict:
     files = {}
     summary_rows = []
     for c in bundle.cells:
-        header = ["t"] + [f"p{pid}" for pid in c.particle_ids]
-        rows = []
-        for i, t in enumerate(c.times):
-            rows.append([t] + [c.values[i, j, 0] for j in range(len(c.particle_ids))])
-        files[f"paths_{c.scheme}{_h_suffix(c.h, h_values)}.csv"] = render_csv(header, rows)
+        columns = [(f"p{pid}", c.values[:, j, 0]) for j, pid in enumerate(c.particle_ids)]
+        files[f"paths_{c.scheme}{h_suffix(c.h, h_values)}.csv"] = _time_csv(c.times, columns)
         summary_rows.append(
             (c.scheme, c.h, c.max_abs_recorded, c.first_nonfinite_time, c.diverged)
         )
@@ -99,18 +103,14 @@ def path_files(bundle, h_values) -> dict:
 def moment_files(bundle, h_values) -> dict:
     files = {}
     for c in bundle.cells:
-        orders = sorted(c.moments)
-        header = ["t"] + [f"m{k}" for k in orders]
-        rows = []
-        for i, t in enumerate(c.times):
-            rows.append([t] + [c.moments[k][i] for k in orders])
-        files[f"moments_{c.scheme}{_h_suffix(c.h, h_values)}.csv"] = render_csv(header, rows)
+        columns = [(f"m{k}", c.moments[k]) for k in sorted(c.moments)]
+        files[f"moments_{c.scheme}{h_suffix(c.h, h_values)}.csv"] = _time_csv(c.times, columns)
     return files
 
 
 def nscaling_files(report) -> dict:
     rows = [(r.n_particles, r.mean_w2, r.sem_w2, r.repetitions) for r in report.rows]
-    files = {
+    return {
         f"nscaling_{report.model}_{report.scheme}.csv": render_csv(
             ("n_particles", "mean_w2", "sem_w2", "repetitions"), rows
         ),
@@ -119,7 +119,6 @@ def nscaling_files(report) -> dict:
             [(report.scheme, report.proxy_n, report.slope, report.intercept, report.r2)],
         ),
     }
-    return files
 
 
 def check_files(reports) -> dict:

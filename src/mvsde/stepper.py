@@ -95,16 +95,17 @@ class Ensemble:
         return self.states.shape[1]
 
 
-def _flag_nonfinite(new_states, ens, step_index):
-    """Replace non-finite entries by NaN; return (states, diverged, first_event)."""
+def _next_ensemble(new_states, ens, h):
+    """Ensemble one step after ens; non-finite entries become NaN and flag it."""
+    k = ens.step_index + 1
     finite = np.isfinite(new_states)
     if finite.all():
-        return new_states, ens.diverged, ens.first_nonfinite
+        return Ensemble(new_states, ens.t + h, k, ens.diverged, ens.first_nonfinite)
     first = ens.first_nonfinite
     if first is None:
         particle = int(np.argmin(finite.all(axis=1)))
-        first = (particle, step_index)
-    return np.where(finite, new_states, np.nan), True, first
+        first = (particle, k)
+    return Ensemble(np.where(finite, new_states, np.nan), ens.t + h, k, True, first)
 
 
 def euler_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ensemble:
@@ -123,9 +124,7 @@ def euler_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ens
         for r in range(1, model.m + 1):
             s = np.asarray(model.diffusion_col(t, x, mu, r), dtype=np.float64)
             new = new + _t2_raw(cfg.t2, s, x, h) * dW[:, r - 1 : r]
-    k = ens.step_index + 1
-    new, diverged, first = _flag_nonfinite(new, ens, k)
-    return Ensemble(new, ens.t + h, k, diverged, first)
+    return _next_ensemble(new, ens, h)
 
 
 def _newton_implicit_drift(model, t, x, mu, h, newton):
@@ -176,9 +175,7 @@ def split_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ens
         for r in range(1, model.m + 1):
             s = np.asarray(model.diffusion_col(t, y, mu, r), dtype=np.float64)
             new = new + s * dW[:, r - 1 : r]
-    k = ens.step_index + 1
-    new, diverged, first = _flag_nonfinite(new, ens, k)
-    return Ensemble(new, ens.t + h, k, diverged, first)
+    return _next_ensemble(new, ens, h)
 
 
 def step(ens, model, cfg, h, dW) -> Ensemble:
@@ -211,9 +208,6 @@ class Trajectory:
         if self.first_nonfinite is None:
             return None
         return self.first_nonfinite[1] * self.h
-
-    def recorded_ensembles(self):
-        return [ens for (_, _, ens) in self.records]
 
 
 def grid_floor_step(t, T, n):

@@ -172,19 +172,12 @@ def series_svg(series, title="series", xlabel="x", ylabel="y", fingerprint=""):
     return _document(body, title, fingerprint)
 
 
-def convergence_svg(report, fingerprint=""):
-    """log2-log2 RMSE scatter with the fitted line and its slope label."""
-    pts = [(r.log2_h, r.log2_rmse) for r in report.rows if r.usable]
-    if not pts:
-        raise ValueError("convergence report has no usable rows")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    pad_x = 0.5
-    pad_y = 0.5 + 0.1 * (max(ys) - min(ys))
-    frame = _Frame((min(xs) - pad_x, max(xs) + pad_x), (min(ys) - pad_y, max(ys) + pad_y))
-    body = _axes(frame, "log2 h", "log2 RMSE")
+def _fit_svg(xs, ys, pad_y, report, axis_labels, title, fingerprint):
+    """log2-log2 scatter with the report's fitted line and its slope label."""
+    frame = _Frame((min(xs) - 0.5, max(xs) + 0.5), (min(ys) - pad_y, max(ys) + pad_y))
+    body = _axes(frame, *axis_labels)
     color = _PALETTE[0]
-    for x, y in pts:
+    for x, y in zip(xs, ys):
         body.append(
             f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="3.5" '
             f'fill="{color}"/>'
@@ -193,14 +186,20 @@ def convergence_svg(report, fingerprint=""):
         fx = [min(xs), max(xs)]
         fy = [report.slope * v + report.intercept for v in fx]
         body.append(_polyline(frame, fx, fy, _PALETTE[1], dash="5,4"))
-        body.extend(
-            _legend(
-                [(report.scheme, color)],
-                extra=[f"slope {report.slope:.3f}"],
-            )
-        )
-    title = f"strong error: {report.model} / {report.scheme}"
+        body.extend(_legend([(report.scheme, color)], extra=[f"slope {report.slope:.3f}"]))
     return _document(body, title, fingerprint)
+
+
+def convergence_svg(report, fingerprint=""):
+    """log2-log2 RMSE scatter with the fitted line and its slope label."""
+    pts = [(r.log2_h, r.log2_rmse) for r in report.rows if r.usable]
+    if not pts:
+        raise ValueError("convergence report has no usable rows")
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    pad_y = 0.5 + 0.1 * (max(ys) - min(ys))
+    title = f"strong error: {report.model} / {report.scheme}"
+    return _fit_svg(xs, ys, pad_y, report, ("log2 h", "log2 RMSE"), title, fingerprint)
 
 
 def density_svg(entries, time, fingerprint=""):
@@ -234,23 +233,25 @@ def paths_svg(cell, fingerprint=""):
     )
 
 
+def moments_svg(cell, fingerprint=""):
+    """Raw moments over time of one (scheme, h) cell."""
+    series = [(f"m{k}", list(cell.times), list(cell.moments[k])) for k in sorted(cell.moments)]
+    return series_svg(
+        series,
+        title=f"moments: {cell.scheme} (h={cell.h:g})",
+        xlabel="t",
+        ylabel="moment",
+        fingerprint=fingerprint,
+    )
+
+
 def nscaling_svg(report, fingerprint=""):
     xs = [math.log2(r.n_particles) for r in report.rows]
     ys = [math.log2(r.mean_w2) for r in report.rows if r.mean_w2 > 0]
     if len(ys) != len(xs) or not xs:
         raise ValueError("N-scaling report has unusable rows")
-    frame = _Frame((min(xs) - 0.5, max(xs) + 0.5), (min(ys) - 0.5, max(ys) + 0.5))
-    body = _axes(frame, "log2 N", "log2 W2")
-    for x, y in zip(xs, ys):
-        body.append(
-            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="3.5" '
-            f'fill="{_PALETTE[0]}"/>'
-        )
-    if math.isfinite(report.slope):
-        fy = [report.slope * v + report.intercept for v in (min(xs), max(xs))]
-        body.append(_polyline(frame, [min(xs), max(xs)], fy, _PALETTE[1], dash="5,4"))
-        body.extend(_legend([(report.scheme, _PALETTE[0])], extra=[f"slope {report.slope:.3f}"]))
-    return _document(body, f"terminal-law error vs N: {report.model}", fingerprint)
+    title = f"terminal-law error vs N: {report.model}"
+    return _fit_svg(xs, ys, 0.5, report, ("log2 N", "log2 W2"), title, fingerprint)
 
 
 def emit_svg(obj, fingerprint="", **kwargs) -> str:

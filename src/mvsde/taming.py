@@ -68,6 +68,17 @@ class TamingOperator:
         """(r1, r2, r3) consistency exponents, or None where not declared."""
         return _DECLARED_H3.get(self.kind)
 
+    @property
+    def label(self) -> str:
+        """Filesystem-safe form of the config-file name, e.g. 'te_a1' for te(1)."""
+        if self.kind == "drift_tamed":
+            return f"dte_l{self.lam:g}"
+        if self.kind == "tanh":
+            return f"te_a{self.alpha:g}"
+        if self.kind == "sin":
+            return f"se_a{self.alpha:g}"
+        return {"identity": "identity", "modified": "me", "fully_tamed": "fte"}[self.kind]
+
 
 def identity() -> TamingOperator:
     return TamingOperator("identity")
@@ -146,8 +157,9 @@ def apply_t2(op: TamingOperator, v, x, h):
     return _validated(op, v, x, h, _t2_raw)
 
 
-# config-file names: identity | dte(lambda) | me | te(alpha) | se(alpha) | fte
-_DEFAULTS = {"dte": 0.5, "te": 1.0, "se": 1.0}
+# config-file names: identity | dte(lambda) | me | te(alpha) | se(alpha) | fte;
+# the parametrized ones take their default parameter from the factory
+_PARAMETRIZED = {"dte": drift_tamed, "te": tanh_op, "se": sin_op}
 
 
 def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:
@@ -168,16 +180,13 @@ def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:
                 raise ValueError(f"bad taming parameter in '{text}'") from None
     if name == "identity":
         return identity()
-    if name == "dte":
-        return drift_tamed(arg if arg is not None else _DEFAULTS["dte"])
+    if name in _PARAMETRIZED:
+        factory = _PARAMETRIZED[name]
+        return factory() if arg is None else factory(arg)
     if name == "me":
         if arg is not None:
             raise ValueError("'me' takes no parameter")
         return modified()
-    if name == "te":
-        return tanh_op(arg if arg is not None else _DEFAULTS["te"])
-    if name == "se":
-        return sin_op(arg if arg is not None else _DEFAULTS["se"])
     if name == "fte":
         if arg is not None:
             raise ValueError("'fte' takes its exponent from the model")

@@ -216,17 +216,13 @@ def check_taming(
                         worst.update(
                             float(np.linalg.norm(t2)), min(L * h**-1.5, nv), part="T2", **inputs
                         )
-                    elif assumption == "H2":
+                    else:  # H2, and H3 adds the T2 bound
                         worst.update(
                             float(np.linalg.norm(t1 - v)), L * h**r1 * nv**r2, part="T1", **inputs
                         )
-                    else:  # H3
-                        worst.update(
-                            float(np.linalg.norm(t1 - v)), L * h**r1 * nv**r2, part="T1", **inputs
-                        )
-                        worst.update(
-                            float(np.linalg.norm(t2 - v)), L * h**r3 * nv**r2, part="T2", **inputs
-                        )
+                        if assumption == "H3":
+                            bound = L * h**r3 * nv**r2
+                            worst.update(float(np.linalg.norm(t2 - v)), bound, part="T2", **inputs)
     return AssumptionReport(
         assumption_id=assumption,
         subject=_subject_name(op),

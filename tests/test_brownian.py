@@ -233,18 +233,42 @@ def test_philox_key_words_in_use():
     assert np.array_equal(a, b)
 
 
+def _block_excess(N, factor):
+    """Peak allocation of one 1024-step on-demand block beyond the block."""
+    grid = coarsen(generate(3, 1024 * factor, 1.0, N, 1, materialize=False), factor)
+    tracemalloc.start()
+    try:
+        block = grid.increments_block(0, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - block.nbytes
+
+
 def test_on_demand_block_memory_bounded_in_n():
     # peak allocation beyond the returned block is set by the slab size,
     # not by the particle count
-    def excess(N):
-        grid = generate(3, 1024, 1.0, N, 1, materialize=False)
-        tracemalloc.start()
-        try:
-            block = grid.increments_block(0, 1024)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak - block.nbytes
-
-    small, large = excess(2048), excess(8192)
+    small, large = _block_excess(2048, 1), _block_excess(8192, 1)
     assert large <= small + (1 << 20)
+
+
+@pytest.mark.parametrize("factor", [3, 8])
+def test_coarsened_on_demand_matches_materialized(factor):
+    # on-demand views sum root values while generating them; the sums must be
+    # the materialized grid's, also for groups that straddle a chunk boundary
+    n = factor * (brownian.CHUNK_STEPS // factor + 3)
+    lazy = coarsen(generate(19, n, 1.0, 3, 2, materialize=False), factor)
+    eager = coarsen(generate(19, n, 1.0, 3, 2, materialize=True), factor)
+    k = brownian.CHUNK_STEPS // factor
+    for k0, k1 in ((0, lazy.n_steps), (k - 2, k + 2), (k, k + 1)):
+        assert np.array_equal(lazy.increments_block(k0, k1), eager.increments_block(k0, k1))
+
+
+def test_coarsened_on_demand_memory_bounded_in_factor():
+    # no fine block is held, so coarsening costs no memory beyond the slabs
+    assert _block_excess(2048, 8) <= _block_excess(2048, 1) + (1 << 20)
+
+
+def test_on_demand_block_memory_within_two_slabs():
+    # one slab of words and one of doubles; the rest is done in place
+    assert _block_excess(8192, 1) <= 17 * (1 << 20)

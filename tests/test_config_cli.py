@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from mvsde.errors import ConfigError
 from mvsde.models import cubic_interaction_model
 from mvsde.output import format_value, render_csv
 from mvsde.svgplot import series_svg
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+assert SHIPPED_CONFIGS, "no shipped configs found"
 
 
 CONV_TEMPLATE = """
@@ -66,6 +71,8 @@ class TestParsing:
         assert scheme_label("fte") == "fte"
         with pytest.raises(ConfigError):
             scheme_label("xx")
+        with pytest.raises(ConfigError):
+            scheme_label("te(abc)")
 
     def test_build_scheme_ssm_and_fte(self):
         model = cubic_interaction_model()
@@ -95,6 +102,25 @@ class TestParsing:
         path.write_text("[output]\nformats = pdf\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_load_config_rejects_orders_below_one(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\norders = 0, 2\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads_and_validates(self, path):
+        # build and validate only; no simulation
+        cfg = load_config(str(path))
+        model = cfg.build_model()
+        cfg.build_schemes(model)
+        if cfg.reference_scheme:
+            build_scheme(cfg.reference_scheme, model)
+        if path.name.startswith("converge_"):
+            cfg.validate_convergence()
+        else:
+            cfg.validate_run_steps()
 
     def test_model_params_forwarded(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -160,6 +186,33 @@ class TestSvg:
         assert f"slope {rep.slope:.3f}" in doc
 
 
+# small multi-cell configs of the h = ... studies, each written as csv and svg
+_RUN_STUDY_BASE = """
+[model]
+name = doublewell
+mu0 = 0
+sigma0sq = 1
+[schemes]
+schemes = me, te(1)
+[grid]
+T = 0.5
+h = 2^-3, 2^-4
+[experiment]
+n = 40
+seed = 11
+{experiment}
+[output]
+formats = csv, svg
+"""
+RUN_STUDY_CONFIGS = {
+    "density": _RUN_STUDY_BASE.format(
+        experiment="record_times = 0.25, 0.5\nreference_scheme = ssm\nreference_h = 2^-6"
+    ),
+    "paths": _RUN_STUDY_BASE.format(experiment="trace_particles = 0, 3, 5"),
+    "moments": _RUN_STUDY_BASE.format(experiment="orders = 1, 2, 4"),
+}
+
+
 def write_conv_config(tmp_path, formats="csv"):
     path = tmp_path / "conv.ini"
     path.write_text(CONV_TEMPLATE.format(out=tmp_path / "out", formats=formats))
@@ -184,17 +237,23 @@ class TestCli:
         }
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
-        path = write_conv_config(tmp_path, formats="csv, svg")
-        outputs = []
-        for threads, sub in (("1", "a"), ("2", "b"), ("8", "c")):
-            out = tmp_path / sub
-            code = main(
-                ["converge", "--config", str(path), "--threads", threads,
-                 "--out-dir", str(out)]
-            )
-            assert code == 0
-            outputs.append(read_all(out))
-        assert outputs[0] == outputs[1] == outputs[2]
+        runs = [("converge", write_conv_config(tmp_path, formats="csv, svg"))]
+        for command, text in RUN_STUDY_CONFIGS.items():
+            path = tmp_path / f"{command}.ini"
+            path.write_text(text)
+            runs.append((command, path))
+        for command, path in runs:
+            outputs = []
+            for threads in ("1", "2", "8"):
+                out = tmp_path / f"{command}_{threads}"
+                code = main(
+                    [command, "--config", str(path), "--threads", threads,
+                     "--out-dir", str(out)]
+                )
+                assert code == 0
+                outputs.append(read_all(out))
+            assert outputs[0], command
+            assert outputs[0] == outputs[1] == outputs[2], command
 
     def test_seed_override_changes_bytes(self, tmp_path):
         path = write_conv_config(tmp_path)
@@ -208,6 +267,13 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[grid]\nT = 1\nh_ref = 0.3\nh_list = 0.3\n")
         assert main(["converge", "--config", str(bad)]) == 2
+        # malformed scheme parameters are config errors, not tracebacks
+        for scheme in ("te(abc)", "dte(x)"):
+            capsys.readouterr()
+            text = CONV_TEMPLATE.replace("me, se(1)", scheme)
+            bad.write_text(text.format(out=tmp_path / "o", formats="csv"))
+            assert main(["converge", "--config", str(bad)]) == 2
+            assert "config error:" in capsys.readouterr().err
 
     def test_strict_divergence_exit_code(self, tmp_path, capsys):
         # plain Euler-Maruyama on the quintic model overflows by t=1.875
