@@ -29,16 +29,7 @@ from .models import (
     quintic_interaction_model,
     register_model,
 )
-from .stats import (
-    DensityCurve,
-    kde,
-    path_trace,
-    raw_moments,
-    rmse,
-    w2_1d_exact,
-    w2_1d_quantile,
-    w2sq_dirac0,
-)
+from .stats import DensityCurve, kde, rmse, w2_1d_quantile
 from .stepper import (
     Ensemble,
     NewtonConfig,

@@ -187,7 +187,7 @@ _STUDIES = {
 def _run_command(args) -> int:
     if args.command == "list-models":
         for name in sorted(BUILTIN_MODELS):
-            model = make_model(name) if name != "doublewell" else make_model(name, mu0=0, sigma0sq=1)
+            model = make_model(name)
             params = ", ".join(f"{k}={v:g}" for k, v in model.params.items())
             print(f"{name}: d={model.d}, m={model.m}, rho={model.rho:g}" + (f" ({params})" if params else ""))
         return 0

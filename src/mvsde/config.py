@@ -10,8 +10,11 @@ Grammar (stdlib configparser INI dialect, UTF-8):
     [experiment]  N, seed, record_times, repetitions, experiment-specific keys
     [output]      out_dir, formats = comma list of csv | svg
 
-Numbers accept plain decimals, scientific notation and exact dyadic
-exponents written as 2^-14.  Arrays are comma-separated.
+Numbers, model parameters included, accept plain decimals, scientific
+notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
+repetitions, orders, trace_particles, trace_stride, n_list, proxy_n) take
+integer literals, exact at any size, or integral numbers such as 1e3.
+Arrays are comma-separated.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .models import ModelSpec, make_model
-from .stepper import MODIFIED_EULER, SPLIT_STEP, NewtonConfig, SchemeConfig
+from .stepper import MODIFIED_EULER, SPLIT_STEP, SchemeConfig
 from .taming import TamingOperator, parse_taming
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
@@ -37,6 +40,19 @@ def parse_number(text: str) -> float:
         return float(text)
     except ValueError:
         raise ConfigError(f"cannot parse number '{text}'") from None
+
+
+def parse_int(text: str) -> int:
+    """An integer key: an integer literal, read exactly, or a number with an
+    integral value such as 1e3 or 2^10, read as a float."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        value = parse_number(text)
+    if not value.is_integer():
+        raise ConfigError(f"expected an integer, got '{text}'")
+    return int(value)
 
 
 def parse_list(text: str, conv=parse_number) -> list:
@@ -68,12 +84,10 @@ def scheme_label(text: str) -> str:
     return _parse_operator(text, model_rho=0.0).label
 
 
-def build_scheme(text: str, model: ModelSpec, newton: NewtonConfig | None = None) -> SchemeConfig:
+def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
     """Scheme from its config name; 'ssm' is the implicit split-step method."""
     if text.strip().lower() == "ssm":
-        return SchemeConfig(
-            method=SPLIT_STEP, newton=newton or NewtonConfig(), label="ssm"
-        )
+        return SchemeConfig(method=SPLIT_STEP, label="ssm")
     op = _parse_operator(text, model_rho=model.rho)
     return SchemeConfig(method=MODIFIED_EULER, t1=op, t2=op, label=op.label)
 
@@ -143,9 +157,9 @@ class ExperimentConfig:
             if not 0.0 < h < 1.0:
                 raise ConfigError(f"step size {h} outside (0, 1)")
             exact_divide(self.T, h, "T / h")
-
-
-_MODEL_PARAM_CONVERTERS = {"mu0": float, "sigma0sq": float}
+        # the tolerance of stepper.simulate, which would reject them after set-up
+        if any(t < 0 or t > self.T + 1e-12 for t in self.record_times or ()):
+            raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -161,8 +175,7 @@ def load_config(path: str) -> ExperimentConfig:
         for key in sec:
             if key == "name":
                 continue
-            conv = _MODEL_PARAM_CONVERTERS.get(key, parse_number)
-            cfg.model_params[key] = conv(sec[key])
+            cfg.model_params[key] = parse_number(sec[key])
 
     if parser.has_section("schemes"):
         cfg.schemes = parse_list(parser["schemes"].get("schemes", ""), conv=str)
@@ -183,25 +196,25 @@ def load_config(path: str) -> ExperimentConfig:
     if parser.has_section("experiment"):
         sec = parser["experiment"]
         if "n" in sec:
-            cfg.N = int(sec["n"])
+            cfg.N = parse_int(sec["n"])
         if "seed" in sec:
-            cfg.seed = int(sec["seed"])
+            cfg.seed = parse_int(sec["seed"])
         if "record_times" in sec:
             cfg.record_times = parse_list(sec["record_times"])
         if "repetitions" in sec:
-            cfg.repetitions = int(sec["repetitions"])
+            cfg.repetitions = parse_int(sec["repetitions"])
         if "orders" in sec:
-            cfg.orders = [int(v) for v in parse_list(sec["orders"], conv=parse_number)]
+            cfg.orders = parse_list(sec["orders"], conv=parse_int)
         if "moment_ceiling" in sec:
             cfg.moment_ceiling = parse_number(sec["moment_ceiling"])
         if "trace_particles" in sec:
-            cfg.trace_particles = [int(v) for v in parse_list(sec["trace_particles"])]
+            cfg.trace_particles = parse_list(sec["trace_particles"], conv=parse_int)
         if "trace_stride" in sec:
-            cfg.trace_stride = int(sec["trace_stride"])
+            cfg.trace_stride = parse_int(sec["trace_stride"])
         if "n_list" in sec:
-            cfg.n_list = [int(v) for v in parse_list(sec["n_list"])]
+            cfg.n_list = parse_list(sec["n_list"], conv=parse_int)
         if "proxy_n" in sec:
-            cfg.proxy_n = int(sec["proxy_n"])
+            cfg.proxy_n = parse_int(sec["proxy_n"])
         if "reference_scheme" in sec:
             name = sec["reference_scheme"].strip().lower()
             cfg.reference_scheme = None if name in ("", "none") else name
@@ -221,7 +234,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("particle count N must be positive")
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be at least 1")
-    if any(k < 1 for k in cfg.orders):
+    if not cfg.orders or min(cfg.orders) < 1:
         raise ConfigError(f"moment orders must be at least 1, got {cfg.orders}")
     return cfg
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import brownian
 from .config import ExperimentConfig, build_scheme, exact_divide
 from .errors import ConfigError
-from .stats import kde, path_trace, rmse, w2_1d_quantile
+from .stats import kde, rmse, w2_1d_quantile
 from .stepper import simulate
 
 
@@ -242,9 +242,14 @@ def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
     ids = cfg.trace_particles
     if ids is None:
         ids = list(range(min(10, cfg.N)))
+    bad = [i for i in ids if not 0 <= i < cfg.N]
+    if bad:
+        raise ConfigError(f"trace_particles {bad} outside 0..{cfg.N - 1}")
+    stride = cfg.trace_stride
+    if stride < 1:
+        raise ConfigError(f"trace_stride must be at least 1, got {stride}")
 
     def reduce(label, h, traj):
-        tt, tv = path_trace(traj, ids, stride=cfg.trace_stride)
         max_abs = 0.0
         for _, _, ens in traj.records:
             finite = ens.states[np.isfinite(ens.states)]
@@ -253,8 +258,8 @@ def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
         return PathCell(
             scheme=label,
             h=h,
-            times=tt,
-            values=tv,
+            times=traj.trace_times[::stride],
+            values=traj.trace_values[::stride],
             particle_ids=tuple(ids),
             max_abs_recorded=max_abs,
             first_nonfinite_time=traj.first_nonfinite_time,
@@ -379,8 +384,8 @@ def run_nscaling(cfg: ExperimentConfig, threads: int = 1) -> NScalingReport:
     cfg.validate_run_steps()
     if len(cfg.h_values) != 1:
         raise ConfigError("N-scaling study needs exactly one h in [grid]")
-    if not cfg.n_list or cfg.proxy_n < 1:
-        raise ConfigError("N-scaling study needs n_list and proxy_n in [experiment]")
+    if not cfg.n_list or min(cfg.n_list) < 1 or cfg.proxy_n < 1:
+        raise ConfigError("N-scaling study needs positive n_list and proxy_n in [experiment]")
     model = cfg.build_model()
     if model.d != 1:
         raise ConfigError("N-scaling study needs a one-dimensional model")

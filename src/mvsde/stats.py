@@ -1,9 +1,12 @@
-"""Empirical-measure computations: RMSE, Wasserstein quantities, moments,
-kernel density estimates and path extraction.
+"""Empirical-measure statistics: the coupled RMSE and the exact
+one-dimensional W2 between two ensembles, and kernel density estimates.
 
-Every reduction is a single full-array numpy call, so the accumulation order
-is fixed by the array shape alone and results are bitwise reproducible
-regardless of how many workers drove the simulation.
+Moments and the W2 distance to the Dirac at 0 of one ensemble live on
+models.MeasureView; recorded particle paths on stepper.Trajectory.
+
+Every reduction is a single full-array numpy call or a loop in a fixed order,
+so the accumulation order is fixed by the array shape alone and results are
+bitwise reproducible regardless of how many workers drove the simulation.
 """
 
 from __future__ import annotations
@@ -35,37 +38,20 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean(np.sum((xa - xb) ** 2, axis=1))))
 
 
-def w2sq_dirac0(ens) -> float:
-    """Squared 2-Wasserstein distance to the Dirac at 0: (1/N) sum |x_i|^2."""
-    states = _states_of(ens)
-    return float(np.mean(np.sum(states**2, axis=1)))
-
-
-def w2_1d_exact(a, b) -> float:
-    """Exact W2 between two equal-size one-dimensional empirical measures.
-
-    Sorting both samples realizes the optimal (monotone) coupling, so this
-    is sqrt((1/N) sum (x_(i) - y_(i))^2) over order statistics.
-    """
-    xa, xb = _states_of(a), _states_of(b)
-    if xa.shape[1] != 1 or xb.shape[1] != 1:
-        raise ValueError("exact W2 is implemented for d = 1 only")
-    if xa.shape[0] != xb.shape[0]:
-        raise ValueError("equal sample sizes required; see w2_1d_quantile")
-    xs = np.sort(xa[:, 0])
-    ys = np.sort(xb[:, 0])
-    return float(np.sqrt(np.mean((xs - ys) ** 2)))
-
-
 def w2_1d_quantile(x, y) -> float:
-    """Exact W2 between 1-d empirical measures of arbitrary (unequal) sizes.
+    """Exact W2 between two d = 1 empirical measures of any sizes.
 
-    Integrates the squared quantile-function gap over the merged CDF
-    breakpoints; segment boundaries are compared in integer arithmetic
-    (i*m vs j*n) so no floating-point level merging is involved.
+    x and y are ensembles or (N,) / (N, 1) arrays.  Integrates the squared
+    quantile-function gap over the merged CDF breakpoints; segment boundaries
+    are compared in integer arithmetic (i*m vs j*n) so no floating-point level
+    merging is involved.  For equal sizes this is the sorted (monotone)
+    coupling sqrt((1/N) sum (x_(i) - y_(i))^2).
     """
-    xs = np.sort(np.asarray(x, dtype=np.float64).ravel())
-    ys = np.sort(np.asarray(y, dtype=np.float64).ravel())
+    xs, ys = _states_of(x), _states_of(y)
+    if xs.shape[1] != 1 or ys.shape[1] != 1:
+        raise ValueError("W2 is implemented for d = 1 only")
+    xs = np.sort(xs[:, 0])
+    ys = np.sort(ys[:, 0])
     n, m = xs.size, ys.size
     if n == 0 or m == 0:
         raise ValueError("empty sample")
@@ -84,15 +70,6 @@ def w2_1d_quantile(x, y) -> float:
     return float(np.sqrt(acc / total))
 
 
-def raw_moments(ens, orders) -> dict:
-    """Per-coordinate raw moments, {order: (d,) array}, fixed-order accumulation."""
-    orders = list(orders)
-    if not orders:
-        raise ValueError("orders must be nonempty")
-    states = _states_of(ens)
-    return {int(k): np.mean(states ** int(k), axis=0) for k in orders}
-
-
 @dataclass
 class DensityCurve:
     """One-dimensional kernel density estimate on an explicit grid."""
@@ -107,12 +84,12 @@ class DensityCurve:
         return float(np.trapezoid(self.values, self.grid))
 
 
-def kde(ens, grid=None, bandwidth=None, n_grid: int = 512) -> DensityCurve:
+def kde(ens, bandwidth=None) -> DensityCurve:
     """Gaussian-kernel density estimate of a d = 1 ensemble.
 
     Default bandwidth is 1.06 * std * N^(-1/5); a zero-variance sample gets
-    the 1e-3 floor and the curve is flagged degenerate.  The default grid
-    has 512 points spanning the sample range widened by four bandwidths.
+    the 1e-3 floor and the curve is flagged degenerate.  The grid has 512
+    points spanning the sample range widened by four bandwidths.
     """
     states = _states_of(ens)
     if states.shape[1] != 1:
@@ -131,40 +108,11 @@ def kde(ens, grid=None, bandwidth=None, n_grid: int = 512) -> DensityCurve:
     bandwidth = float(bandwidth)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if grid is None:
-        lo = float(x.min()) - 4.0 * bandwidth
-        hi = float(x.max()) + 4.0 * bandwidth
-        grid = np.linspace(lo, hi, int(n_grid))
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
+    lo = float(x.min()) - 4.0 * bandwidth
+    hi = float(x.max()) + 4.0 * bandwidth
+    grid = np.linspace(lo, hi, 512)
     z = (grid[:, None] - x[None, :]) / bandwidth
     values = np.mean(np.exp(-0.5 * z * z), axis=1) / (bandwidth * np.sqrt(2.0 * np.pi))
     return DensityCurve(
         grid=grid, values=values, bandwidth=bandwidth, n_source=n, degenerate=degenerate
     )
-
-
-def path_trace(traj, particle_ids, stride: int = 1):
-    """Strided (times, values) table of recorded per-step paths.
-
-    Returns (times of shape (R,), values of shape (R, len(ids), d)) with rows
-    at steps 0, stride, 2*stride, ...; diverged paths carry NaN sentinels.
-    Only particles traced during simulation are available.
-    """
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
-    particle_ids = list(particle_ids)
-    if traj.trace_ids is None:
-        raise ValueError("trajectory was simulated without path tracing")
-    index = {pid: col for col, pid in enumerate(traj.trace_ids)}
-    cols = []
-    for pid in particle_ids:
-        if pid not in index:
-            raise ValueError(f"particle {pid} was not traced (traced: {traj.trace_ids})")
-        cols.append(index[pid])
-    rows = np.arange(0, traj.trace_values.shape[0], stride)
-    times = traj.trace_times[rows]
-    if not cols:
-        return times, np.empty((rows.size, 0, traj.trace_values.shape[2]))
-    values = traj.trace_values[rows][:, cols, :]
-    return times, values

@@ -252,18 +252,3 @@ def nscaling_svg(report, fingerprint=""):
         raise ValueError("N-scaling report has unusable rows")
     title = f"terminal-law error vs N: {report.model}"
     return _fit_svg(xs, ys, 0.5, report, ("log2 N", "log2 W2"), title, fingerprint)
-
-
-def emit_svg(obj, fingerprint="", **kwargs) -> str:
-    """Render a report object (or a plain series list) to an SVG document."""
-    from .experiments import ConvergenceReport, NScalingReport, PathCell
-
-    if isinstance(obj, ConvergenceReport):
-        return convergence_svg(obj, fingerprint)
-    if isinstance(obj, NScalingReport):
-        return nscaling_svg(obj, fingerprint)
-    if isinstance(obj, PathCell):
-        return paths_svg(obj, fingerprint)
-    if isinstance(obj, (list, tuple)):
-        return series_svg(list(obj), fingerprint=fingerprint, **kwargs)
-    raise TypeError(f"no SVG rendering for {type(obj).__name__}")

@@ -160,6 +160,7 @@ def apply_t2(op: TamingOperator, v, x, h):
 # config-file names: identity | dte(lambda) | me | te(alpha) | se(alpha) | fte;
 # the parametrized ones take their default parameter from the factory
 _PARAMETRIZED = {"dte": drift_tamed, "te": tanh_op, "se": sin_op}
+_PLAIN = {"identity": identity, "me": modified}
 
 
 def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:
@@ -178,15 +179,13 @@ def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:
                 arg = float(rest)
             except ValueError:
                 raise ValueError(f"bad taming parameter in '{text}'") from None
-    if name == "identity":
-        return identity()
     if name in _PARAMETRIZED:
         factory = _PARAMETRIZED[name]
         return factory() if arg is None else factory(arg)
-    if name == "me":
+    if name in _PLAIN:
         if arg is not None:
-            raise ValueError("'me' takes no parameter")
-        return modified()
+            raise ValueError(f"'{name}' takes no parameter")
+        return _PLAIN[name]()
     if name == "fte":
         if arg is not None:
             raise ValueError("'fte' takes its exponent from the model")

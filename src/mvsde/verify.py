@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import MeasureView, ModelSpec, dirac
-from .stats import w2_1d_quantile, w2sq_dirac0
+from .stats import rmse, w2_1d_quantile
 from .taming import TamingOperator, _t1_raw, _t2_raw
 
 OP_ASSUMPTIONS = ("H1", "H2", "H3", "EX35_BOUND")
@@ -305,10 +305,9 @@ def check_model(
     def w2_measures(mu, nu):
         if model.d == 1:
             return w2_1d_quantile(mu.particles, nu.particles)
-        a, b = mu.particles, nu.particles
-        if a.shape[0] == b.shape[0]:
-            return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
-        return float(np.sqrt(w2sq_dirac0(a)) + np.sqrt(w2sq_dirac0(b)))
+        if mu.n_particles == nu.n_particles:
+            return rmse(mu.particles, nu.particles)
+        return float(np.sqrt(mu.w2sq_to_dirac0) + np.sqrt(nu.w2sq_to_dirac0))
 
     sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
     best = None

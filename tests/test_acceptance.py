@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mvsde import (
+    MeasureView,
     SchemeConfig,
     check_taming,
     compare_equilibria,
@@ -20,8 +21,7 @@ from mvsde import (
     generate,
     quintic_interaction_model,
     simulate,
-    w2_1d_exact,
-    w2sq_dirac0,
+    w2_1d_quantile,
 )
 from mvsde.brownian import coarsen, derive_seed
 from mvsde.cli import main as cli_main
@@ -331,7 +331,7 @@ def test_criterion_10_infrastructure_properties(tmp_path):
     dirac_identity = True
     for _ in range(100):
         states = rng.standard_normal((13, 1)) * rng.uniform(0.1, 20)
-        lhs = w2sq_dirac0(states)
+        lhs = MeasureView(states).w2sq_to_dirac0
         rhs = float(np.mean(np.sum(states**2, axis=1)))
         dirac_identity &= abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
     w2_brute = True
@@ -341,7 +341,7 @@ def test_criterion_10_infrastructure_properties(tmp_path):
             np.mean([(xs[i] - ys[j]) ** 2 for i, j in enumerate(perm)])
             for perm in itertools.permutations(range(5))
         )
-        w2_brute &= abs(w2_1d_exact(xs[:, None], ys[:, None]) - np.sqrt(best)) < 1e-12
+        w2_brute &= abs(w2_1d_quantile(xs[:, None], ys[:, None]) - np.sqrt(best)) < 1e-12
 
     ok = telescopes and workers_identical and newton_matches and dirac_identity and w2_brute
     line = report(

@@ -11,6 +11,7 @@ from mvsde.config import (
     exact_divide,
     load_config,
     paper_scale,
+    parse_int,
     parse_number,
     scheme_label,
 )
@@ -54,6 +55,21 @@ class TestParsing:
         assert parse_number("0.25") == 0.25
         with pytest.raises(ConfigError):
             parse_number("two")
+
+    def test_integer_keys(self, tmp_path):
+        assert parse_int(" 7 ") == 7 and parse_int("1e3") == 1000 and parse_int("2^4") == 16
+        for text in ("2.5", "x", "2^-1", "inf", "nan"):
+            with pytest.raises(ConfigError):
+                parse_int(text)
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[experiment]\nn = 1e3\nseed = 18446744073709551615\norders = 2^1, 4\n"
+            "n_list = 50, 1e2\n"
+        )
+        cfg = load_config(str(path))
+        assert cfg.N == 1000 and isinstance(cfg.N, int)
+        assert cfg.seed == 2**64 - 1
+        assert cfg.orders == [2, 4] and cfg.n_list == [50, 100]
 
     def test_exact_divide(self):
         assert exact_divide(1.0, 2.0**-14, "x") == 2**14
@@ -105,9 +121,10 @@ class TestParsing:
 
     def test_load_config_rejects_orders_below_one(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("[experiment]\norders = 0, 2\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        for orders in ("0, 2", ""):
+            path.write_text(f"[experiment]\norders = {orders}\n")
+            with pytest.raises(ConfigError):
+                load_config(str(path))
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads_and_validates(self, path):
@@ -124,10 +141,11 @@ class TestParsing:
 
     def test_model_params_forwarded(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("[model]\nname = doublewell\nmu0 = 3\nsigma0sq = 9\n")
-        cfg = load_config(str(path))
-        model = cfg.build_model()
-        assert model.params == {"mu0": 3.0, "sigma0sq": 9.0}
+        for mu0, expected in (("3", 3.0), ("2^-1", 0.5)):
+            path.write_text(f"[model]\nname = doublewell\nmu0 = {mu0}\nsigma0sq = 9\n")
+            cfg = load_config(str(path))
+            model = cfg.build_model()
+            assert model.params == {"mu0": expected, "sigma0sq": 9.0}
 
     def test_paper_scale(self):
         cfg = ExperimentConfig(h_ref=2.0**-14, h_list=[2.0**-7], N=32)
@@ -262,7 +280,11 @@ class TestCli:
         main(["converge", "--config", str(path), "--out-dir", str(b), "--seed", "99"])
         assert read_all(a)["converge_cubic_me.csv"] != read_all(b)["converge_cubic_me.csv"]
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a run started despite a config error")
+
+        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 2
         bad = tmp_path / "bad.ini"
         bad.write_text("[grid]\nT = 1\nh_ref = 0.3\nh_list = 0.3\n")
@@ -274,6 +296,29 @@ class TestCli:
             bad.write_text(text.format(out=tmp_path / "o", formats="csv"))
             assert main(["converge", "--config", str(bad)]) == 2
             assert "config error:" in capsys.readouterr().err
+        # malformed numbers, unknown scheme parameters and out-of-range keys
+        # (n = 40, T = 0.5) are config errors raised before any run
+        orders = "orders = 1, 2, 4"
+        for command, *edits in (
+            ("moments", orders, "orders = 2.5"),
+            ("moments", orders, "repetitions = x"),
+            ("moments", "mu0 = 0", "mu0 = abc"),
+            ("moments", "me, te(1)", "identity(5)"),
+            ("moments", orders, "record_times = 0.25, 0.75"),
+            ("moments", orders, "record_times = -0.25"),
+            ("paths", orders, "trace_stride = 0"),
+            ("paths", orders, "trace_particles = 0, 40"),
+            ("paths", orders, "trace_particles = -1"),
+            ("nscaling", "me, te(1)", "me", "2^-3, 2^-4", "2^-3",
+             orders, "n_list = 0, 10\nproxy_n = 20"),
+        ):
+            text = RUN_STUDY_CONFIGS["moments"]
+            for old, new in zip(edits[::2], edits[1::2]):
+                text = text.replace(old, new)
+            capsys.readouterr()
+            bad.write_text(text)
+            assert main([command, "--config", str(bad)]) == 2, edits
+            assert "config error:" in capsys.readouterr().err, edits
 
     def test_strict_divergence_exit_code(self, tmp_path, capsys):
         # plain Euler-Maruyama on the quintic model overflows by t=1.875
@@ -332,22 +377,23 @@ class TestCli:
 class TestSvgDispatch:
     def test_emit_svg_dispatch(self, tmp_path):
         from mvsde.experiments import run_convergence, run_density, run_paths, run_nscaling
-        from mvsde.svgplot import density_svg, emit_svg
+        from mvsde.svgplot import convergence_svg, density_svg, nscaling_svg, paths_svg
 
         cfg = ExperimentConfig(
             model_name="cubic", schemes=["me"], T=1.0, N=8, seed=5,
             h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
         )
         conv = run_convergence(cfg)[0]
-        doc = emit_svg(conv, fingerprint="abc123")
-        assert doc.startswith("<svg") and "abc123" in doc and doc == emit_svg(conv, fingerprint="abc123")
+        doc = convergence_svg(conv, fingerprint="abc123")
+        assert doc.startswith("<svg") and "abc123" in doc
+        assert doc == convergence_svg(conv, fingerprint="abc123")
 
         pcfg = ExperimentConfig(
             model_name="cubic", schemes=["me"], T=1.0, N=8, seed=5,
             h_values=[0.25], trace_particles=[0, 1],
         )
         cell = run_paths(pcfg).cells[0]
-        assert "<polyline" in emit_svg(cell)
+        assert "<polyline" in paths_svg(cell)
 
         dcfg = ExperimentConfig(
             model_name="cubic", schemes=["me", "te(1)"], T=1.0, N=32, seed=5,
@@ -362,11 +408,9 @@ class TestSvgDispatch:
             h_values=[2.0**-5], n_list=[16, 32], proxy_n=64, repetitions=2,
         )
         nrep = run_nscaling(ncfg)
-        assert "slope" in emit_svg(nrep)
+        assert "slope" in nscaling_svg(nrep)
 
-        assert "<polyline" in emit_svg([("s", [0, 1], [0, 1])])
-        with pytest.raises(TypeError):
-            emit_svg(object())
+        assert "<polyline" in series_svg([("s", [0, 1], [0, 1])])
 
 
 class TestCliFlagWiring:

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde import (
-    kde,
-    path_trace,
-    raw_moments,
-    rmse,
-    w2_1d_exact,
-    w2_1d_quantile,
-    w2sq_dirac0,
-)
+from mvsde import MeasureView, kde, rmse, w2_1d_quantile
 from mvsde.stepper import Ensemble
 
 
@@ -45,23 +37,24 @@ class TestRmse:
 
 
 class TestW2Dirac0:
+    # MeasureView.w2sq_to_dirac0
     def test_zero_states(self):
-        assert w2sq_dirac0(ens([0.0, 0.0])) == 0.0
+        assert ens([0.0, 0.0]).measure.w2sq_to_dirac0 == 0.0
 
     def test_frozen_example(self):
-        assert w2sq_dirac0(ens([1.0, -1.0])) == pytest.approx(1.0)
+        assert ens([1.0, -1.0]).measure.w2sq_to_dirac0 == pytest.approx(1.0)
 
     def test_equals_rmse_to_zero_squared(self):
         rng = np.random.default_rng(1)
         a = ens(rng.standard_normal(12))
         zero = ens(np.zeros(12))
-        assert w2sq_dirac0(a) == pytest.approx(rmse(a, zero) ** 2, rel=1e-12)
+        assert a.measure.w2sq_to_dirac0 == pytest.approx(rmse(a, zero) ** 2, rel=1e-12)
 
     def test_equals_second_moments_summed(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             states = rng.standard_normal((11, 2)) * rng.uniform(0.1, 30)
-            direct = w2sq_dirac0(states)
+            direct = MeasureView(states).w2sq_to_dirac0
             by_moment = float(np.sum(np.mean(states**2, axis=0)))
             assert direct == pytest.approx(by_moment, rel=1e-12)
 
@@ -76,15 +69,16 @@ def brute_force_w2(xs, ys):
 
 
 class TestW2Exact:
+    # w2_1d_quantile on equal-size ensembles and its input checks
     def test_permuted_multisets_are_zero(self):
         a = ens([3.0, -1.0, 2.0])
         b = ens([2.0, 3.0, -1.0])
-        assert w2_1d_exact(a, b) == 0.0
+        assert w2_1d_quantile(a, b) == 0.0
 
     def test_frozen_example(self):
         # {0,1} vs {1,2}: monotone pairing 0->1, 1->2 costs 1; the swapped
         # pairing costs sqrt(2); the minimum is 1
-        assert w2_1d_exact(ens([0.0, 1.0]), ens([1.0, 2.0])) == pytest.approx(1.0)
+        assert w2_1d_quantile(ens([0.0, 1.0]), ens([1.0, 2.0])) == pytest.approx(1.0)
         assert brute_force_w2([0.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
 
     def test_matches_brute_force_minimum(self):
@@ -92,7 +86,7 @@ class TestW2Exact:
         for _ in range(30):
             xs = rng.standard_normal(5)
             ys = rng.standard_normal(5)
-            assert w2_1d_exact(ens(xs), ens(ys)) == pytest.approx(
+            assert w2_1d_quantile(ens(xs), ens(ys)) == pytest.approx(
                 brute_force_w2(xs, ys), rel=1e-12
             )
 
@@ -102,26 +96,25 @@ class TestW2Exact:
             xs = rng.standard_normal(8)
             ys = rng.standard_normal(8)
             coupled = np.sqrt(np.mean((xs - ys) ** 2))
-            assert w2_1d_exact(ens(xs), ens(ys)) <= coupled + 1e-12
+            assert w2_1d_quantile(ens(xs), ens(ys)) <= coupled + 1e-12
 
     def test_rejects_d2(self):
-        with pytest.raises(ValueError):
-            w2_1d_exact(np.zeros((3, 2)), np.zeros((3, 2)))
-
-    def test_rejects_unequal_sizes(self):
-        with pytest.raises(ValueError):
-            w2_1d_exact(ens([1.0]), ens([1.0, 2.0]))
+        for a, b in ((np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros((3, 2)), np.zeros(3)),
+                     (np.zeros(3), ens(np.zeros((3, 2))))):
+            with pytest.raises(ValueError):
+                w2_1d_quantile(a, b)
 
 
 class TestW2Quantile:
     def test_agrees_with_equal_size_exact(self):
+        # the sorted (monotone) coupling, from arrays and from ensembles
         rng = np.random.default_rng(5)
         for _ in range(30):
             xs = rng.standard_normal(7)
             ys = rng.standard_normal(7)
-            assert w2_1d_quantile(xs, ys) == pytest.approx(
-                w2_1d_exact(ens(xs), ens(ys)), rel=1e-12
-            )
+            sorted_gap = np.sqrt(np.mean((np.sort(xs) - np.sort(ys)) ** 2))
+            assert w2_1d_quantile(xs, ys) == pytest.approx(sorted_gap, rel=1e-12)
+            assert w2_1d_quantile(ens(xs), ens(ys)) == w2_1d_quantile(xs, ys)
 
     def test_unequal_sizes_via_lcm_expansion(self):
         rng = np.random.default_rng(6)
@@ -149,26 +142,27 @@ def test_w2_permutation_invariant(values, perm):
     order = [p for p in perm if p < len(values)]
     shuffled = xs[order] if len(order) == len(values) else xs
     base = np.zeros(len(values))
-    assert w2_1d_exact(ens(xs), ens(base)) == w2_1d_exact(ens(shuffled), ens(base))
+    assert w2_1d_quantile(ens(xs), ens(base)) == w2_1d_quantile(ens(shuffled), ens(base))
 
 
 class TestRawMoments:
+    # MeasureView.raw_moment
     def test_symmetric_pair(self):
-        table = raw_moments(ens([1.0, -1.0]), [2])
-        assert table[2][0] == 1.0
+        assert ens([1.0, -1.0]).measure.raw_moment(2)[0] == 1.0
 
     def test_single_particle(self):
-        table = raw_moments(ens([2.0]), [1, 2, 3])
-        assert table[1][0] == 2.0
-        assert table[2][0] == 4.0
-        assert table[3][0] == 8.0
+        mu = ens([2.0]).measure
+        assert mu.raw_moment(1)[0] == 2.0
+        assert mu.raw_moment(2)[0] == 4.0
+        assert mu.raw_moment(3)[0] == 8.0
 
     def test_third_moment(self):
-        assert raw_moments(ens([0.0, 2.0]), [3])[3][0] == pytest.approx(4.0)
+        assert ens([0.0, 2.0]).measure.raw_moment(3)[0] == pytest.approx(4.0)
 
-    def test_rejects_empty_orders(self):
-        with pytest.raises(ValueError):
-            raw_moments(ens([1.0]), [])
+    def test_rejects_order_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                ens([1.0]).measure.raw_moment(k)
 
 
 class TestKde:
@@ -199,6 +193,7 @@ class TestKde:
 
 
 class TestPathTrace:
+    # run_paths keeps rows 0, s, 2s, ... of the trajectory's trace
     def make_traj(self, n=8, ids=(0, 1)):
         from mvsde import SchemeConfig, generate, simulate
         from mvsde.models import ModelSpec
@@ -225,22 +220,20 @@ class TestPathTrace:
 
     def test_row_count(self):
         traj = self.make_traj(n=8)
-        times, values = path_trace(traj, [0, 1], stride=8)
-        assert len(times) == 8 // 8 + 1
-        times, values = path_trace(traj, [0], stride=3)
-        assert len(times) == 8 // 3 + 1
+        assert traj.trace_times.shape == (9,) and traj.trace_values.shape == (9, 2, 1)
+        assert len(traj.trace_times[::8]) == 8 // 8 + 1
+        assert len(traj.trace_times[::3]) == 8 // 3 + 1
+        assert np.array_equal(traj.trace_times[::3], [0.0, 0.375, 0.75])
 
     def test_constant_model_constant_column(self):
         traj = self.make_traj(n=5)
-        _, values = path_trace(traj, [0, 1], stride=1)
-        assert np.all(values == 2.5)
+        assert np.all(traj.trace_values == 2.5)
 
     def test_empty_id_list(self):
-        traj = self.make_traj()
-        times, values = path_trace(traj, [], stride=1)
-        assert values.shape[1] == 0 and len(times) == 9
+        traj = self.make_traj(ids=())
+        assert traj.trace_values.shape == (9, 0, 1) and len(traj.trace_times) == 9
 
     def test_out_of_range_id(self):
-        traj = self.make_traj(ids=(0,))
-        with pytest.raises(ValueError):
-            path_trace(traj, [3], stride=1)
+        for ids in ((4,), (0, -1)):
+            with pytest.raises(ValueError):
+                self.make_traj(ids=ids)
