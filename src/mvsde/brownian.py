@@ -31,7 +31,8 @@ therefore runs the exact same floating-point reduction as
 Grids whose root stream holds at most ``2**26`` values are materialized in
 memory; larger grids regenerate chunks from the counter stream on demand.
 Either way a chunk is generated in particle slabs of at most
-``_SLAB_WORDS`` words, and a coarsened view sums each slab into its coarse
+``_SLAB_WORDS`` words, in one buffer per call that holds the words and then
+their normal values, and a coarsened view sums each slab into its coarse
 steps as it is drawn, so temporaries grow neither with N nor with the factor.
 """
 
@@ -45,6 +46,7 @@ _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above
 CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
 _MATERIALIZE_LIMIT = 1 << 26  # max root values kept in memory
 _SLAB_WORDS = 1 << 20  # max Philox words per generation slab (8 MiB of uint64)
+_CAST_WORDS = 1 << 13  # words cast to float64 per step within a slab
 
 # purpose tags keep the increment, initial-normal and initial-uniform
 # streams of one seed disjoint in counter space
@@ -83,12 +85,13 @@ class _Streams:
         self._counter = state["state"]["counter"]
         self._tag = tag
 
-    def words(self, particles, chunk, w0, w1):
-        """Words [w0, w1) of the (particle, chunk) streams, one row per particle."""
+    def words(self, particles, chunk, w0, raw):
+        """Fill raw (uint64, one row per particle) with words [w0, w0 +
+        raw.shape[1]) of the (particle, chunk) streams."""
         # numpy increments the counter before it computes a block, so
         # counter b yields the block holding stream words [4b, 4b + 4)
         b = w0 // 4
-        raw = np.empty((len(particles), w1 - w0), dtype=np.uint64)
+        w1 = w0 + raw.shape[1]
         for row, particle in enumerate(particles):
             self._counter[:] = (b, chunk, particle, self._tag)
             self._bg.state = self._state
@@ -97,13 +100,18 @@ class _Streams:
 
 
 def _words_to_uniform(raw):
-    # one word per double; strictly inside (0, 1) so ndtri stays finite.
-    # raw is consumed: the shift is done in place and u is the only copy
+    """Uniforms from contiguous uint64 words, in place: the result is raw's
+    memory viewed as float64."""
+    # one word per double; strictly inside (0, 1) so ndtri stays finite
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
+    words = raw.reshape(-1)
+    u = words.view(np.float64)
+    # numpy copies the source of an overlapping cast, so cast in small blocks
+    for a in range(0, words.size, _CAST_WORDS):
+        u[a : a + _CAST_WORDS] = words[a : a + _CAST_WORDS]
     u += 0.5
     u *= 2.0**-53
-    return u
+    return u.reshape(raw.shape)
 
 
 def _add_terms(out, root, first, f):
@@ -161,6 +169,10 @@ class PathGrid:
         out = np.empty((self.N, k1 - k0, m))
         streams = _Streams(self.seed, _TAG_INCREMENTS)
         first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
+        # one slab buffer serves the whole call, sized for its widest chunk
+        # span, so the allocator keeps no freed slabs resident
+        width = min(r1 - r0, CHUNK_STEPS) * m
+        slab = np.empty(min(self.N * width, max(width, _SLAB_WORDS)), dtype=np.uint64)
         for c in range(first, last + 1):
             lo = max(r0, c * CHUNK_STEPS)
             hi = min(r1, (c + 1) * CHUNK_STEPS)
@@ -169,8 +181,8 @@ class PathGrid:
             rows = max(1, _SLAB_WORDS // (w1 - w0))
             for s0 in range(0, self.N, rows):
                 s1 = min(self.N, s0 + rows)
-                z = None  # release the previous slab before drawing the next
-                z = _words_to_uniform(streams.words(range(s0, s1), c, w0, w1))
+                raw = slab[: (s1 - s0) * (w1 - w0)].reshape(s1 - s0, w1 - w0)
+                z = _words_to_uniform(streams.words(range(s0, s1), c, w0, raw))
                 ndtri(z, out=z)
                 z *= scale
                 _add_terms(out[s0:s1], z.reshape(s1 - s0, hi - lo, m), lo - r0, f)
@@ -260,7 +272,8 @@ class InitStream:
 
     def _block(self, tag):
         streams = _Streams(self.seed, tag)
-        return _words_to_uniform(streams.words(range(self.N), 0, 0, self.d))
+        raw = np.empty(self.shape, dtype=np.uint64)
+        return _words_to_uniform(streams.words(range(self.N), 0, 0, raw))
 
     def normals(self):
         """Standard normal block of shape (N, d)."""

@@ -164,7 +164,10 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as err:  # duplicate keys, text before a section
+        raise ConfigError(str(err)) from None
     if not read:
         raise ConfigError(f"cannot read config file '{path}'")
     cfg = ExperimentConfig()

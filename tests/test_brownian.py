@@ -269,6 +269,7 @@ def test_coarsened_on_demand_memory_bounded_in_factor():
     assert _block_excess(2048, 8) <= _block_excess(2048, 1) + (1 << 20)
 
 
-def test_on_demand_block_memory_within_two_slabs():
-    # one slab of words and one of doubles; the rest is done in place
-    assert _block_excess(8192, 1) <= 17 * (1 << 20)
+def test_on_demand_block_memory_within_one_slab():
+    # one slab buffer holds the words and then their doubles; the rest is
+    # done in place
+    assert _block_excess(8192, 1) <= 9 * (1 << 20)

@@ -311,6 +311,9 @@ class TestCli:
             ("paths", orders, "trace_particles = -1"),
             ("nscaling", "me, te(1)", "me", "2^-3, 2^-4", "2^-3",
              orders, "n_list = 0, 10\nproxy_n = 20"),
+            # configparser's own errors: a duplicate key, text before a section
+            ("moments", "name = doublewell", "name = doublewell\nname = cubic"),
+            ("moments", "[model]", "n = 40\n[model]"),
         ):
             text = RUN_STUDY_CONFIGS["moments"]
             for old, new in zip(edits[::2], edits[1::2]):

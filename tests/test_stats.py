@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,7 +106,37 @@ class TestW2Exact:
                 w2_1d_quantile(a, b)
 
 
+def merge_loop_w2(x, y):
+    # w2_1d_quantile as a Python merge over the CDF breakpoints, squaring
+    # with numpy's scalar ** and summing in sequence
+    xs, ys = np.sort(np.ravel(x)), np.sort(np.ravel(y))
+    n, m = xs.size, ys.size
+    acc = 0.0
+    i = j = 0
+    cur = 0
+    while i < n and j < m:
+        nxt = min((i + 1) * m, (j + 1) * n)
+        acc += (nxt - cur) * (xs[i] - ys[j]) ** 2
+        if nxt == (i + 1) * m:
+            i += 1
+        if nxt == (j + 1) * n:
+            j += 1
+        cur = nxt
+    return float(np.sqrt(acc / (n * m)))
+
+
 class TestW2Quantile:
+    def test_matches_merge_loop(self):
+        rng = np.random.default_rng(10)
+        sizes = ((1, 1), (1, 9), (9, 1), (13, 17), (50, 10_000), (800, 800))
+        samples = [(rng.standard_normal(n), 3.0 * rng.standard_normal(m)) for n, m in sizes]
+        # ties within and across the samples
+        samples.append((np.round(rng.standard_normal(40), 1), np.round(rng.standard_normal(30), 1)))
+        samples.append((np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.0, 2.0, 1.0])))
+        for x, y in samples:
+            assert w2_1d_quantile(x, y) == merge_loop_w2(x, y), (x.size, y.size)
+            assert w2_1d_quantile(y, x) == merge_loop_w2(y, x), (y.size, x.size)
+
     def test_agrees_with_equal_size_exact(self):
         # the sorted (monotone) coupling, from arrays and from ensembles
         rng = np.random.default_rng(5)
@@ -145,6 +176,16 @@ def test_w2_permutation_invariant(values, perm):
     assert w2_1d_quantile(ens(xs), ens(base)) == w2_1d_quantile(ens(shuffled), ens(base))
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+)
+def test_w2_matches_merge_loop_property(xs, ys):
+    x, y = np.array(xs), np.array(ys)
+    assert w2_1d_quantile(x, y) == merge_loop_w2(x, y)
+
+
 class TestRawMoments:
     # MeasureView.raw_moment
     def test_symmetric_pair(self):
@@ -165,7 +206,44 @@ class TestRawMoments:
                 ens([1.0]).measure.raw_moment(k)
 
 
+def one_shot_kde(x, bandwidth):
+    # kde's grid and values from the whole 512 x N kernel matrix at once
+    grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, 512)
+    z = (grid[:, None] - x[None, :]) / bandwidth
+    values = np.mean(np.exp(-0.5 * z * z), axis=1) / (bandwidth * np.sqrt(2.0 * np.pi))
+    return grid, values
+
+
 class TestKde:
+    # N <= 64 fills one block of 512 rows; 65 leaves a partial last block;
+    # 1000 gives 32-row blocks; 40000 > 2^15 gives one row per block.  N = 1
+    # and the constant sample take the degenerate 1e-3 bandwidth floor
+    @pytest.mark.parametrize("n", [1, 3, 63, 64, 65, 1000, 40_000])
+    def test_matches_one_shot_formula(self, n):
+        rng = np.random.default_rng(n)
+        x = 2.0 * rng.standard_normal(n) + 1.0
+        for sample, bandwidth in ((x, None), (x, 0.37), (np.full(n, -0.25), None)):
+            curve = kde(ens(sample), bandwidth=bandwidth)
+            assert curve.degenerate == (bandwidth is None and np.ptp(sample) == 0)
+            if bandwidth is not None:
+                assert curve.bandwidth == bandwidth
+            grid, values = one_shot_kde(sample, curve.bandwidth)
+            assert np.array_equal(curve.grid, grid)
+            assert np.array_equal(curve.values, values)
+
+    @pytest.mark.parametrize("n", [4096, 32_768])
+    def test_memory_bounded_in_n(self, n):
+        # two kernel blocks of at most max(N, 2^15) values each, not 512 x N
+        sample = ens(np.random.default_rng(11).standard_normal(n))
+        tracemalloc.start()
+        try:
+            curve = kde(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        excess = peak - curve.grid.nbytes - curve.values.nbytes
+        assert excess <= 16 * max(n, 1 << 15) + (1 << 20)
+
     def test_single_particle_peak_symmetric(self):
         curve = kde(ens([0.0]), bandwidth=1.0)
         mid = curve.values[::-1]
