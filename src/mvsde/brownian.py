@@ -17,9 +17,8 @@ inverse normal CDF,
     u = (word >> 11 + 0.5) * 2**-53,    z = ndtri(u),
 
 and scaled by ``sqrt(T / n_fine)``.  No rejection sampling is involved, so a
-value never depends on generation order, chunking, thread count, or on how
-many particles or steps the surrounding grid has.  Bitwise reproducibility is
-per build (fixed numpy/scipy versions); the mapping above is part of this
+value never depends on generation order, chunking, or on how many particles
+or steps the surrounding grid has.  Bitwise reproducibility is per build (fixed numpy/scipy versions); the mapping above is part of this
 module's contract.
 
 Coarsening never re-sums previously coarsened values: every grid keeps a
@@ -68,7 +67,7 @@ class _Streams:
 
     Building a generator costs a SeedSequence draw that is then discarded;
     assigning a held state dict only rewrites the counter.  Each instance is
-    owned by one call, so threads share no generator.
+    owned by one call.
     """
 
     def __init__(self, seed, tag):

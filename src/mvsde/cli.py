@@ -1,8 +1,11 @@
 """Command-line interface.
 
-    mvsde converge|density|paths|moments|nscaling|check|list-models
-          --config FILE [--seed U64] [--threads K] [--out-dir DIR]
-          [--paper-scale] [--format csv,svg] [--strict]
+    mvsde converge --config FILE [--seed U64] [--out-dir DIR]
+          [--format csv,svg] [--strict] [--paper-scale]
+    mvsde density|paths|moments|nscaling --config FILE [--seed U64]
+          [--out-dir DIR] [--format csv,svg] [--strict]
+    mvsde check [--config FILE] [--out-dir DIR]
+    mvsde list-models
 
 Exit codes: 0 success, 2 configuration error, 3 when --strict is set and the
 only failures were diverged runs.
@@ -31,21 +34,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_config=True):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        if needs_config:
-            p.add_argument("--config", required=name != "check", help="experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, metavar="K", help="run up to K cells at once")
+        p.add_argument("--config", required=name != "check", help="experiment config file")
         p.add_argument("--out-dir", default=None, help="override the output directory")
-        p.add_argument(
-            "--paper-scale",
-            action="store_true",
-            help="published convergence protocol (h_ref=2^-17, N=100)",
-        )
+        if name == "check":
+            return
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--format", default=None, help="comma list of csv,svg")
         p.add_argument("--strict", action="store_true", help="exit 3 on diverged cells")
-        return p
+        if name == "converge":
+            p.add_argument(
+                "--paper-scale",
+                action="store_true",
+                help="published convergence protocol (h_ref=2^-17, N=100)",
+            )
+        else:
+            p.set_defaults(paper_scale=False)  # read by the SVG fingerprint
 
     add("converge", "coupled fine/coarse strong-error study")
     add("density", "kernel density curves per scheme and record time")
@@ -65,18 +70,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.out_dir = args.out_dir
     if args.format is not None:
         cfg.formats = parse_formats(args.format)
-    if args.paper_scale and cfg.h_ref is not None:
+    if args.paper_scale:
         cfg = paper_scale(cfg)
     return cfg
 
 
 def _fingerprint(args) -> str:
-    text = ""
-    if getattr(args, "config", None):
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError:
-            text = args.config
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError:
+        text = args.config
     text += f"|seed={args.seed}|paper={args.paper_scale}"
     return svgplot.config_fingerprint(text)
 
@@ -108,7 +111,7 @@ class _Study(NamedTuple):
     """How the CLI runs and renders one study.  The fields are functions, so
     experiments/output/svgplot attributes are looked up when a command runs."""
 
-    run: Callable  # (cfg, threads) -> result
+    run: Callable  # cfg -> result
     csv: Callable  # (result, cfg) -> {file name: bytes}
     svgs: Callable  # (result, cfg) -> [(file name, render(fingerprint=...))]
     diverged: Callable  # result -> whether some cell diverged
@@ -117,7 +120,7 @@ class _Study(NamedTuple):
 
 _STUDIES = {
     "converge": _Study(
-        run=lambda cfg, threads: experiments.run_convergence(cfg, threads=threads),
+        run=lambda cfg: experiments.run_convergence(cfg),
         csv=lambda reports, cfg: output.convergence_files(reports),
         svgs=lambda reports, cfg: [
             (f"converge_{rep.model}_{rep.scheme}.svg", partial(svgplot.convergence_svg, rep))
@@ -131,7 +134,7 @@ _STUDIES = {
         ],
     ),
     "density": _Study(
-        run=lambda cfg, threads: experiments.run_density(cfg, threads=threads),
+        run=lambda cfg: experiments.run_density(cfg),
         csv=lambda bundle, cfg: output.density_files(bundle, cfg.h_values),
         svgs=lambda bundle, cfg: [
             (f"density_T{t:g}.svg", partial(svgplot.density_svg, bundle.entries, t))
@@ -143,7 +146,7 @@ _STUDIES = {
         ],
     ),
     "paths": _Study(
-        run=lambda cfg, threads: experiments.run_paths(cfg, threads=threads),
+        run=lambda cfg: experiments.run_paths(cfg),
         csv=lambda bundle, cfg: output.path_files(bundle, cfg.h_values),
         svgs=lambda bundle, cfg: [
             (f"paths_{c.scheme}{output.h_suffix(c.h, cfg.h_values)}.svg",
@@ -158,7 +161,7 @@ _STUDIES = {
         ],
     ),
     "moments": _Study(
-        run=lambda cfg, threads: experiments.run_moments(cfg, threads=threads),
+        run=lambda cfg: experiments.run_moments(cfg),
         csv=lambda bundle, cfg: output.moment_files(bundle, cfg.h_values),
         svgs=lambda bundle, cfg: [
             (f"moments_{c.scheme}{output.h_suffix(c.h, cfg.h_values)}.svg",
@@ -173,7 +176,7 @@ _STUDIES = {
         ],
     ),
     "nscaling": _Study(
-        run=lambda cfg, threads: experiments.run_nscaling(cfg, threads=threads),
+        run=lambda cfg: experiments.run_nscaling(cfg),
         csv=lambda report, cfg: output.nscaling_files(report),
         svgs=lambda report, cfg: [("nscaling.svg", partial(svgplot.nscaling_svg, report))],
         diverged=lambda report: False,
@@ -194,7 +197,6 @@ def _run_command(args) -> int:
 
     if args.command == "check":
         cfg = load_config(args.config) if args.config else None
-        cfg = _apply_overrides(cfg, args) if cfg is not None else cfg
         reports = _check_battery(cfg)
         for rep in reports:
             print(rep)
@@ -208,7 +210,7 @@ def _run_command(args) -> int:
 
     cfg = _apply_overrides(load_config(args.config), args)
     study = _STUDIES[args.command]
-    result = study.run(cfg, max(1, args.threads))
+    result = study.run(cfg)
     files = study.csv(result, cfg)
     if "svg" in cfg.formats:
         fp = _fingerprint(args)

@@ -76,14 +76,6 @@ def _parse_operator(text: str, model_rho: float | None) -> TamingOperator:
         raise ConfigError(str(err)) from None
 
 
-def scheme_label(text: str) -> str:
-    """Canonical filesystem-safe label for a scheme name like 'te(1)'."""
-    if text.strip().lower() == "ssm":
-        return "ssm"
-    # the label of 'fte' does not depend on the model's growth exponent
-    return _parse_operator(text, model_rho=0.0).label
-
-
 def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
     """Scheme from its config name; 'ssm' is the implicit split-step method."""
     if text.strip().lower() == "ssm":

@@ -2,15 +2,13 @@
 studies.
 
 All studies are deterministic given (config, seed): Brownian paths and
-initial data come from counter-keyed streams, every reduction has a fixed
-order, and worker threads only distribute whole independent cells whose
-results are assembled in configuration order afterwards.
+initial data come from counter-keyed streams, cells run one after another,
+and every reduction has a fixed order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,32 +20,29 @@ from .stats import kde, rmse, w2_1d_quantile
 from .stepper import simulate
 
 
-def _run_cells(cells, worker, threads):
-    """Evaluate worker over cells, preserving input order in the output."""
-    if threads and threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(c) for c in cells]
-
-
-def _run_schemes(cfg, model, record_times, reduce, threads, extra=(), trace_ids=None):
+def _run_schemes(cfg, model, record_times, reduce, extra=(), trace_ids=None):
     """One run per (scheme, h) cell of the config, plus the `extra` cells.
 
-    A cell is (scheme text, h, label suffix).  Each runs on its own grid
-    from the config seed and records at record_times(cfg, n) for its n steps;
-    reduce(label, h, trajectory) gives the cell's result.
+    A cell is (scheme text, h, label suffix).  The grid of n = T / h steps
+    from the config seed is drawn once per distinct n, and every cell at that
+    n runs on it, recording at record_times(cfg, n); reduce(label, h,
+    trajectory) gives the cell's result.  Results come back in cell order:
+    schemes outer, h inner, then the `extra` cells.
     """
-    cells = [(text, h, "") for text in cfg.schemes for h in cfg.h_values]
-
-    def cell(spec):
-        text, h, suffix = spec
-        scheme = build_scheme(text, model)
-        n = round(cfg.T / h)
+    cells = [(text, h, "") for text in cfg.schemes for h in cfg.h_values] + list(extra)
+    schemes = [build_scheme(text, model) for text, _, _ in cells]  # errors before any run
+    steps = [round(cfg.T / h) for _, h, _ in cells]
+    results = [None] * len(cells)
+    for n in dict.fromkeys(steps):
         grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
-        traj = simulate(model, scheme, grid, record_times(cfg, n), trace_ids=trace_ids)
-        return reduce(scheme.label + suffix, h, traj)
-
-    return _run_cells(cells + list(extra), cell, threads)
+        times = record_times(cfg, n)
+        for i, (_, h, suffix) in enumerate(cells):
+            if steps[i] == n:
+                traj = simulate(model, schemes[i], grid, times, trace_ids=trace_ids)
+                results[i] = reduce(schemes[i].label + suffix, h, traj)
+                del traj  # released before the next run starts
+        del grid  # released before the next grid is drawn
+    return results
 
 
 def fit_loglog(xs, ys):
@@ -117,7 +112,7 @@ class ConvergenceReport:
         return self
 
 
-def run_convergence(cfg: ExperimentConfig, threads: int = 1):
+def run_convergence(cfg: ExperimentConfig):
     """Coupled fine/coarse strong-error study; one report per scheme.
 
     One root path grid is generated at h_ref; the reference trajectory and
@@ -145,7 +140,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
             model=model.name, scheme=scheme.label, h_ref=cfg.h_ref, rows=rows
         ).refit()
 
-    return _run_cells(schemes, cell, threads)
+    return [cell(scheme) for scheme in schemes]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +173,7 @@ def _density_record_times(cfg, n):
     return defaults or [cfg.T]
 
 
-def run_density(cfg: ExperimentConfig, threads: int = 1) -> DensityBundle:
+def run_density(cfg: ExperimentConfig) -> DensityBundle:
     """Kernel density curves per (scheme, record time), plus an optional
     implicit reference run at its own (finer) step size."""
     cfg.validate_run_steps()
@@ -200,7 +195,7 @@ def run_density(cfg: ExperimentConfig, threads: int = 1) -> DensityBundle:
                 out.append(DensityEntry(label, h, rt, None, note="diverged"))
         return out
 
-    cells = _run_schemes(cfg, model, _density_record_times, reduce, threads, extra)
+    cells = _run_schemes(cfg, model, _density_record_times, reduce, extra)
     return DensityBundle(model=model.name, entries=[e for cell in cells for e in cell])
 
 
@@ -233,7 +228,7 @@ def _paths_record_times(cfg, n):
     return [cfg.T * (k + 1) / 10.0 for k in range(10)]
 
 
-def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
+def run_paths(cfg: ExperimentConfig) -> PathBundle:
     """Trace a particle subset per (scheme, h) cell and summarize stability:
     the largest |X| over the recorded ensembles and the first non-finite
     time, if any."""
@@ -266,7 +261,7 @@ def run_paths(cfg: ExperimentConfig, threads: int = 1) -> PathBundle:
             diverged=traj.diverged,
         )
 
-    cells = _run_schemes(cfg, model, _paths_record_times, reduce, threads, trace_ids=ids)
+    cells = _run_schemes(cfg, model, _paths_record_times, reduce, trace_ids=ids)
     return PathBundle(model=model.name, cells=cells)
 
 
@@ -311,7 +306,7 @@ def _moment_record_times(cfg, n):
     return times
 
 
-def run_moments(cfg: ExperimentConfig, threads: int = 1) -> MomentBundle:
+def run_moments(cfg: ExperimentConfig) -> MomentBundle:
     """Empirical raw moments over time per (scheme, h) cell, flagged when
     they leave the configured ceiling or stop being finite."""
     cfg.validate_run_steps()
@@ -342,7 +337,7 @@ def run_moments(cfg: ExperimentConfig, threads: int = 1) -> MomentBundle:
             first_nonfinite_time=traj.first_nonfinite_time,
         )
 
-    cells = _run_schemes(cfg, model, _moment_record_times, reduce, threads)
+    cells = _run_schemes(cfg, model, _moment_record_times, reduce)
     return MomentBundle(model=model.name, cells=cells)
 
 
@@ -371,7 +366,7 @@ class NScalingReport:
     r2: float = math.nan
 
 
-def run_nscaling(cfg: ExperimentConfig, threads: int = 1) -> NScalingReport:
+def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
     """Terminal-law error against a large-N proxy as N grows.
 
     For each N, `repetitions` independent runs are compared to the proxy's
@@ -416,7 +411,7 @@ def run_nscaling(cfg: ExperimentConfig, threads: int = 1) -> NScalingReport:
             repetitions=cfg.repetitions,
         )
 
-    rows = _run_cells(list(cfg.n_list), cell, threads)
+    rows = [cell(n_particles) for n_particles in cfg.n_list]
     report = NScalingReport(
         model=model.name,
         scheme=scheme.label,

@@ -3,7 +3,7 @@
 Dialect: RFC-4180 with LF line endings, '.' decimal separator, 17
 significant digits for reals (floats round-trip exactly).  Files are built
 as bytes in memory and written by a single writer, so identical runs yield
-identical bytes no matter how many workers produced the numbers.
+identical bytes.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from mvsde.config import (
     paper_scale,
     parse_int,
     parse_number,
-    scheme_label,
 )
 from mvsde.errors import ConfigError
 from mvsde.models import cubic_interaction_model
@@ -78,17 +77,20 @@ class TestParsing:
             exact_divide(1.0, 0.3, "x")
 
     def test_scheme_labels(self):
-        assert scheme_label("me") == "me"
-        assert scheme_label("te(1)") == "te_a1"
-        assert scheme_label("se(0.5)") == "se_a0.5"
-        assert scheme_label("dte(0.5)") == "dte_l0.5"
-        assert scheme_label("dte") == "dte_l0.5"
-        assert scheme_label("ssm") == "ssm"
-        assert scheme_label("fte") == "fte"
-        with pytest.raises(ConfigError):
-            scheme_label("xx")
-        with pytest.raises(ConfigError):
-            scheme_label("te(abc)")
+        model = cubic_interaction_model()
+        for text, label in (
+            ("me", "me"),
+            ("te(1)", "te_a1"),
+            ("se(0.5)", "se_a0.5"),
+            ("dte(0.5)", "dte_l0.5"),
+            ("dte", "dte_l0.5"),
+            ("ssm", "ssm"),
+            ("fte", "fte"),
+        ):
+            assert build_scheme(text, model).label == label
+        for text in ("xx", "te(abc)"):
+            with pytest.raises(ConfigError):
+                build_scheme(text, model)
 
     def test_build_scheme_ssm_and_fte(self):
         model = cubic_interaction_model()
@@ -254,7 +256,7 @@ class TestCli:
             "converge_summary.csv",
         }
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         runs = [("converge", write_conv_config(tmp_path, formats="csv, svg"))]
         for command, text in RUN_STUDY_CONFIGS.items():
             path = tmp_path / f"{command}.ini"
@@ -262,13 +264,9 @@ class TestCli:
             runs.append((command, path))
         for command, path in runs:
             outputs = []
-            for threads in ("1", "2", "8"):
-                out = tmp_path / f"{command}_{threads}"
-                code = main(
-                    [command, "--config", str(path), "--threads", threads,
-                     "--out-dir", str(out)]
-                )
-                assert code == 0
+            for rerun in range(3):
+                out = tmp_path / f"{command}_{rerun}"
+                assert main([command, "--config", str(path), "--out-dir", str(out)]) == 0
                 outputs.append(read_all(out))
             assert outputs[0], command
             assert outputs[0] == outputs[1] == outputs[2], command
@@ -425,12 +423,24 @@ class TestCliFlagWiring:
         assert all(p.suffix == ".csv" for p in out.iterdir())
         assert main(["converge", "--config", str(path), "--format", "pdf"]) == 2
 
+    def test_subcommands_reject_flags_they_do_not_read(self, tmp_path):
+        conv = str(write_conv_config(tmp_path))
+        for argv in (
+            ["density", "--config", conv, "--paper-scale"],
+            ["check", "--strict"],
+            ["check", "--seed", "3"],
+            ["converge", "--config", conv, "--threads", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
     def test_paper_scale_flag_rewrites_grid(self, tmp_path, monkeypatch):
         import mvsde.cli as cli
 
         captured = {}
 
-        def fake_run(cfg, threads=1):
+        def fake_run(cfg):
             captured["h_ref"] = cfg.h_ref
             captured["h_list"] = cfg.h_list
             captured["N"] = cfg.N

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvsde import models
+from mvsde import experiments, models
 from mvsde.config import ExperimentConfig
 from mvsde.errors import ConfigError
 from mvsde.experiments import (
@@ -14,6 +14,20 @@ from mvsde.experiments import (
     run_nscaling,
     run_paths,
 )
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Records the (seed, n, T, N, m) of every grid a study draws."""
+    calls = []
+    generate = experiments.brownian.generate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.brownian, "generate", counted)
+    return calls
 
 
 @pytest.fixture
@@ -70,10 +84,10 @@ class TestConvergence:
         hs = [r.h for r in rep.rows]
         assert hs == sorted(hs, reverse=True)
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         cfg = self.small_cfg(schemes=["me", "se(1)"])
-        a = run_convergence(cfg, threads=1)
-        b = run_convergence(cfg, threads=4)
+        a = run_convergence(cfg)
+        b = run_convergence(cfg)
         for ra, rb in zip(a, b):
             assert ra.scheme == rb.scheme
             assert [r.rmse for r in ra.rows] == [r.rmse for r in rb.rows]
@@ -181,6 +195,19 @@ class TestDensity:
         with pytest.raises(ConfigError):
             run_density(self.cfg(h_values=[]))
 
+    def test_one_grid_per_step_size(self, grid_calls):
+        cfg = self.cfg(schemes=["me", "te(1)", "se(1)"])
+        bundle = run_density(cfg)
+        # the three schemes share the h = 0.05 grid, the reference draws its own
+        assert [args[1] for args in grid_calls] == [20, 100]
+        labels = [e.scheme for e in bundle.entries]
+        assert labels == ["me", "me", "te_a1", "te_a1", "se_a1", "se_a1", "ssm_ref", "ssm_ref"]
+        # a shared grid gives the bits of a run on its own
+        alone = run_density(self.cfg(reference_scheme=None))
+        for a, b in zip(alone.entries, bundle.entries[2:4]):
+            assert (a.scheme, a.time) == (b.scheme, b.time)
+            assert np.array_equal(a.curve.values, b.curve.values)
+
 
 class TestPaths:
     def test_summary_fields(self):
@@ -214,6 +241,22 @@ class TestPaths:
         )
         bundle = run_paths(cfg)
         assert len(bundle.cells) == 4
+
+    def test_one_grid_per_step_size(self, grid_calls):
+        cfg = ExperimentConfig(
+            model_name="cubic",
+            schemes=["me", "te(1)"],
+            T=1.0,
+            N=8,
+            seed=2,
+            h_values=[0.25, 0.125],
+        )
+        bundle = run_paths(cfg)
+        assert [args[1] for args in grid_calls] == [4, 8]
+        # cells stay in config order: schemes outer, h inner
+        assert [(c.scheme, c.h) for c in bundle.cells] == [
+            ("me", 0.25), ("me", 0.125), ("te_a1", 0.25), ("te_a1", 0.125)
+        ]
 
 
 class TestMoments:
