@@ -32,7 +32,6 @@ from .models import (
 from .stats import DensityCurve, kde, rmse, w2_1d_quantile
 from .stepper import (
     Ensemble,
-    NewtonConfig,
     SchemeConfig,
     Trajectory,
     euler_step,

@@ -8,7 +8,7 @@
     mvsde list-models
 
 Exit codes: 0 success, 2 configuration error, 3 when --strict is set and the
-only failures were diverged runs.
+only failures were diverged runs (for nscaling, the proxy or a repetition).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import experiments, output, svgplot, verify
-from .config import ExperimentConfig, load_config, paper_scale, parse_formats
+from .config import ExperimentConfig, check_seed, load_config, paper_scale, parse_formats
 from .errors import ConfigError
 from .models import BUILTIN_MODELS, make_model
 from .taming import parse_taming
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed)
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     if args.format is not None:
@@ -86,7 +86,10 @@ def _fingerprint(args) -> str:
 
 def _check_battery(cfg: ExperimentConfig | None):
     """Default assumption battery for the `check` subcommand."""
-    model_names = [cfg.model_name] if cfg is not None else sorted(BUILTIN_MODELS)
+    if cfg is not None:
+        models = [cfg.build_model()]  # a bad model is a ConfigError, before any check
+    else:
+        models = [make_model(name) for name in sorted(BUILTIN_MODELS)]
     reports = []
     spec = verify.SampleSpec()
     for text in ("identity", "dte(0.5)", "me", "te(1)", "se(1)"):
@@ -96,9 +99,7 @@ def _check_battery(cfg: ExperimentConfig | None):
             if assumption == "H2" and op.kind == "modified":
                 constants.update({"r1": 1.0, "r2": 3.0})
             reports.append(verify.check_taming(op, assumption, constants, spec))
-    for name in model_names:
-        params = cfg.model_params if (cfg is not None and cfg.model_name == name) else {}
-        model = make_model(name, **params)
+    for model in models:
         fte = parse_taming("fte", model_rho=model.rho)
         reports.append(verify.check_taming(fte, "H1", {"L": 1.0}, spec))
         reports.append(verify.check_taming(fte, "EX35_BOUND", None, spec, model=model))
@@ -179,7 +180,7 @@ _STUDIES = {
         run=lambda cfg: experiments.run_nscaling(cfg),
         csv=lambda report, cfg: output.nscaling_files(report),
         svgs=lambda report, cfg: [("nscaling.svg", partial(svgplot.nscaling_svg, report))],
-        diverged=lambda report: False,
+        diverged=lambda report: report.diverged,
         summary=lambda report: [
             f"nscaling {report.model}/{report.scheme}: slope={report.slope:.3f}"
         ],

@@ -13,7 +13,8 @@ Grammar (stdlib configparser INI dialect, UTF-8):
 Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
 repetitions, orders, trace_particles, trace_stride, n_list, proxy_n) take
-integer literals, exact at any size, or integral numbers such as 1e3.
+integer literals, exact at any size, or integral numbers such as 1e3; the
+seed must lie in [0, 2^64).
 Arrays are comma-separated.
 """
 
@@ -60,6 +61,14 @@ def parse_list(text: str, conv=parse_number) -> list:
     return [conv(part) for part in items if part]
 
 
+def check_seed(seed: int) -> int:
+    """The seed keys the Brownian streams mod 2^64, so one outside [0, 2^64)
+    would silently run as another seed."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed {seed} outside [0, 2^64)")
+    return seed
+
+
 def exact_divide(a: float, b: float, what: str) -> int:
     """a / b as an integer, rejecting non-integral ratios."""
     ratio = a / b
@@ -81,7 +90,7 @@ def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
     if text.strip().lower() == "ssm":
         return SchemeConfig(method=SPLIT_STEP, label="ssm")
     op = _parse_operator(text, model_rho=model.rho)
-    return SchemeConfig(method=MODIFIED_EULER, t1=op, t2=op, label=op.label)
+    return SchemeConfig(method=MODIFIED_EULER, op=op, label=op.label)
 
 
 def parse_formats(text: str) -> list:
@@ -193,7 +202,7 @@ def load_config(path: str) -> ExperimentConfig:
         if "n" in sec:
             cfg.N = parse_int(sec["n"])
         if "seed" in sec:
-            cfg.seed = parse_int(sec["seed"])
+            cfg.seed = check_seed(parse_int(sec["seed"]))
         if "record_times" in sec:
             cfg.record_times = parse_list(sec["record_times"])
         if "repetitions" in sec:

@@ -188,7 +188,7 @@ def run_density(cfg: ExperimentConfig) -> DensityBundle:
 
     def reduce(label, h, traj):
         out = []
-        for rt, _, ens in traj.records:
+        for rt, ens in traj.records:
             if np.all(np.isfinite(ens.states)):
                 out.append(DensityEntry(label, h, rt, kde(ens)))
             else:
@@ -246,7 +246,7 @@ def run_paths(cfg: ExperimentConfig) -> PathBundle:
 
     def reduce(label, h, traj):
         max_abs = 0.0
-        for _, _, ens in traj.records:
+        for _, ens in traj.records:
             finite = ens.states[np.isfinite(ens.states)]
             if finite.size:
                 max_abs = max(max_abs, float(np.max(np.abs(finite))))
@@ -313,14 +313,11 @@ def run_moments(cfg: ExperimentConfig) -> MomentBundle:
     model = cfg.build_model()
 
     def reduce(label, h, traj):
-        rec_t = np.array([rt for rt, _, _ in traj.records])
+        rec_t = np.array([rt for rt, _ in traj.records])
         table = {}
         for order in cfg.orders:
             with np.errstate(all="ignore"):
-                vals = [
-                    float(np.sum(ens.measure.raw_moment(order)))
-                    for _, _, ens in traj.records
-                ]
+                vals = [float(np.sum(ens.raw_moment(order))) for _, ens in traj.records]
             table[order] = np.array(vals)
         all_finite = all(np.isfinite(v).all() for v in table.values())
         exceeded = any(
@@ -361,6 +358,7 @@ class NScalingReport:
     h: float
     proxy_n: int
     rows: list
+    diverged: bool = False  # the proxy or some repetition run diverged
     slope: float = math.nan
     intercept: float = math.nan
     r2: float = math.nan
@@ -389,10 +387,12 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
     scheme = build_scheme(cfg.schemes[0], model)
     h = cfg.h_values[0]
     n_steps = round(cfg.T / h)
+    diverged = []  # one flag per run
 
     def terminal(seed, n_particles):
         grid = brownian.generate(seed, n_steps, cfg.T, n_particles, model.m)
         traj = simulate(model, scheme, grid, [cfg.T])
+        diverged.append(traj.diverged)
         return traj.final.states[:, 0]
 
     proxy = terminal(brownian.derive_seed(cfg.seed, 0), cfg.proxy_n)
@@ -418,6 +418,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
         h=h,
         proxy_n=cfg.proxy_n,
         rows=rows,
+        diverged=any(diverged),
     )
     usable = [r for r in rows if math.isfinite(r.mean_w2) and r.mean_w2 > 0]
     if len(usable) >= 2:

@@ -4,10 +4,12 @@ A model bundles a drift ``b(t, x, mu)``, diffusion columns
 ``sigma_r(t, x, mu)``, a growth exponent ``rho`` (the drift-increment bound
 is polynomial of degree ``2*rho + 1``) and a sampler for the initial law.
 Coefficient callables are vectorized over particles: ``x`` has shape
-``(N, d)`` and the return value must match.  The measure argument is a
-read-only moment view of the current empirical measure; all built-in models
-consume only raw moments, but the full particle block stays reachable for
-user models that need general measure functionals.
+``(N, d)`` and the return value must match.  The measure argument ``mu`` is
+a MeasureView of the current empirical measure; during a run it is the
+stepper's input Ensemble itself, frozen for the whole step.  All built-in
+models consume only its cached raw moments, but the read-only particle block
+``mu.states`` stays reachable for user models that need general measure
+functionals.
 
 Coefficients must be deterministic, pure functions of their arguments.
 """
@@ -23,44 +25,40 @@ from .errors import NonFiniteCoefficient
 
 
 class MeasureView:
-    """Read-only snapshot of one ensemble's empirical measure.
+    """Empirical measure of N particles: the read-only (N, d) block `states`
+    and its moments, cached on first use.  A C-contiguous float64 input is
+    used in place, so that array becomes read-only too.
 
-    Valid for a single time step; the stepper rebuilds it after every state
-    update.  Moments are accumulated with single full-array numpy reductions,
-    giving one fixed summation order per ensemble shape.
+    The stepper builds one per time step, as its Ensemble subclass.  Moments
+    are accumulated with single full-array numpy reductions, giving one fixed
+    summation order per ensemble shape.
     """
 
-    __slots__ = ("_states", "_mean", "_w2sq", "_moments")
+    __slots__ = ("states", "_mean", "_w2sq", "_moments")
 
     def __init__(self, states):
         states = np.ascontiguousarray(states, dtype=np.float64)
         if states.ndim != 2:
             raise ValueError("states must have shape (N, d)")
-        view = states.view()
-        view.flags.writeable = False
-        self._states = view
+        states.flags.writeable = False  # the cached moments rely on it
+        self.states = states
         self._mean = None
         self._w2sq = None
         self._moments = {}
 
     @property
     def n_particles(self) -> int:
-        return self._states.shape[0]
+        return self.states.shape[0]
 
     @property
     def d(self) -> int:
-        return self._states.shape[1]
-
-    @property
-    def particles(self) -> np.ndarray:
-        """Read-only (N, d) view of the particle states."""
-        return self._states
+        return self.states.shape[1]
 
     @property
     def mean(self) -> np.ndarray:
         """First raw moment, shape (d,)."""
         if self._mean is None:
-            mean = self._states.mean(axis=0)
+            mean = self.states.mean(axis=0)
             mean.flags.writeable = False
             self._mean = mean
         return self._mean
@@ -70,7 +68,7 @@ class MeasureView:
         if k < 1:
             raise ValueError("moment order must be a positive integer")
         if k not in self._moments:
-            mom = np.mean(self._states**k, axis=0)
+            mom = np.mean(self.states**k, axis=0)
             mom.flags.writeable = False
             self._moments[k] = mom
         mom = self._moments[k]
@@ -81,7 +79,7 @@ class MeasureView:
         """Squared 2-Wasserstein distance to the Dirac at the origin,
         (1/N) * sum_i |x_i|^2."""
         if self._w2sq is None:
-            self._w2sq = float(np.mean(np.sum(self._states**2, axis=1)))
+            self._w2sq = float(np.mean(np.sum(self.states**2, axis=1)))
         return self._w2sq
 
 

@@ -5,11 +5,11 @@ Moments and the W2 distance to the Dirac at 0 of one ensemble live on
 models.MeasureView; recorded particle paths on stepper.Trajectory.
 
 Every reduction runs in an order fixed by the input sizes alone, so results
-are bitwise reproducible regardless of how many workers drove the simulation:
-rmse is one full-array numpy call; kde evaluates its grid in blocks of at most
-``_BLOCK_ELEMS`` kernel values, each grid point one contiguous pairwise mean
-over the sample, so the block size never enters the bits; W2 adds its segment
-terms sequentially with cumsum.
+are bitwise reproducible across reruns: rmse is one full-array numpy call;
+kde evaluates its grid in blocks of at most ``_BLOCK_ELEMS`` kernel values,
+each grid point one contiguous pairwise mean over the sample, so the block
+size never enters the bits; W2 adds its segment terms sequentially with
+cumsum.
 """
 
 from __future__ import annotations

@@ -304,9 +304,9 @@ def check_model(
 
     def w2_measures(mu, nu):
         if model.d == 1:
-            return w2_1d_quantile(mu.particles, nu.particles)
+            return w2_1d_quantile(mu.states, nu.states)
         if mu.n_particles == nu.n_particles:
-            return rmse(mu.particles, nu.particles)
+            return rmse(mu.states, nu.states)
         return float(np.sqrt(mu.w2sq_to_dirac0) + np.sqrt(nu.w2sq_to_dirac0))
 
     sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP

@@ -124,8 +124,8 @@ def test_criterion_4_deterministic_order_oracle():
 
 def test_criterion_5_moment_bound_vs_em_divergence():
     model = quintic_interaction_model()
-    em = SchemeConfig(method=MODIFIED_EULER, t1=identity(), t2=identity(), label="em")
-    me = SchemeConfig(method=MODIFIED_EULER, t1=modified(), t2=modified(), label="me")
+    em = SchemeConfig(method=MODIFIED_EULER, op=identity(), label="em")
+    me = SchemeConfig(method=MODIFIED_EULER, op=modified(), label="me")
     h, n = 2.0**-3, 8
     times = [k * h for k in range(n + 1)]
     em_bad_seeds = 0
@@ -136,13 +136,13 @@ def test_criterion_5_moment_bound_vs_em_divergence():
         with np.errstate(all="ignore"):
             em_m2 = [
                 float(np.mean(e.states**2))
-                for _, _, e in simulate(model, em, grid, times).records
+                for _, e in simulate(model, em, grid, times).records
             ]
             if not all(np.isfinite(em_m2)):
                 em_bad_seeds += 1
             me_m2 = [
                 float(np.mean(e.states**2))
-                for _, _, e in simulate(model, me, grid, times).records
+                for _, e in simulate(model, me, grid, times).records
             ]
         me_all_finite = me_all_finite and all(np.isfinite(me_m2))
         me_sup = max(me_sup, max(me_m2))
@@ -162,7 +162,7 @@ def _stability_cell(model, scheme, h, seed):
     # which even well-behaved runs carry |X| values near the initial maximum
     grid = generate(seed, round(10.0 / h), 10.0, 1000, 1)
     traj = simulate(model, scheme, grid, [10.0])
-    states = traj.records[0][2].states
+    states = traj.records[0][1].states
     finite = states[np.isfinite(states)]
     max_abs = float(np.max(np.abs(finite))) if finite.size else float("inf")
     return max_abs, traj.first_nonfinite is not None
@@ -175,10 +175,8 @@ def test_criterion_6_double_well_stability_matrix():
     # the pinned seed selects a stabilizing realization; at h = 1e-2 every
     # seed tried destabilizes
     model = double_well_model(mu0=3.0, sigma0sq=9.0)
-    te = SchemeConfig(method=MODIFIED_EULER, t1=tanh_op(1.0), t2=tanh_op(1.0), label="te")
-    dte = SchemeConfig(
-        method=MODIFIED_EULER, t1=drift_tamed(0.5), t2=drift_tamed(0.5), label="dte"
-    )
+    te = SchemeConfig(method=MODIFIED_EULER, op=tanh_op(1.0), label="te")
+    dte = SchemeConfig(method=MODIFIED_EULER, op=drift_tamed(0.5), label="dte")
     seed = 0
     te_max, te_nf = _stability_cell(model, te, 1e-2, seed)
     d1_max, d1_nf = _stability_cell(model, dte, 1e-2, seed)
@@ -199,10 +197,10 @@ def test_criterion_6_double_well_stability_matrix():
 
 def test_criterion_7_double_well_clustering():
     model = double_well_model(mu0=0.0, sigma0sq=1.0)
-    te = SchemeConfig(method=MODIFIED_EULER, t1=tanh_op(1.0), t2=tanh_op(1.0), label="te")
+    te = SchemeConfig(method=MODIFIED_EULER, op=tanh_op(1.0), label="te")
     grid = generate(2024, 1000, 10.0, 1000, 1)
     traj = simulate(model, te, grid, [10.0])
-    x = traj.records[0][2].states[:, 0]
+    x = traj.records[0][1].states[:, 0]
     near = np.zeros(len(x), dtype=bool)
     for c in (-2.0, 0.0, 2.0):
         near |= np.abs(x - c) <= 0.5

@@ -26,19 +26,54 @@ formats = csv, svg
 """
 
 
-def test_traced_run_records_layers(tmp_path):
-    config = tmp_path / "tiny.ini"
-    config.write_text(TINY_PATHS.format(out=tmp_path / "out"))
-    record = tmp_path / "record.json"
+# an implicit reference runs Newton under stepper.split_step; the cubic
+# drift reads the measure through MeasureView.mean, the double-well drift of
+# TINY_PATHS through MeasureView.raw_moment
+TINY_DENSITY = """
+[model]
+name = cubic
+[schemes]
+schemes = me
+[grid]
+T = 0.25
+h = 2^-4
+[experiment]
+n = 8
+seed = 3
+reference_scheme = ssm
+reference_h = 2^-6
+[output]
+out_dir = {out}
+"""
+
+
+def traced_layers(tmp_path, command, template):
+    config = tmp_path / f"{command}.ini"
+    config.write_text(template.format(out=tmp_path / "out"))
+    record = tmp_path / f"{command}.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "launch.py"), str(record), "trace",
-         "--", "paths", "--config", str(config)],
+         "--", command, "--config", str(config)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(record.read_text())["layers"]
-    assert layers and layers["stepper.steps"] > 0 and layers["svgplot.svg_s"] > 0
+    assert layers
+    return layers
+
+
+def test_traced_run_records_layers(tmp_path):
+    layers = traced_layers(tmp_path, "paths", TINY_PATHS)
+    assert layers["stepper.steps"] > 0 and layers["svgplot.svg_s"] > 0
+    assert layers["models.measure_calls"] > 0
+
+
+def test_traced_density_records_measure_and_newton(tmp_path):
+    layers = traced_layers(tmp_path, "density", TINY_DENSITY)
+    assert layers["models.measure_calls"] > 0
+    assert layers["models.drift_calls"] > 0
+    assert layers["stepper.newton_evals_per_step"] > 0

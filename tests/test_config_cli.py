@@ -97,7 +97,7 @@ class TestParsing:
         ssm = build_scheme("ssm", model)
         assert ssm.method == "split_step"
         fte = build_scheme("fte", model)
-        assert fte.t1.rho == model.rho
+        assert fte.op.rho == model.rho
 
     def test_load_config_full(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -334,6 +334,36 @@ class TestCli:
         assert main(["paths", "--config", str(path)]) == 0
         assert main(["paths", "--config", str(path), "--strict"]) == 3
 
+    def test_nscaling_strict_reports_divergence(self, tmp_path, capsys):
+        # plain Euler-Maruyama on the N(3, 9) double well blows up at h = 0.1,
+        # in the proxy and in every repetition
+        path = tmp_path / "div.ini"
+        path.write_text(
+            "[model]\nname = doublewell\nmu0 = 3\nsigma0sq = 9\n"
+            "[schemes]\nschemes = identity\n"
+            "[grid]\nT = 1\nh = 0.1\n"
+            "[experiment]\nn_list = 10, 20\nproxy_n = 40\nrepetitions = 2\nseed = 0\n"
+            f"[output]\nout_dir = {tmp_path / 'o'}\n"
+        )
+        assert main(["nscaling", "--config", str(path)]) == 0
+        assert main(["nscaling", "--config", str(path), "--strict"]) == 3
+
+    def test_seed_outside_u64_is_config_error(self, tmp_path, capsys):
+        path = write_conv_config(tmp_path)
+        text = path.read_text()
+        for seed in ("-1", "18446744073709551616"):
+            path.write_text(text.replace("seed = 5", f"seed = {seed}"))
+            with pytest.raises(ConfigError):
+                load_config(str(path))
+            capsys.readouterr()
+            assert main(["converge", "--config", str(path)]) == 2
+            assert "config error:" in capsys.readouterr().err
+        path.write_text(text)
+        for seed in ("-1", "18446744073709551616"):
+            capsys.readouterr()
+            assert main(["converge", "--config", str(path), f"--seed={seed}"]) == 2
+            assert "config error:" in capsys.readouterr().err
+
     def test_density_and_moments_csv_shapes(self, tmp_path, capsys):
         path = tmp_path / "d.ini"
         path.write_text(
@@ -373,6 +403,19 @@ class TestCli:
         assert any(line.startswith("identity,H1,false") for line in lines)
         assert any(line.startswith("modified,H1,true") for line in lines)
         assert any("fully_tamed" in line and ",H1,false" in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "model", ["name = foo", "name = doublewell\nsigma0sq = -1"], ids=["unknown", "bad_param"]
+    )
+    def test_check_bad_model_is_config_error(self, tmp_path, capsys, monkeypatch, model):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran despite a config error")
+
+        monkeypatch.setattr("mvsde.verify.check_taming", no_check)
+        path = tmp_path / "c.ini"
+        path.write_text(f"[model]\n{model}\n[output]\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["check", "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestSvgDispatch:

@@ -145,7 +145,7 @@ class TestMeasureView:
     def test_particles_read_only(self):
         mu = MeasureView(np.zeros((4, 1)))
         with pytest.raises(ValueError):
-            mu.particles[0, 0] = 1.0
+            mu.states[0, 0] = 1.0
 
 
 def test_one_sided_condition_admits_finite_sampled_constant():

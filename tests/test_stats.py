@@ -40,16 +40,16 @@ class TestRmse:
 class TestW2Dirac0:
     # MeasureView.w2sq_to_dirac0
     def test_zero_states(self):
-        assert ens([0.0, 0.0]).measure.w2sq_to_dirac0 == 0.0
+        assert ens([0.0, 0.0]).w2sq_to_dirac0 == 0.0
 
     def test_frozen_example(self):
-        assert ens([1.0, -1.0]).measure.w2sq_to_dirac0 == pytest.approx(1.0)
+        assert ens([1.0, -1.0]).w2sq_to_dirac0 == pytest.approx(1.0)
 
     def test_equals_rmse_to_zero_squared(self):
         rng = np.random.default_rng(1)
         a = ens(rng.standard_normal(12))
         zero = ens(np.zeros(12))
-        assert a.measure.w2sq_to_dirac0 == pytest.approx(rmse(a, zero) ** 2, rel=1e-12)
+        assert a.w2sq_to_dirac0 == pytest.approx(rmse(a, zero) ** 2, rel=1e-12)
 
     def test_equals_second_moments_summed(self):
         rng = np.random.default_rng(2)
@@ -189,21 +189,21 @@ def test_w2_matches_merge_loop_property(xs, ys):
 class TestRawMoments:
     # MeasureView.raw_moment
     def test_symmetric_pair(self):
-        assert ens([1.0, -1.0]).measure.raw_moment(2)[0] == 1.0
+        assert ens([1.0, -1.0]).raw_moment(2)[0] == 1.0
 
     def test_single_particle(self):
-        mu = ens([2.0]).measure
+        mu = ens([2.0])
         assert mu.raw_moment(1)[0] == 2.0
         assert mu.raw_moment(2)[0] == 4.0
         assert mu.raw_moment(3)[0] == 8.0
 
     def test_third_moment(self):
-        assert ens([0.0, 2.0]).measure.raw_moment(3)[0] == pytest.approx(4.0)
+        assert ens([0.0, 2.0]).raw_moment(3)[0] == pytest.approx(4.0)
 
     def test_rejects_order_below_one(self):
         for k in (0, -1):
             with pytest.raises(ValueError):
-                ens([1.0]).measure.raw_moment(k)
+                ens([1.0]).raw_moment(k)
 
 
 def one_shot_kde(x, bandwidth):
@@ -292,7 +292,7 @@ class TestPathTrace:
             rho=0.0,
             initial_sampler=lambda s: np.full(s.shape, 2.5),
         )
-        cfg = SchemeConfig(method="modified_euler", t1=identity(), t2=identity())
+        cfg = SchemeConfig(method="modified_euler", op=identity())
         grid = generate(1, n, 1.0, 4, 1)
         return simulate(model, cfg, grid, [1.0], trace_ids=ids)
 

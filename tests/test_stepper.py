@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mvsde import (
-    NewtonConfig,
     NewtonNonConvergence,
     SchemeConfig,
     cubic_interaction_model,
@@ -46,8 +45,8 @@ def unit_diffusion(t, x, mu, r):
     return np.ones_like(x)
 
 
-EM = SchemeConfig(method=MODIFIED_EULER, t1=identity(), t2=identity(), label="em")
-ME = SchemeConfig(method=MODIFIED_EULER, t1=modified(), t2=modified(), label="me")
+EM = SchemeConfig(method=MODIFIED_EULER, op=identity(), label="em")
+ME = SchemeConfig(method=MODIFIED_EULER, op=modified(), label="me")
 SSM = SchemeConfig(method=SPLIT_STEP, label="ssm")
 
 
@@ -90,7 +89,7 @@ class TestEulerStep:
         ens = Ensemble(np.array([[1.0], [2.0]]))
         euler_step(ens, model, EM, 0.1, np.zeros((2, 2)))
         assert len(seen) == 3
-        assert all(mu is ens.measure for mu in seen)
+        assert all(mu is ens for mu in seen)
 
     def test_matches_straight_line_euler_maruyama(self):
         # independent oracle with the same left-to-right accumulation
@@ -182,13 +181,22 @@ class TestSplitStep:
         root = bisect_root(lambda y: y + 0.1 * y**3 - 1.0, 0.0, 1.0)
         assert out.states[0, 0] == pytest.approx(root, abs=1e-10)
 
+    def test_linear_drift_closed_form_d2(self):
+        # b(y) = A y: Y = x + h A Y, so Y = (I - h A)^-1 x; the d > 1 Newton
+        # branch solves the (N, d, d) system from finite-difference columns
+        A = np.array([[-1.0, 0.5], [0.25, -2.0]])
+        model = make_model(lambda t, x, mu: x @ A.T, zero_diffusion, d=2)
+        x = np.array([[1.0, -2.0], [0.5, 3.0], [-4.0, 0.25]])
+        h = 0.5
+        out = split_step(Ensemble(x), model, SSM, h, np.zeros((3, 1)))
+        expected = np.linalg.solve(np.eye(2) - h * A, x.T).T
+        assert np.allclose(out.states, expected, rtol=0.0, atol=1e-12)
+
     def test_newton_non_convergence_raises(self):
-        model = make_model(lambda t, x, mu: -(x**3), zero_diffusion)
-        cfg = SchemeConfig(
-            method=SPLIT_STEP, newton=NewtonConfig(tol=1e-300, max_iter=2)
-        )
+        # Y = 3 + 0.5 (2 + 2 Y^2) has no real root
+        model = make_model(lambda t, x, mu: 2.0 + 2.0 * x**2, zero_diffusion)
         with pytest.raises(NewtonNonConvergence) as err:
-            split_step(Ensemble(np.full((2, 1), 3.0)), model, cfg, 0.5, np.zeros((2, 1)))
+            split_step(Ensemble(np.full((2, 1), 3.0)), model, SSM, 0.5, np.zeros((2, 1)))
         assert err.value.particle in (0, 1)
         assert err.value.residual > 0
 
@@ -199,8 +207,8 @@ class TestSimulate:
         grid = generate(3, 8, 1.0, 4, 1)
         traj = simulate(model, EM, grid, [0.0])
         assert len(traj.records) == 1
-        rt, step, ens = traj.records[0]
-        assert rt == 0.0 and step == 0
+        rt, ens = traj.records[0]
+        assert rt == 0.0 and ens.step_index == 0
         assert np.array_equal(ens.states, np.zeros((4, 1)))
 
     def test_records_floor_grid_point(self):
@@ -211,7 +219,7 @@ class TestSimulate:
         model = cubic_interaction_model()
         grid = generate(3, 4, 1.0, 2, 1)
         traj = simulate(model, EM, grid, [0.6])
-        assert traj.records[0][1] == 2
+        assert traj.records[0][1].step_index == 2
 
     def test_bitwise_deterministic(self):
         model = quintic_interaction_model()
@@ -219,8 +227,8 @@ class TestSimulate:
         t1 = simulate(model, ME, grid, [0.5, 1.0])
         t2 = simulate(model, ME, grid, [0.5, 1.0])
         assert np.array_equal(t1.final.states, t2.final.states)
-        for (ra, sa, ea), (rb, sb, eb) in zip(t1.records, t2.records):
-            assert ra == rb and sa == sb
+        for (ra, ea), (rb, eb) in zip(t1.records, t2.records):
+            assert ra == rb and ea.step_index == eb.step_index
             assert np.array_equal(ea.states, eb.states)
 
     def test_rejects_out_of_range_record_times(self):
@@ -247,12 +255,12 @@ class TestSimulate:
     def test_moment_boundedness_across_step_sizes(self):
         # tamed schemes keep 2nd/4th moments under one fixed ceiling as h halves
         model = quintic_interaction_model()
-        TE = SchemeConfig(method=MODIFIED_EULER, t1=tanh_op(1.0), t2=tanh_op(1.0))
+        TE = SchemeConfig(method=MODIFIED_EULER, op=tanh_op(1.0))
         for cfg in (ME, TE):
             for n in (16, 32, 64, 128):
                 grid = generate(9, n, 1.0, 64, 1)
                 traj = simulate(model, cfg, grid, [k / 8 for k in range(9)])
-                for _, _, ens in traj.records:
+                for _, ens in traj.records:
                     m2 = float(np.mean(ens.states**2))
                     m4 = float(np.mean(ens.states**4))
                     assert np.isfinite(m2) and m2 < 50.0
@@ -266,10 +274,10 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.final.states))
 
     def test_newton_failure_truncates(self):
-        model = make_model(lambda t, x, mu: -(x**3), zero_diffusion, init=5.0)
-        cfg = SchemeConfig(method=SPLIT_STEP, newton=NewtonConfig(tol=1e-300, max_iter=1))
-        grid = generate(2, 4, 1.0, 2, 1)
-        traj = simulate(model, cfg, grid, [1.0])
+        # the first implicit stage, Y = 3 + 0.5 (2 + 2 Y^2), has no real root
+        model = make_model(lambda t, x, mu: 2.0 + 2.0 * x**2, zero_diffusion, init=3.0)
+        grid = generate(2, 2, 1.0, 2, 1)
+        traj = simulate(model, SSM, grid, [1.0])
         assert not traj.complete and traj.diverged
-        assert traj.newton_failure is not None
+        assert traj.newton_failure is not None and traj.newton_failure[0] == 1
         assert traj.records == []
