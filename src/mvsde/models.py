@@ -65,10 +65,11 @@ class MeasureView:
 
     def raw_moment(self, k: int, coordinate: int | None = None):
         """Per-coordinate k-th raw moment; (d,) vector when no coordinate given."""
-        if k < 1:
+        if k < 1 or k != int(k):
             raise ValueError("moment order must be a positive integer")
+        k = int(k)
         if k not in self._moments:
-            mom = np.mean(self.states**k, axis=0)
+            mom = np.mean(int_power(self.states, k), axis=0)
             mom.flags.writeable = False
             self._moments[k] = mom
         mom = self._moments[k]
@@ -81,6 +82,23 @@ class MeasureView:
         if self._w2sq is None:
             self._w2sq = float(np.mean(np.sum(self.states**2, axis=1)))
         return self._w2sq
+
+
+def int_power(x, k: int):
+    """x**k for an integer k >= 1 by square-and-multiply.
+
+    On float64 arrays with negative entries libm ``pow`` costs ~70x a
+    product; the products agree with it to a few ulp, and exactly for k = 1
+    and 2.  k = 1 returns x itself.
+    """
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
 
 
 def dirac(point, d: int = 1) -> MeasureView:
@@ -98,6 +116,9 @@ class ModelSpec:
     drift(t, x, mu) and diffusion_col(t, x, mu, r) take x of shape (N, d)
     and return (N, d); r is 1-based and at most m.  initial_sampler(stream)
     returns the (N, d) initial states from the deterministic draw source.
+    The optional drift_dx(t, x, mu) returns the Jacobian d b / d x with mu
+    frozen, shape (N, d, d); the split-step Newton uses it, and falls back to
+    a forward-difference Jacobian when it is None.
     """
 
     name: str
@@ -108,6 +129,7 @@ class ModelSpec:
     rho: float
     initial_sampler: Callable
     params: dict = field(default_factory=dict)
+    drift_dx: Callable | None = None
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
@@ -176,10 +198,13 @@ def cubic_interaction_model() -> ModelSpec:
     c, gamma = 1.0, 0.5
 
     def drift(t, x, mu):
-        return x - x**3 + c * mu.mean
+        return x - x * x * x + c * mu.mean
+
+    def drift_dx(t, x, mu):
+        return (1.0 - 3.0 * (x * x))[:, :, None]
 
     def diffusion(t, x, mu, r):
-        return gamma * (1.0 - x**2)
+        return gamma * (1.0 - x * x)
 
     return ModelSpec(
         name="cubic",
@@ -190,6 +215,7 @@ def cubic_interaction_model() -> ModelSpec:
         rho=1.0,
         initial_sampler=_start_at_zero,
         params={"c": c, "gamma": gamma},
+        drift_dx=drift_dx,
     )
 
 
@@ -201,10 +227,15 @@ def quintic_interaction_model() -> ModelSpec:
     c, gamma = 1.0, 0.01
 
     def drift(t, x, mu):
-        return 1.0 - x**5 + x**3 + c * mu.mean
+        x2 = x * x
+        return 1.0 - x2 * x2 * x + x2 * x + c * mu.mean
+
+    def drift_dx(t, x, mu):
+        x2 = x * x
+        return (-5.0 * (x2 * x2) + 3.0 * x2)[:, :, None]
 
     def diffusion(t, x, mu, r):
-        return gamma * x**2 + 1.0
+        return gamma * (x * x) + 1.0
 
     return ModelSpec(
         name="quintic",
@@ -215,6 +246,7 @@ def quintic_interaction_model() -> ModelSpec:
         rho=2.0,
         initial_sampler=_start_at_zero,
         params={"c": c, "gamma": gamma},
+        drift_dx=drift_dx,
     )
 
 
@@ -234,7 +266,13 @@ def double_well_model(mu0: float = 0.0, sigma0sq: float = 1.0) -> ModelSpec:
         m1 = mu.raw_moment(1)
         m2 = mu.raw_moment(2)
         m3 = mu.raw_moment(3)
-        return -1.25 * x**3 + 3.0 * x**2 * m1 - 3.0 * x * m2 + m3
+        x2 = x * x
+        return -1.25 * (x2 * x) + 3.0 * x2 * m1 - 3.0 * x * m2 + m3
+
+    def drift_dx(t, x, mu):
+        m1 = mu.raw_moment(1)
+        m2 = mu.raw_moment(2)
+        return (-3.75 * (x * x) + 6.0 * x * m1 - 3.0 * m2)[:, :, None]
 
     def diffusion(t, x, mu, r):
         return x.copy()
@@ -251,6 +289,7 @@ def double_well_model(mu0: float = 0.0, sigma0sq: float = 1.0) -> ModelSpec:
         rho=1.0,
         initial_sampler=init,
         params={"mu0": mu0, "sigma0sq": float(sigma0sq)},
+        drift_dx=drift_dx,
     )
 
 

@@ -54,6 +54,8 @@ class SchemeConfig:
             raise ValueError(f"unknown method '{self.method}'")
         if self.method == MODIFIED_EULER and self.op is None:
             raise ValueError("explicit scheme requires a taming operator")
+        if self.method == SPLIT_STEP and self.op is not None:
+            raise ValueError("the split-step scheme takes no taming operator")
 
 
 class Ensemble(MeasureView):
@@ -106,35 +108,43 @@ def euler_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ens
     return _next_ensemble(new, ens, h)
 
 
+def _implicit_matrix(model, t, y, mu, h, b0):
+    """I - h * d b / d y at y, shape (N, d, d): from the model's drift_dx, or
+    else from forward differences bumped by NEWTON_FD_EPS (1 + |y|)."""
+    n, d = y.shape
+    eye = np.eye(d)
+    if model.drift_dx is not None:
+        return eye - h * np.asarray(model.drift_dx(t, y, mu), dtype=np.float64)
+    eps = NEWTON_FD_EPS * (1.0 + np.abs(y))
+    a = np.empty((n, d, d))
+    for c, e in enumerate(eye):
+        bump = y.copy()
+        bump[:, c] += eps[:, c]
+        bc = np.asarray(model.drift(t, bump, mu), dtype=np.float64)
+        a[:, :, c] = e - h * (bc - b0) / eps[:, c : c + 1]
+    return a
+
+
 def _newton_implicit_drift(model, t, x, mu, h):
-    """Solve Y = x + h*b(t, Y, mu) for all particles; returns Y of shape (N, d)."""
+    """Solve Y = x + h*b(t, Y, mu) for all particles; returns Y of shape (N, d).
+
+    Each iteration evaluates b and its Jacobian once at y and takes the
+    Newton update y - (I - h J)^-1 (y - x - h b)."""
     y = x.copy()
     d = x.shape[1]
-    resid = np.full(x.shape[0], np.inf)
-    for _ in range(NEWTON_MAX_ITER):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
             b0 = np.asarray(model.drift(t, y, mu), dtype=np.float64)
             f = y - x - h * b0
-        resid = np.abs(f).max(axis=1)
-        resid = np.where(np.isfinite(resid), resid, np.inf)
-        if float(resid.max()) <= NEWTON_TOL:
-            return y
-        eps = NEWTON_FD_EPS * (1.0 + np.abs(y))
-        with np.errstate(all="ignore"):
+            resid = np.abs(f).max(axis=1)
+            if resid.max() <= NEWTON_TOL:  # false while any residual is NaN
+                return y
+            a = _implicit_matrix(model, t, y, mu, h, b0)
             if d == 1:
-                b1 = np.asarray(model.drift(t, y + eps, mu), dtype=np.float64)
-                jac = 1.0 - h * (b1 - b0) / eps
-                y = y - f / jac
+                y = y - f / a[:, :, 0]
             else:
-                cols = []
-                for c in range(d):
-                    bump = np.zeros_like(y)
-                    bump[:, c] = eps[:, c]
-                    bc = np.asarray(model.drift(t, y + bump, mu), dtype=np.float64)
-                    cols.append((bc - b0) / eps[:, c : c + 1])
-                jac = np.stack(cols, axis=2)  # (N, d, d): d b / d y
-                a = np.eye(d)[None, :, :] - h * jac
                 y = y - np.linalg.solve(a, f[:, :, None])[:, :, 0]
+    resid = np.where(np.isfinite(resid), resid, np.inf)
     particle = int(np.argmax(resid))
     raise NewtonNonConvergence(particle, float(resid[particle]), NEWTON_MAX_ITER)
 
@@ -167,12 +177,20 @@ class Trajectory:
     h: float
     records: list  # (requested_time, Ensemble), by requested time
     final: Ensemble
-    diverged: bool
-    first_nonfinite: tuple | None  # (particle, step)
     trace_times: np.ndarray | None = None
     trace_values: np.ndarray | None = None  # (n_steps+1, n_traced, d)
     newton_failure: tuple | None = None  # (step, particle, residual)
     complete: bool = True
+
+    @property
+    def diverged(self) -> bool:
+        """Some particle became non-finite, or Newton failed and cut the run."""
+        return self.final.diverged or not self.complete
+
+    @property
+    def first_nonfinite(self):
+        """(particle, step) of the first non-finite state, or None."""
+        return self.final.first_nonfinite
 
     @property
     def first_nonfinite_time(self):
@@ -247,15 +265,12 @@ def simulate(
         newton_failure = (k + 1, err.particle, err.residual)
 
     records.sort(key=lambda item: item[0])  # stable: equal times keep step order
-    complete = newton_failure is None
     return Trajectory(
         h=h,
         records=records,
         final=ens,
-        diverged=ens.diverged or not complete,
-        first_nonfinite=ens.first_nonfinite,
         trace_times=trace_times,
         trace_values=trace_values,
         newton_failure=newton_failure,
-        complete=complete,
+        complete=newton_failure is None,
     )

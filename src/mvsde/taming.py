@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteCoefficient
+from .models import int_power
 
 KINDS = ("identity", "drift_tamed", "modified", "tanh", "sin", "fully_tamed")
 
@@ -125,7 +126,10 @@ def _t1_raw(op: TamingOperator, v, x, h):
         ha = h**op.alpha
         return np.sin(ha * v) / ha
     # fully_tamed: damping driven by the state, not the coefficient
-    return v / (1.0 + np.sqrt(h) * _vec_norm(x) ** (4.0 * op.rho))
+    p = 4.0 * op.rho
+    norm = _vec_norm(x)
+    damp = int_power(norm, int(p)) if p >= 1.0 and p.is_integer() else norm**p
+    return v / (1.0 + np.sqrt(h) * damp)
 
 
 def _t2_raw(op: TamingOperator, v, x, h):

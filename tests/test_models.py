@@ -193,3 +193,66 @@ def test_growth_bound_with_module_computed_constant():
         for x in probe:
             b = abs(model.drift(0.0, np.array([[x]]), mu)[0, 0])
             assert b <= 1.05 * k_fit * envelope(x)
+
+
+BUILTIN_FACTORIES = {
+    "cubic": cubic_interaction_model,
+    "quintic": quintic_interaction_model,
+    "doublewell": lambda: double_well_model(mu0=3.0, sigma0sq=9.0),
+}
+
+
+def _state_and_measure(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, (200, 1))
+    return x, MeasureView(1.0 + rng.standard_normal((50, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FACTORIES))
+def test_drift_dx_matches_central_difference(name):
+    model = BUILTIN_FACTORIES[name]()
+    x, mu = _state_and_measure(11)
+    step = 1e-5 * (1.0 + np.abs(x))
+    central = (model.drift(0.0, x + step, mu) - model.drift(0.0, x - step, mu)) / (2.0 * step)
+    jac = model.drift_dx(0.0, x, mu)
+    assert jac.shape == (200, 1, 1)
+    np.testing.assert_allclose(jac[:, :, 0], central, rtol=1e-6, atol=1e-6)
+
+
+def _pow_drift(name, x, mu):
+    # the drifts as written with libm pow before they became products, and
+    # the sum of their terms' magnitudes
+    ax = np.abs(x)
+    if name == "cubic":
+        return x - x**3 + mu.mean, ax + ax**3 + np.abs(mu.mean)
+    if name == "quintic":
+        return 1.0 - x**5 + x**3 + mu.mean, 1.0 + ax**5 + ax**3 + np.abs(mu.mean)
+    m1, m2, m3 = (np.mean(mu.states**k, axis=0) for k in (1, 2, 3))
+    drift = -1.25 * x**3 + 3.0 * x**2 * m1 - 3.0 * x * m2 + m3
+    return drift, 1.25 * ax**3 + 3.0 * ax**2 * abs(m1) + 3.0 * ax * m2 + abs(m3)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FACTORIES))
+def test_product_drifts_match_pow_formulas(name):
+    model = BUILTIN_FACTORIES[name]()
+    x, mu = _state_and_measure(12)
+    old, scale = _pow_drift(name, x, mu)
+    # relative to the largest term, since the terms cancel near the roots
+    assert np.all(np.abs(model.drift(0.0, x, mu) - old) <= 1e-14 * scale)
+
+
+def test_raw_moment_products_match_pow():
+    rng = np.random.default_rng(13)
+    states = rng.standard_normal((1000, 2)) * np.array([0.5, 3.0])
+    mu = MeasureView(states)
+    for k in range(1, 6):
+        old = np.mean(states**k, axis=0)
+        if k <= 2:
+            assert np.array_equal(mu.raw_moment(k), old)
+        else:
+            tol = 1e-14 * np.mean(np.abs(states) ** k, axis=0)
+            assert np.all(np.abs(mu.raw_moment(k) - old) <= tol)
+    assert np.array_equal(mu.raw_moment(3.0), mu.raw_moment(3))
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError):
+            mu.raw_moment(bad)

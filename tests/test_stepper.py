@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mvsde import (
     NewtonNonConvergence,
     SchemeConfig,
     cubic_interaction_model,
+    double_well_model,
     generate,
     quintic_interaction_model,
     simulate,
@@ -191,6 +194,40 @@ class TestSplitStep:
         out = split_step(Ensemble(x), model, SSM, h, np.zeros((3, 1)))
         expected = np.linalg.solve(np.eye(2) - h * A, x.T).T
         assert np.allclose(out.states, expected, rtol=0.0, atol=1e-12)
+
+    def test_analytic_jacobian_matches_finite_differences(self):
+        model = double_well_model(mu0=3.0, sigma0sq=9.0)
+        rng = np.random.default_rng(3)
+        ens = Ensemble(3.0 + 3.0 * rng.standard_normal((500, 1)))
+        dW = np.sqrt(1e-3) * rng.standard_normal((500, 1))
+        out = split_step(ens, model, SSM, 1e-3, dW)
+        fd = split_step(ens, dataclasses.replace(model, drift_dx=None), SSM, 1e-3, dW)
+        assert np.allclose(out.states, fd.states, rtol=0.0, atol=1e-12)
+
+    def test_analytic_jacobian_one_drift_call_per_iteration(self):
+        model = double_well_model(mu0=3.0, sigma0sq=9.0)
+        calls = {"drift": 0, "drift_dx": 0}
+
+        def counted(name):
+            fn = getattr(model, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        counting = dataclasses.replace(model, drift=counted("drift"), drift_dx=counted("drift_dx"))
+        rng = np.random.default_rng(4)
+        ens = Ensemble(3.0 + 3.0 * rng.standard_normal((500, 1)))
+        split_step(ens, counting, SSM, 1e-3, np.zeros((500, 1)))
+        iterations = calls["drift_dx"]
+        assert iterations >= 1
+        assert calls["drift"] == iterations + 1
+
+    def test_rejects_taming_operator(self):
+        with pytest.raises(ValueError, match="split-step"):
+            SchemeConfig(method=SPLIT_STEP, op=modified())
 
     def test_newton_non_convergence_raises(self):
         # Y = 3 + 0.5 (2 + 2 Y^2) has no real root

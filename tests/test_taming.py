@@ -155,3 +155,17 @@ def test_parse_round_trips():
         parse_taming("bogus")
     with pytest.raises(ValueError):
         parse_taming("te(abc)")
+
+
+def test_fully_tamed_integer_power_matches_pow():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((400, 2)) * rng.uniform(0.1, 5.0, (400, 1))
+    v = rng.standard_normal((400, 2))
+    h = 0.01
+    norm = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    for rho in (0.25, 1.0, 2.0):  # 4 rho = 1, 4, 8: square-and-multiply
+        old = v / (1.0 + np.sqrt(h) * norm ** (4.0 * rho))
+        np.testing.assert_allclose(apply_t1(fully_tamed(rho), v, x, h), old, rtol=1e-14, atol=0.0)
+    for rho in (0.0, 0.3):  # 4 rho = 0 or not an integer: pow as before
+        old = v / (1.0 + np.sqrt(h) * norm ** (4.0 * rho))
+        assert np.array_equal(apply_t1(fully_tamed(rho), v, x, h), old)
