@@ -3,7 +3,7 @@ and diffusion may grow super-linearly, using modified/tamed Euler schemes
 with an implicit split-step reference method."""
 
 from .brownian import InitStream, PathGrid, coarsen, derive_seed, generate
-from .errors import ConfigError, MvsdeError, NewtonNonConvergence, NonFiniteCoefficient
+from .errors import ConfigError, MvsdeError, NewtonNonConvergence
 from .experiments import (
     ConvergenceReport,
     DensityBundle,
@@ -23,8 +23,6 @@ from .models import (
     cubic_interaction_model,
     dirac,
     double_well_model,
-    eval_diffusion_col,
-    eval_drift,
     make_model,
     quintic_interaction_model,
     register_model,
@@ -38,7 +36,7 @@ from .stepper import (
     simulate,
     split_step,
 )
-from .taming import TamingOperator, apply_t1, apply_t2, parse_taming
+from .taming import TamingOperator, parse_taming
 from .verify import (
     AssumptionReport,
     SampleSpec,

@@ -7,19 +7,6 @@ class MvsdeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonFiniteCoefficient(MvsdeError):
-    """A drift/diffusion evaluation or taming input was not finite.
-
-    Carries the offending inputs so callers can report where a model blew up.
-    """
-
-    def __init__(self, message, t=None, x=None, value=None):
-        super().__init__(message)
-        self.t = t
-        self.x = x
-        self.value = value
-
-
 class NewtonNonConvergence(MvsdeError):
     """The implicit split-step solve did not reach tolerance."""
 

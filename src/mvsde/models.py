@@ -21,8 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteCoefficient
-
 
 class MeasureView:
     """Empirical measure of N particles: the read-only (N, d) block `states`
@@ -136,49 +134,6 @@ class ModelSpec:
             raise ValueError("state and Brownian dimensions must be positive")
         if self.rho < 0:
             raise ValueError("growth exponent rho must be nonnegative")
-
-
-def _as_batch(x, d):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != d:
-            raise ValueError(f"state vector has length {x.shape[0]}, expected {d}")
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == d:
-        return x, False
-    raise ValueError(f"states must have shape (d,) or (N, {d})")
-
-
-def _eval(model, coefficient, what, t, x, mu, *args):
-    """Evaluate one coefficient, named `what` in errors, on a state or batch."""
-    batch, squeeze = _as_batch(x, model.d)
-    if not np.all(np.isfinite(batch)):
-        raise NonFiniteCoefficient(f"non-finite state passed to {what}", t=t, x=batch)
-    with np.errstate(all="ignore"):
-        out = np.asarray(coefficient(t, batch, mu, *args), dtype=np.float64)
-    if out.shape != batch.shape:
-        raise ValueError(f"{what} returned shape {out.shape}, expected {batch.shape}")
-    if not np.all(np.isfinite(out)):
-        bad = np.where(~np.isfinite(out).all(axis=1))[0]
-        raise NonFiniteCoefficient(
-            f"{what} of model '{model.name}' is non-finite at t={t}",
-            t=t,
-            x=batch[bad],
-            value=out[bad],
-        )
-    return out[0] if squeeze else out
-
-
-def eval_drift(model: ModelSpec, t, x, mu: MeasureView):
-    """Evaluate b(t, x, mu); raises NonFiniteCoefficient on bad input/output."""
-    return _eval(model, model.drift, "drift", t, x, mu)
-
-
-def eval_diffusion_col(model: ModelSpec, t, x, mu: MeasureView, r: int):
-    """Evaluate sigma_r(t, x, mu) for 1 <= r <= m; same error contract as eval_drift."""
-    if not 1 <= r <= model.m:
-        raise ValueError(f"diffusion column {r} outside 1..{model.m}")
-    return _eval(model, model.diffusion_col, f"diffusion column {r}", t, x, mu, r)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteCoefficient
 from .models import int_power
 
 KINDS = ("identity", "drift_tamed", "modified", "tanh", "sin", "fully_tamed")
@@ -111,7 +110,7 @@ def _vec_norm(v):
 
 
 def _t1_raw(op: TamingOperator, v, x, h):
-    """T1 without input validation; NaN in gives NaN out."""
+    """T1 on a value or a block of values; NaN in gives NaN out."""
     kind = op.kind
     if kind == "identity":
         return v
@@ -133,32 +132,10 @@ def _t1_raw(op: TamingOperator, v, x, h):
 
 
 def _t2_raw(op: TamingOperator, v, x, h):
-    """T2 without input validation; drift_tamed leaves the diffusion untouched."""
+    """T2; drift_tamed leaves the diffusion untouched."""
     if op.kind == "drift_tamed":
         return v
     return _t1_raw(op, v, x, h)
-
-
-def _validated(op, v, x, h, raw):
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"step size h={h} outside (0, 1)")
-    v = np.asarray(v, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteCoefficient("non-finite coefficient value passed to taming", value=v)
-    if op.kind == "fully_tamed" and not np.all(np.isfinite(x)):
-        raise NonFiniteCoefficient("non-finite state passed to taming", x=x)
-    return np.asarray(raw(op, v, x, h), dtype=np.float64)
-
-
-def apply_t1(op: TamingOperator, v, x, h):
-    """Tame a raw drift value; v and x are (d,) or (N, d), h in (0, 1)."""
-    return _validated(op, v, x, h, _t1_raw)
-
-
-def apply_t2(op: TamingOperator, v, x, h):
-    """Tame a raw diffusion-column value; same conventions as apply_t1."""
-    return _validated(op, v, x, h, _t2_raw)
 
 
 # config-file names: identity | dte(lambda) | me | te(alpha) | se(alpha) | fte;

@@ -5,8 +5,12 @@ violation on the documented grid".  The grids probe both asymptotic regimes
 of each inequality (coefficient magnitudes log-spaced far beyond the h^-2
 caps, step sizes down to 2^-20, mean-field measures of varying spread).
 Violations are normalized by (1 + right-hand side) so reports are comparable
-across assumptions with wildly different scales, and the worst witness is
-kept with deterministic (lexicographic) tie-breaking.
+across assumptions with wildly different scales.  Each check evaluates the
+coefficients once on its whole sample block and reports as witness the first
+sample in sweep order that reaches the largest violation.  The sweep order is
+(h, magnitude, direction, state probe, T1 before T2) for H1-H3, (h,
+magnitude, sign, measure) for EX35_BOUND, and (measure or measure pair,
+(x, y) pair) for the model checks.  A NaN violation never wins.
 
 Checked inequalities, with L and the exponents supplied as test inputs:
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .models import MeasureView, ModelSpec, dirac
 from .stats import rmse, w2_1d_quantile
-from .taming import TamingOperator, _t1_raw, _t2_raw
+from .taming import TamingOperator, _t1_raw, _t2_raw, _vec_norm
 
 OP_ASSUMPTIONS = ("H1", "H2", "H3", "EX35_BOUND")
 MODEL_ASSUMPTIONS = ("A2", "A3", "A5", "A6")
@@ -89,20 +93,29 @@ class AssumptionReport:
         )
 
 
-class _Worst:
-    """Tracks the largest normalized violation with a deterministic witness."""
+def _worst(lhs, rhs, **inputs):
+    """Largest normalized violation (lhs - rhs) / (1 + |rhs|) and its witness.
 
-    def __init__(self):
-        self.value = -np.inf
-        self.witness = {}
-        self.count = 0
+    lhs and rhs hold one entry per sample, laid out in sweep order; each input
+    broadcasts against them and is reported at the winning sample.  The first
+    sample in sweep order wins a tie, and a NaN violation never wins; with no
+    winner the result is (-inf, {}).
+    """
+    with np.errstate(invalid="ignore"):
+        viol = (lhs - rhs) / (1.0 + np.abs(rhs))
+    viol = np.where(np.isnan(viol), -np.inf, viol)
+    if not viol.size or viol.max() == -np.inf:
+        return -np.inf, {}
+    at = np.unravel_index(np.argmax(viol), viol.shape)
+    witness = {"lhs": float(lhs[at]), "rhs": float(rhs[at])}
+    for key, value in inputs.items():
+        witness[key] = np.broadcast_to(value, viol.shape)[at].item()
+    return float(viol[at]), witness
 
-    def update(self, lhs, rhs, **inputs):
-        self.count += 1
-        v = (lhs - rhs) / (1.0 + abs(rhs))
-        if v > self.value:
-            self.value = float(v)
-            self.witness = {"lhs": float(lhs), "rhs": float(rhs), **inputs}
+
+def _norm(v):
+    """Euclidean norm along the last axis; for d = 1 it is |v| exactly."""
+    return _vec_norm(v)[..., 0]
 
 
 def compute_G(rho: float, r1: float, r2: float) -> float:
@@ -142,14 +155,9 @@ def _magnitude_grid(spec: SampleSpec, h: float) -> np.ndarray:
 
 
 def _subject_name(op: TamingOperator) -> str:
-    parts = [op.kind]
-    if op.lam is not None:
-        parts.append(f"lambda={op.lam:g}")
-    if op.alpha is not None:
-        parts.append(f"alpha={op.alpha:g}")
-    if op.rho is not None:
-        parts.append(f"rho={op.rho:g}")
-    return parts[0] if len(parts) == 1 else f"{parts[0]}({', '.join(parts[1:])})"
+    params = (("lambda", op.lam), ("alpha", op.alpha), ("rho", op.rho))
+    shown = [f"{name}={value:g}" for name, value in params if value is not None]
+    return f"{op.kind}({', '.join(shown)})" if shown else op.kind
 
 
 def _synthetic_measures(spec: SampleSpec, rng, d=1):
@@ -195,41 +203,43 @@ def check_taming(
     if assumption == "H3":
         tested["r3"] = r3
 
-    worst = _Worst()
-    x_zero = np.zeros(spec.dim)
-    x_probes = [x_zero, np.full(spec.dim, 1.0), np.full(spec.dim, 1e3)]
-    for h in spec.h_values():
-        for mag in _magnitude_grid(spec, h):
-            for u in dirs:
-                v = mag * u
-                nv = float(np.linalg.norm(v))
-                for x in x_probes if op.kind == "fully_tamed" else [x_zero]:
-                    t1 = _t1_raw(op, v, x, h)
-                    t2 = _t2_raw(op, v, x, h)
-                    inputs = {"h": h, "|v|": nv}
-                    if op.kind == "fully_tamed":
-                        inputs["|x|"] = float(np.linalg.norm(x))
-                    if assumption == "H1":
-                        worst.update(
-                            float(np.linalg.norm(t1)), min(L * h**-2, nv), part="T1", **inputs
-                        )
-                        worst.update(
-                            float(np.linalg.norm(t2)), min(L * h**-1.5, nv), part="T2", **inputs
-                        )
-                    else:  # H2, and H3 adds the T2 bound
-                        worst.update(
-                            float(np.linalg.norm(t1 - v)), L * h**r1 * nv**r2, part="T1", **inputs
-                        )
-                        if assumption == "H3":
-                            bound = L * h**r3 * nv**r2
-                            worst.update(float(np.linalg.norm(t2 - v)), bound, part="T2", **inputs)
+    # samples in sweep order: (h, magnitude, direction, state probe, part)
+    xs = np.zeros((1, spec.dim))
+    if op.kind == "fully_tamed":
+        xs = np.array([np.zeros(spec.dim), np.full(spec.dim, 1.0), np.full(spec.dim, 1e3)])
+    n_parts = 1 if assumption == "H2" else 2
+    h_values = spec.h_values()
+    lhs, rhs, nv = [], [], []
+    for h in h_values:
+        v = _magnitude_grid(spec, h)[:, None, None] * dirs
+        v = np.broadcast_to(v[:, :, None, :], v.shape[:2] + xs.shape)
+        nv.append(_norm(v))
+        t1, t2 = _t1_raw(op, v, xs, h), _t2_raw(op, v, xs, h)
+        if assumption == "H1":
+            lhs_h = (_norm(t1), _norm(t2))
+            rhs_h = (np.minimum(L * h**-2, nv[-1]), np.minimum(L * h**-1.5, nv[-1]))
+        else:  # H2, and H3 adds the T2 bound
+            growth = np.float_power(nv[-1], r2)
+            lhs_h = (_norm(t1 - v), _norm(t2 - v))
+            rhs_h = (L * h**r1 * growth, L * h**r3 * growth)
+        lhs.append(np.stack(lhs_h[:n_parts], axis=-1))
+        rhs.append(np.stack(rhs_h[:n_parts], axis=-1))
+    inputs = {
+        "part": np.array(["T1", "T2"][:n_parts]),
+        "h": np.reshape(h_values, (-1, 1, 1, 1, 1)),
+        "|v|": np.stack(nv)[..., None],
+    }
+    if op.kind == "fully_tamed":
+        inputs["|x|"] = _norm(xs)[:, None]
+    lhs, rhs = np.stack(lhs), np.stack(rhs)
+    value, witness = _worst(lhs, rhs, **inputs)
     return AssumptionReport(
         assumption_id=assumption,
         subject=_subject_name(op),
         tested_constants=tested,
-        samples=worst.count,
-        max_violation=worst.value,
-        witness=worst.witness,
+        samples=lhs.size,
+        max_violation=value,
+        witness=witness,
     )
 
 
@@ -237,34 +247,37 @@ def _check_ex35(op, constants, spec, model, rng):
     if model is None:
         raise ValueError("EX35_BOUND needs a model supplying the drift")
     measures = _synthetic_measures(spec, rng, model.d)
+    w2 = np.array([np.sqrt(mu.w2sq_to_dirac0) for mu in measures])
+    # samples in sweep order: (h, magnitude, sign, measure); the drift does
+    # not depend on L, so it is evaluated once and L sweeps the bound only
+    h_values = spec.h_values()
+    lhs, nb, nx = [], [], []
+    for h in h_values:
+        mags = _magnitude_grid(spec, h)
+        x = (mags[:, None] * (1.0, -1.0)).reshape(-1, 1).repeat(model.d, axis=1)
+        with np.errstate(all="ignore"):
+            b = np.stack([model.drift(0.0, x, mu) for mu in measures], axis=1)
+            lhs.append(_norm(_t1_raw(op, b, x[:, None, :], h)))
+            nb.append(_norm(b))
+        nx.append(_norm(x)[:, None])
+    nb, nx = np.stack(nb), np.stack(nx)
+    finite = np.isfinite(nb)  # outside double range the bound is void: drop
+    lhs = np.where(finite, np.stack(lhs), np.nan)
+    scale = np.reshape([h**-0.25 for h in h_values], (-1, 1, 1))
+    h_col = np.reshape(h_values, (-1, 1, 1))
     sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
-    best = None
     for L in sweep:
-        worst = _Worst()
-        for h in spec.h_values():
-            for mag in _magnitude_grid(spec, h):
-                for sgn in (1.0, -1.0):
-                    x = np.full((1, model.d), sgn * mag)
-                    for mu in measures:
-                        with np.errstate(all="ignore"):
-                            b = np.asarray(model.drift(0.0, x, mu), dtype=np.float64)
-                        nb = float(np.linalg.norm(b))
-                        if not np.isfinite(nb):
-                            continue  # outside double range; bound is void there
-                        w2 = np.sqrt(mu.w2sq_to_dirac0)
-                        lhs = float(np.linalg.norm(_t1_raw(op, b, x, h)))
-                        rhs = min(L * h**-0.25 * (1.0 + mag) + w2, nb)
-                        worst.update(lhs, rhs, h=h, **{"|x|": mag, "W2": float(w2)})
-        best = worst
-        if worst.value <= 0:
+        rhs = np.minimum(L * scale * (1.0 + nx) + w2, nb)
+        value, witness = _worst(lhs, rhs, h=h_col, **{"|x|": nx, "W2": w2})
+        if value <= 0:
             break
     return AssumptionReport(
         assumption_id="EX35_BOUND",
         subject=f"{_subject_name(op)}|{model.name}",
         tested_constants={"L": L},
-        samples=best.count,
-        max_violation=best.value,
-        witness=best.witness,
+        samples=int(finite.sum()),
+        max_violation=value,
+        witness=witness,
     )
 
 
@@ -295,12 +308,12 @@ def check_model(
     if model.d > 1:
         caveat = "W2 between measures is the coupled upper bound (d > 1)"
 
-    pairs = []
-    for scale in spec.pair_scales:
-        block = scale * rng.standard_normal((spec.n_pairs, 2, model.d))
-        pairs.extend((block[i, 0], block[i, 1]) for i in range(spec.n_pairs))
+    xy = np.concatenate(
+        [scale * rng.standard_normal((spec.n_pairs, 2, model.d)) for scale in spec.pair_scales]
+    )
+    x, y = xy[:, 0], xy[:, 1]
     measures = _synthetic_measures(spec, rng, model.d)
-    mpairs = [(mu, nu) for mu in measures for nu in measures]
+    mpairs = [(i, j) for i in range(len(measures)) for j in range(len(measures))]
 
     def w2_measures(mu, nu):
         if model.d == 1:
@@ -309,67 +322,54 @@ def check_model(
             return rmse(mu.states, nu.states)
         return float(np.sqrt(mu.w2sq_to_dirac0) + np.sqrt(nu.w2sq_to_dirac0))
 
-    sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
-    best = None
-    chosen = None
-    for L in sweep:
-        worst = _Worst()
-        with np.errstate(all="ignore"):
-            if assumption == "A2":
-                for mu in measures:
-                    w2sq = mu.w2sq_to_dirac0
-                    for x, _ in pairs:
-                        xb = x[None, :]
-                        b = model.drift(0.0, xb, mu)[0]
-                        s2 = sum(
-                            float(np.sum(model.diffusion_col(0.0, xb, mu, r)[0] ** 2))
-                            for r in range(1, model.m + 1)
-                        )
-                        lhs = 2.0 * float(x @ b) + (2.0 * p0 - 1.0) * s2
-                        rhs = L * (1.0 + float(x @ x) + w2sq)
-                        worst.update(lhs, rhs, x=float(np.linalg.norm(x)))
-            elif assumption in ("A3", "A5"):
+    def sq_norm(v):
+        return np.sum(v * v, axis=-1)
+
+    def diffusion(z, mu):
+        return [model.diffusion_col(0.0, z, mu, r) for r in range(1, model.m + 1)]
+
+    # samples in sweep order: (measure or measure pair, pair).  The
+    # coefficients do not depend on L, so they are evaluated once per measure
+    # and L sweeps the right-hand side only: the sum of L * each rhs term
+    nx, ny = _norm(x), _norm(y)
+    with np.errstate(all="ignore"):
+        bx = [model.drift(0.0, x, mu) for mu in measures]
+        if assumption == "A2":
+            inputs = {"x": nx}
+            lhs = [
+                2.0 * np.sum(x * b, axis=-1)
+                + (2.0 * p0 - 1.0) * sum(sq_norm(s) for s in diffusion(x, mu))
+                for b, mu in zip(bx, measures)
+            ]
+            rhs_terms = [np.stack([1.0 + sq_norm(x) + mu.w2sq_to_dirac0 for mu in measures])]
+        else:
+            inputs = {"x": nx, "y": ny}
+            by = [model.drift(0.0, y, nu) for nu in measures]
+            w2 = [w2_measures(measures[i], measures[j]) for i, j in mpairs]
+            bdiff = [bx[i] - by[j] for i, j in mpairs]
+            if assumption == "A6":
+                lhs = [_norm(d) for d in bdiff]
+                growth = 1.0 + np.float_power(nx, 2 * rho) + np.float_power(ny, 2 * rho)
+                rhs_terms = [growth * _norm(x - y), np.reshape(w2, (-1, 1))]
+            else:  # A3 / A5
                 weight = 1.0 if assumption == "A3" else 2.0 * p1 - 1.0
-                for mu, nu in mpairs:
-                    w2sq = w2_measures(mu, nu) ** 2
-                    for x, y in pairs:
-                        xb, yb = x[None, :], y[None, :]
-                        bdiff = model.drift(0.0, xb, mu)[0] - model.drift(0.0, yb, nu)[0]
-                        sdiff = sum(
-                            float(
-                                np.sum(
-                                    (
-                                        model.diffusion_col(0.0, xb, mu, r)[0]
-                                        - model.diffusion_col(0.0, yb, nu, r)[0]
-                                    )
-                                    ** 2
-                                )
-                            )
-                            for r in range(1, model.m + 1)
-                        )
-                        lhs = 2.0 * float((x - y) @ bdiff) + weight * sdiff
-                        rhs = L * (float(np.sum((x - y) ** 2)) + w2sq)
-                        worst.update(
-                            lhs, rhs, x=float(np.linalg.norm(x)), y=float(np.linalg.norm(y))
-                        )
-            else:  # A6
-                for mu, nu in mpairs:
-                    w2 = w2_measures(mu, nu)
-                    for x, y in pairs:
-                        xb, yb = x[None, :], y[None, :]
-                        bdiff = model.drift(0.0, xb, mu)[0] - model.drift(0.0, yb, nu)[0]
-                        nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-                        lhs = float(np.linalg.norm(bdiff))
-                        rhs = L * (
-                            (1.0 + nx ** (2 * rho) + ny ** (2 * rho))
-                            * float(np.linalg.norm(x - y))
-                        ) + L * w2
-                        worst.update(lhs, rhs, x=nx, y=ny)
-        best, chosen = worst, L
-        if worst.value <= 0:
+                sx = [diffusion(x, mu) for mu in measures]
+                sy = [diffusion(y, nu) for nu in measures]
+                lhs = [
+                    2.0 * np.sum((x - y) * d, axis=-1)
+                    + weight * sum(sq_norm(a - c) for a, c in zip(sx[i], sy[j]))
+                    for (i, j), d in zip(mpairs, bdiff)
+                ]
+                rhs_terms = [sq_norm(x - y) + np.reshape([w**2 for w in w2], (-1, 1))]
+    lhs = np.stack(lhs)
+    sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
+    for L in sweep:
+        rhs = sum(L * term for term in rhs_terms)
+        value, witness = _worst(lhs, rhs, **inputs)
+        if value <= 0:
             break
 
-    tested = {"L": chosen}
+    tested = {"L": L}
     if assumption == "A2":
         tested["p0"] = p0
     if assumption == "A5":
@@ -380,9 +380,9 @@ def check_model(
         assumption_id=assumption,
         subject=model.name,
         tested_constants=tested,
-        samples=best.count,
-        max_violation=best.value,
-        witness=best.witness,
+        samples=lhs.size,
+        max_violation=value,
+        witness=witness,
         caveat=caveat,
     )
 
@@ -438,11 +438,7 @@ def compare_equilibria(roots, expected=(-2.0, 0.0, 2.0), tol=1e-6) -> dict:
     matched, missing = [], []
     used = set()
     for e in expected:
-        hit = None
-        for i, r in enumerate(roots):
-            if i not in used and abs(r - e) <= tol:
-                hit = i
-                break
+        hit = next((i for i, r in enumerate(roots) if i not in used and abs(r - e) <= tol), None)
         if hit is None:
             missing.append(float(e))
         else:

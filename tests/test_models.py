@@ -4,12 +4,9 @@ import pytest
 from mvsde import (
     InitStream,
     MeasureView,
-    NonFiniteCoefficient,
     cubic_interaction_model,
     dirac,
     double_well_model,
-    eval_diffusion_col,
-    eval_drift,
     make_model,
     quintic_interaction_model,
 )
@@ -24,17 +21,17 @@ def measure_with_mean(value):
 class TestCubic:
     def test_drift_at_origin(self):
         m = cubic_interaction_model()
-        assert eval_drift(m, 0.0, np.array([0.0]), dirac(0.0))[0] == 0.0
+        assert m.drift(0.0, np.array([0.0])[None, :], dirac(0.0))[0][0] == 0.0
 
     def test_drift_formula(self):
         m = cubic_interaction_model()
         # x - x^3 + E[X] at x=2, E[X]=1: 2 - 8 + 1
-        out = eval_drift(m, 0.0, np.array([2.0]), measure_with_mean(1.0))
+        out = m.drift(0.0, np.array([2.0])[None, :], measure_with_mean(1.0))[0]
         assert out[0] == pytest.approx(-5.0)
 
     def test_diffusion_vanishes_at_one(self):
         m = cubic_interaction_model()
-        out = eval_diffusion_col(m, 0.0, np.array([1.0]), dirac(3.0), 1)
+        out = m.diffusion_col(0.0, np.array([1.0])[None, :], dirac(3.0), 1)[0]
         assert out[0] == 0.0
 
     def test_initial_law_is_point_mass_at_zero(self):
@@ -47,25 +44,25 @@ class TestCubic:
 class TestQuintic:
     def test_drift_values(self):
         m = quintic_interaction_model()
-        assert eval_drift(m, 0.0, np.array([0.0]), dirac(0.0))[0] == 1.0
+        assert m.drift(0.0, np.array([0.0])[None, :], dirac(0.0))[0][0] == 1.0
         # 1 - 1 + 1 + 0 at x=1, E[X]=0
-        assert eval_drift(m, 0.0, np.array([1.0]), measure_with_mean(0.0))[0] == 1.0
+        assert m.drift(0.0, np.array([1.0])[None, :], measure_with_mean(0.0))[0][0] == 1.0
 
     def test_diffusion_at_origin(self):
         m = quintic_interaction_model()
-        assert eval_diffusion_col(m, 0.0, np.array([0.0]), dirac(0.0), 1)[0] == 1.0
+        assert m.diffusion_col(0.0, np.array([0.0])[None, :], dirac(0.0), 1)[0][0] == 1.0
         assert m.rho == 2.0
 
 
 class TestDoubleWell:
     def test_drift_at_dirac_zero(self):
         m = double_well_model()
-        assert eval_drift(m, 0.0, np.array([0.0]), dirac(0.0))[0] == 0.0
+        assert m.drift(0.0, np.array([0.0])[None, :], dirac(0.0))[0][0] == 0.0
 
     def test_drift_at_dirac_two(self):
         m = double_well_model()
         # -(5/4)*8 + 3*4*2 - 3*2*4 + 8 = -10 + 24 - 24 + 8
-        out = eval_drift(m, 0.0, np.array([2.0]), dirac(2.0))
+        out = m.drift(0.0, np.array([2.0])[None, :], dirac(2.0))[0]
         assert out[0] == pytest.approx(-2.0)
 
     def test_drift_with_stable_state_moments(self):
@@ -74,7 +71,7 @@ class TestDoubleWell:
         assert mu.raw_moment(1, 0) == 2.0
         assert mu.raw_moment(2, 0) == 4.0
         assert mu.raw_moment(3, 0) == 8.0
-        assert eval_drift(m, 0.0, np.array([2.0]), mu)[0] == pytest.approx(-2.0)
+        assert m.drift(0.0, np.array([2.0])[None, :], mu)[0][0] == pytest.approx(-2.0)
 
     def test_initial_law(self):
         m = double_well_model(mu0=3.0, sigma0sq=9.0)
@@ -93,25 +90,6 @@ def test_registry_names():
     assert make_model("doublewell", mu0=3, sigma0sq=9).params["mu0"] == 3.0
     with pytest.raises(ValueError):
         make_model("nope")
-
-
-def test_eval_drift_rejects_non_finite_state():
-    m = cubic_interaction_model()
-    with pytest.raises(NonFiniteCoefficient):
-        eval_drift(m, 0.0, np.array([np.inf]), dirac(0.0))
-
-
-def test_eval_drift_reports_non_finite_output():
-    m = quintic_interaction_model()
-    with pytest.raises(NonFiniteCoefficient) as err:
-        eval_drift(m, 0.0, np.array([1e80]), dirac(0.0))
-    assert err.value.x is not None
-
-
-def test_eval_diffusion_rejects_bad_column():
-    m = cubic_interaction_model()
-    with pytest.raises(ValueError):
-        eval_diffusion_col(m, 0.0, np.array([0.0]), dirac(0.0), 2)
 
 
 def test_coefficients_are_pure():
