@@ -14,9 +14,12 @@ seeds it is ``[seed, 0x9E3779B97F4A7C15]`` exactly.  The 64-bit word at the
 fixed in-stream position ``(k mod chunk) * m + r`` is mapped through the
 inverse normal CDF,
 
-    u = (word >> 11 + 0.5) * 2**-53,    z = ndtri(u),
+    u = ((word >> 11) + 0.5) * 2**-53,    z = ndtri(u),
 
-and scaled by ``sqrt(T / n_fine)``.  No rejection sampling is involved, so a
+and scaled by ``sqrt(T / n_fine)``.  The map is computed as numpy's
+``Generator.random`` plus ``2**-54``: ``random`` is ``(word >> 11) * 2**-53``
+and a power-of-two scale commutes with the rounding of the added half, so
+the bits are those of the formula.  No rejection sampling is involved, so a
 value never depends on generation order, chunking, or on how many particles
 or steps the surrounding grid has.  Bitwise reproducibility is per build (fixed numpy/scipy versions); the mapping above is part of this
 module's contract.
@@ -29,13 +32,21 @@ therefore runs the exact same floating-point reduction as
 
 Grids whose root stream holds at most ``2**26`` values are materialized in
 memory; larger grids regenerate chunks from the counter stream on demand.
-Either way a chunk is generated in particle slabs of at most
-``_SLAB_WORDS`` words, in one buffer per call that holds the words and then
-their normal values, and a coarsened view sums each slab into its coarse
-steps as it is drawn, so temporaries grow neither with N nor with the factor.
+Either way a chunk is generated in particle slabs of doubles, which hold the
+uniforms and then their normal values in place, and a coarsened view sums
+each slab into its coarse steps as it is drawn, so temporaries grow neither
+with N nor with the factor.  A call that draws at least two slabs of values
+splits the particles into contiguous bands, one per core the process may run
+on (at most one band per slab of work); each band draws its own rows into a
+slab of ``_SLAB_WORDS // bands`` doubles, so the slabs of one call hold
+``_SLAB_WORDS`` doubles in all.  Every value is a function of its counter
+alone, so the bits do not depend on the number of bands.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -44,14 +55,59 @@ _MASK64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
 CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
 _MATERIALIZE_LIMIT = 1 << 26  # max root values kept in memory
-_SLAB_WORDS = 1 << 20  # max Philox words per generation slab (8 MiB of uint64)
-_CAST_WORDS = 1 << 13  # words cast to float64 per step within a slab
+_SLAB_WORDS = 1 << 20  # max doubles in the slabs of one generation call (8 MiB)
 
 # purpose tags keep the increment, initial-normal and initial-uniform
 # streams of one seed disjoint in counter space
 _TAG_INCREMENTS = 0
 _TAG_INIT_NORMAL = 1
 _TAG_INIT_UNIFORM = 2
+
+
+# cores this process may run on: the most bands a call uses
+try:
+    _CORES = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity API on this platform
+    _CORES = os.cpu_count() or 1
+
+
+def _band_count(work, n) -> int:
+    """Bands for a call of `work` elementary values over `n` rows: one per
+    core, but none with less than one slab of work, and none empty."""
+    return max(1, min(_CORES, work // _SLAB_WORDS, n))
+
+
+def _in_bands(n, bands, task):
+    """Run task(lo, hi) on `bands` contiguous ranges that cover [0, n).
+
+    The first range runs on the calling thread and every other one on a
+    thread of its own; all are joined before the first exception raised, in
+    range order, is re-raised.  Tasks must write disjoint memory, and must
+    not call the names the benchmark tracer wraps, since its span stack
+    belongs to the calling thread.
+    """
+    edges = [n * b // bands for b in range(bands + 1)]
+    errors = [None] * bands
+
+    def run(b):
+        try:
+            task(edges[b], edges[b + 1])
+        except BaseException as exc:  # re-raised below, after every join
+            errors[b] = exc
+
+    threads = []
+    try:
+        for b in range(1, bands):
+            thread = threading.Thread(target=run, args=(b,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -67,7 +123,7 @@ class _Streams:
 
     Building a generator costs a SeedSequence draw that is then discarded;
     assigning a held state dict only rewrites the counter.  Each instance is
-    owned by one call.
+    owned by one call, or by one band of it.
     """
 
     def __init__(self, seed, tag):
@@ -83,34 +139,25 @@ class _Streams:
         self._state = state
         self._counter = state["state"]["counter"]
         self._tag = tag
+        self._gen = np.random.Generator(self._bg)
+        self._head = np.empty(3)  # words drawn before w0 in its Philox block
 
-    def words(self, particles, chunk, w0, raw):
-        """Fill raw (uint64, one row per particle) with words [w0, w0 +
-        raw.shape[1]) of the (particle, chunk) streams."""
+    def uniforms(self, particles, chunk, w0, out):
+        """Fill out (float64, one C-contiguous row per particle) with the
+        uniforms of words [w0, w0 + out.shape[1]) of the (particle, chunk)
+        streams."""
         # numpy increments the counter before it computes a block, so
         # counter b yields the block holding stream words [4b, 4b + 4)
-        b = w0 // 4
-        w1 = w0 + raw.shape[1]
-        for row, particle in enumerate(particles):
+        b, head = divmod(w0, 4)
+        for row, particle in zip(out, particles):
             self._counter[:] = (b, chunk, particle, self._tag)
             self._bg.state = self._state
-            raw[row] = self._bg.random_raw(w1 - 4 * b)[w0 - 4 * b :]
-        return raw
-
-
-def _words_to_uniform(raw):
-    """Uniforms from contiguous uint64 words, in place: the result is raw's
-    memory viewed as float64."""
-    # one word per double; strictly inside (0, 1) so ndtri stays finite
-    raw >>= np.uint64(11)
-    words = raw.reshape(-1)
-    u = words.view(np.float64)
-    # numpy copies the source of an overlapping cast, so cast in small blocks
-    for a in range(0, words.size, _CAST_WORDS):
-        u[a : a + _CAST_WORDS] = words[a : a + _CAST_WORDS]
-    u += 0.5
-    u *= 2.0**-53
-    return u.reshape(raw.shape)
+            if head:
+                self._gen.random(out=self._head[:head])
+            self._gen.random(out=row)
+        # strictly inside (0, 1), so ndtri stays finite
+        out += 2.0**-54
+        return out
 
 
 def _add_terms(out, root, first, f):
@@ -166,25 +213,31 @@ class PathGrid:
         r0, r1 = k0 * f, k1 * f  # root steps
         scale = np.sqrt(self.T / self.n_fine)
         out = np.empty((self.N, k1 - k0, m))
-        streams = _Streams(self.seed, _TAG_INCREMENTS)
         first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
-        # one slab buffer serves the whole call, sized for its widest chunk
-        # span, so the allocator keeps no freed slabs resident
         width = min(r1 - r0, CHUNK_STEPS) * m
-        slab = np.empty(min(self.N * width, max(width, _SLAB_WORDS)), dtype=np.uint64)
-        for c in range(first, last + 1):
-            lo = max(r0, c * CHUNK_STEPS)
-            hi = min(r1, (c + 1) * CHUNK_STEPS)
-            w0 = (lo - c * CHUNK_STEPS) * m
-            w1 = (hi - c * CHUNK_STEPS) * m
-            rows = max(1, _SLAB_WORDS // (w1 - w0))
-            for s0 in range(0, self.N, rows):
-                s1 = min(self.N, s0 + rows)
-                raw = slab[: (s1 - s0) * (w1 - w0)].reshape(s1 - s0, w1 - w0)
-                z = _words_to_uniform(streams.words(range(s0, s1), c, w0, raw))
-                ndtri(z, out=z)
-                z *= scale
-                _add_terms(out[s0:s1], z.reshape(s1 - s0, hi - lo, m), lo - r0, f)
+        bands = _band_count(self.N * (r1 - r0) * m, self.N)
+        slab_len = _SLAB_WORDS // bands
+
+        def band(p0, p1):
+            streams = _Streams(self.seed, _TAG_INCREMENTS)
+            # one slab buffer serves the band, sized for its widest chunk
+            # span, so the allocator keeps no freed slabs resident
+            slab = np.empty(min((p1 - p0) * width, max(width, slab_len)))
+            for c in range(first, last + 1):
+                lo = max(r0, c * CHUNK_STEPS)
+                hi = min(r1, (c + 1) * CHUNK_STEPS)
+                w0 = (lo - c * CHUNK_STEPS) * m
+                w1 = (hi - c * CHUNK_STEPS) * m
+                rows = max(1, slab_len // (w1 - w0))
+                for s0 in range(p0, p1, rows):
+                    s1 = min(p1, s0 + rows)
+                    z = slab[: (s1 - s0) * (w1 - w0)].reshape(s1 - s0, w1 - w0)
+                    streams.uniforms(range(s0, s1), c, w0, z)
+                    ndtri(z, out=z)
+                    z *= scale
+                    _add_terms(out[s0:s1], z.reshape(s1 - s0, hi - lo, m), lo - r0, f)
+
+        _in_bands(self.N, bands, band)
         return out
 
     def increments_block(self, k0, k1):
@@ -270,9 +323,7 @@ class InitStream:
         return (self.N, self.d)
 
     def _block(self, tag):
-        streams = _Streams(self.seed, tag)
-        raw = np.empty(self.shape, dtype=np.uint64)
-        return _words_to_uniform(streams.words(range(self.N), 0, 0, raw))
+        return _Streams(self.seed, tag).uniforms(range(self.N), 0, 0, np.empty(self.shape))
 
     def normals(self):
         """Standard normal block of shape (N, d)."""

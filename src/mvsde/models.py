@@ -56,7 +56,8 @@ class MeasureView:
     def mean(self) -> np.ndarray:
         """First raw moment, shape (d,)."""
         if self._mean is None:
-            mean = self.states.mean(axis=0)
+            # np.mean's own reduction and division, without its wrapper
+            mean = np.add.reduce(self.states, axis=0) / self.states.shape[0]
             mean.flags.writeable = False
             self._mean = mean
         return self._mean
@@ -67,7 +68,7 @@ class MeasureView:
             raise ValueError("moment order must be a positive integer")
         k = int(k)
         if k not in self._moments:
-            mom = np.mean(int_power(self.states, k), axis=0)
+            mom = np.add.reduce(int_power(self.states, k), axis=0) / self.states.shape[0]
             mom.flags.writeable = False
             self._moments[k] = mom
         mom = self._moments[k]

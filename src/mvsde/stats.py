@@ -9,7 +9,10 @@ are bitwise reproducible across reruns: rmse is one full-array numpy call;
 kde evaluates its grid in blocks of at most ``_BLOCK_ELEMS`` kernel values,
 each grid point one contiguous pairwise mean over the sample, so the block
 size never enters the bits; W2 adds its segment terms sequentially with
-cumsum.
+cumsum.  kde splits its grid rows into contiguous bands, one per core the
+process may run on when the call has at least a slab of work per band (the
+rule of Brownian generation); each band has its own block buffers, so the
+band count does not enter the bits either.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .brownian import _band_count, _in_bands
 
 _BLOCK_ELEMS = 1 << 15  # max grid-point x sample elements per kde block (256 KiB)
 
@@ -120,18 +125,22 @@ def kde(ens, bandwidth=None) -> DensityCurve:
     # contiguous pairwise reduction, so the bits equal those of the one-shot
     # np.mean(np.exp(-0.5 * z * z), axis=1) over the whole 512 x N matrix
     rows = max(1, min(grid.size, _BLOCK_ELEMS // n))
-    z_buf = np.empty((rows, n))
-    e_buf = np.empty((rows, n))
     values = np.empty(grid.size)
-    for r0 in range(0, grid.size, rows):
-        r1 = min(grid.size, r0 + rows)
-        z, e = z_buf[: r1 - r0], e_buf[: r1 - r0]
-        np.subtract(grid[r0:r1, None], x[None, :], out=z)
-        z /= bandwidth
-        np.multiply(-0.5, z, out=e)
-        e *= z
-        np.exp(e, out=e)
-        np.mean(e, axis=1, out=values[r0:r1])
+
+    def band(g0, g1):
+        z_buf = np.empty((min(rows, g1 - g0), n))
+        e_buf = np.empty_like(z_buf)
+        for r0 in range(g0, g1, rows):
+            r1 = min(g1, r0 + rows)
+            z, e = z_buf[: r1 - r0], e_buf[: r1 - r0]
+            np.subtract(grid[r0:r1, None], x[None, :], out=z)
+            z /= bandwidth
+            np.multiply(-0.5, z, out=e)
+            e *= z
+            np.exp(e, out=e)
+            np.mean(e, axis=1, out=values[r0:r1])
+
+    _in_bands(grid.size, _band_count(grid.size * n, grid.size), band)
     values /= bandwidth * np.sqrt(2.0 * np.pi)
     return DensityCurve(
         grid=grid, values=values, bandwidth=bandwidth, n_source=n, degenerate=degenerate

@@ -411,12 +411,14 @@ def doublewell_equilibria_oracle(scan_lo=-5.0, scan_hi=5.0, scan_step=1e-3):
             roots.append(float(grid[i]))
         elif a * b < 0:
             lo, hi = float(grid[i]), float(grid[i + 1])
+            g_lo = a  # g(lo), kept until lo moves
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if g(lo) * g(mid) <= 0:
+                g_mid = g(mid)
+                if g_lo * g_mid <= 0:
                     hi = mid
                 else:
-                    lo = mid
+                    lo, g_lo = mid, g_mid
             roots.append(0.5 * (lo + hi))
     if len(vals) and vals[-1] == 0.0:
         roots.append(float(grid[-1]))

@@ -47,6 +47,26 @@ out_dir = {out}
 """
 
 
+# N x steps = 2 * 2^20 root values: generation splits into bands on a host
+# with more than one core
+BANDED_PATHS = """
+[model]
+name = doublewell
+[schemes]
+schemes = me
+[grid]
+T = 1
+h = 2^-11
+[experiment]
+n = 1024
+seed = 3
+trace_particles = 0, 1
+[output]
+out_dir = {out}
+formats = csv
+"""
+
+
 def traced_layers(tmp_path, command, template):
     config = tmp_path / f"{command}.ini"
     config.write_text(template.format(out=tmp_path / "out"))
@@ -77,3 +97,9 @@ def test_traced_density_records_measure_and_newton(tmp_path):
     assert layers["models.measure_calls"] > 0
     assert layers["models.drift_calls"] > 0
     assert layers["stepper.newton_evals_per_step"] > 0
+
+
+def test_traced_counts_exact_under_band_threads(tmp_path):
+    layers = traced_layers(tmp_path, "paths", BANDED_PATHS)
+    assert layers["brownian.values"] == 1024 * 2048 * 1
+    assert layers["stepper.steps"] == 2048

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -270,6 +272,131 @@ def test_coarsened_on_demand_memory_bounded_in_factor():
 
 
 def test_on_demand_block_memory_within_one_slab():
-    # one slab buffer holds the words and then their doubles; the rest is
-    # done in place
+    # the bands' slab buffers hold _SLAB_WORDS doubles in all: the uniforms,
+    # then their normal values in place
     assert _block_excess(8192, 1) <= 9 * (1 << 20)
+
+
+# -- particle bands across cores -----------------------------------------------
+
+
+def _banded(monkeypatch, cores):
+    """Give the module `cores` cores and a 16-value slab, so that small grids
+    draw in several bands; returns the list the band counts used go to."""
+    monkeypatch.setattr(brownian, "_CORES", cores)
+    monkeypatch.setattr(brownian, "_SLAB_WORDS", 16)
+    used = []
+    run = brownian._in_bands
+
+    def counting(n, bands, task):
+        used.append(bands)
+        run(n, bands, task)
+
+    monkeypatch.setattr(brownian, "_in_bands", counting)
+    return used
+
+
+def _band_cases():
+    n = 3 * (brownian.CHUNK_STEPS // 3 + 4)  # past one chunk, divisible by 3
+    eager = generate(29, 48, 1.0, 7, 2, materialize=True)
+    lazy = generate(29, 48, 1.0, 7, 2, materialize=False)
+    crossing = generate(31, n, 1.0, 5, 2, materialize=False)
+    k = brownian.CHUNK_STEPS
+    return {
+        "materialized": lambda: eager._root.copy(),
+        "on-demand": lambda: lazy.increments_block(0, 48),
+        # m = 2 and an odd first step: the block starts at word 2 of a
+        # Philox block
+        "mid-block": lambda: lazy.increments_block(7, 19),
+        "coarsened": lambda: coarsen(lazy, 3).increments_block(1, 15),
+        "chunk-crossing": lambda: crossing.increments_block(k - 9, k + 7),
+        "coarsened-crossing": lambda: coarsen(crossing, 3).increments_block(
+            k // 3 - 3, k // 3 + 2
+        ),
+        "init": lambda: np.hstack(
+            [InitStream(37, 9, 2).normals(), InitStream(37, 9, 2).uniforms()]
+        ),
+    }
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_band_cases()))
+def test_increments_independent_of_core_count(monkeypatch, case, cores):
+    # cases are built inside the test: a materialized grid draws its root
+    # block when it is generated
+    expected = _band_cases()[case]()
+    used = _banded(monkeypatch, cores)
+    got = _band_cases()[case]()
+    assert np.array_equal(got, expected)
+    if case != "init":  # N x d initial values are drawn in one call
+        assert max(used) == cores
+
+
+def _call_with_timeout(fn, seconds=30):
+    """Run fn on a helper thread; its exception, or TimeoutError."""
+    result = {}
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            result["exc"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        raise TimeoutError("call did not return")
+    return result.get("exc")
+
+
+def test_many_bands_under_frequent_switches(monkeypatch):
+    # more bands than cores and a thread switch every microsecond; a coarse
+    # step is assigned and then added to, so a row two bands drew at once
+    # would get terms twice
+    grid = coarsen(generate(41, 3 * 4096, 1.0, 64, 1, materialize=False), 3)
+    expected = grid.increments_block(0, 4096)
+    used = _banded(monkeypatch, 8)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        exc = _call_with_timeout(lambda: got.append(grid.increments_block(0, 4096)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert exc is None and used == [8]
+    assert np.array_equal(got[0], expected)
+
+
+def test_failing_band_raises_after_joining():
+    done = []
+
+    def task(lo, hi):
+        if lo > 0:
+            raise RuntimeError(f"band {lo}")
+        done.append((lo, hi))
+
+    before = threading.active_count()
+    exc = _call_with_timeout(lambda: brownian._in_bands(9, 3, task))
+    assert isinstance(exc, RuntimeError) and str(exc) == "band 3"  # the first band that failed
+    assert done == [(0, 3)]
+    assert threading.active_count() == before
+
+
+def test_failing_worker_makes_generation_raise(monkeypatch):
+    _banded(monkeypatch, 2)
+    grid = generate(5, 64, 1.0, 6, 1, materialize=False)
+    caller = []
+
+    def failing_ndtri(z, out):
+        if threading.get_ident() != caller[0]:
+            raise FloatingPointError("worker failed")
+        return ndtri(z, out=out)
+
+    monkeypatch.setattr(brownian, "ndtri", failing_ndtri)
+
+    def call():
+        caller.append(threading.get_ident())
+        grid.increments_block(0, 64)
+
+    assert isinstance(_call_with_timeout(call), FloatingPointError)

@@ -10,6 +10,7 @@ from mvsde import (
     make_model,
     quintic_interaction_model,
 )
+from mvsde.models import int_power
 from mvsde.stats import w2_1d_quantile
 
 
@@ -109,6 +110,28 @@ class TestMeasureView:
         rng = np.random.default_rng(0)
         mu = MeasureView(rng.standard_normal((50, 3)))
         assert np.array_equal(mu.mean, mu.raw_moment(1))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (100, 1), (7, 2)])
+    def test_moments_bitwise_equal_to_np_mean(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        states = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        blocks = [states]
+        if shape[0] > 1:  # rows with NaN and +-inf
+            special = states.copy()
+            special[0, 0] = np.nan
+            special[-1, -1] = np.inf
+            blocks.append(special)
+            special = states.copy()
+            special[1, 0] = -np.inf
+            blocks.append(special)
+        else:
+            blocks += [np.full(shape, np.nan), np.full(shape, np.inf), np.full(shape, -np.inf)]
+        for block in blocks:
+            mu = MeasureView(block.copy())
+            assert mu.mean.tobytes() == np.mean(block, axis=0).tobytes()
+            for k in (1, 2, 3, 4):
+                expected = np.mean(int_power(block, k), axis=0)
+                assert mu.raw_moment(k).tobytes() == expected.tobytes()
 
     def test_w2sq_to_dirac0_identity(self):
         rng = np.random.default_rng(1)

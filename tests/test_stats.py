@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde import MeasureView, kde, rmse, w2_1d_quantile
+from mvsde import MeasureView, brownian, kde, rmse, stats, w2_1d_quantile
 from mvsde.stepper import Ensemble
 
 
@@ -230,6 +230,27 @@ class TestKde:
             grid, values = one_shot_kde(sample, curve.bandwidth)
             assert np.array_equal(curve.grid, grid)
             assert np.array_equal(curve.values, values)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 65, 1000])
+    def test_values_independent_of_core_count(self, monkeypatch, n, cores):
+        # a 16-value slab makes these small samples draw in `cores` bands
+        sample = ens(np.random.default_rng(n).standard_normal(n))
+        expected = kde(sample)
+        monkeypatch.setattr(brownian, "_CORES", cores)
+        monkeypatch.setattr(brownian, "_SLAB_WORDS", 16)
+        used = []
+        run = stats._in_bands
+
+        def counting(count, bands, task):
+            used.append(bands)
+            run(count, bands, task)
+
+        monkeypatch.setattr(stats, "_in_bands", counting)
+        curve = kde(sample)
+        assert used == [cores]
+        assert np.array_equal(curve.values, expected.values)
+        assert np.array_equal(curve.values, one_shot_kde(sample.states[:, 0], curve.bandwidth)[1])
 
     @pytest.mark.parametrize("n", [4096, 32_768])
     def test_memory_bounded_in_n(self, n):

@@ -17,6 +17,7 @@ from mvsde import (
     doublewell_equilibria_oracle,
     quintic_interaction_model,
 )
+from mvsde.models import dirac
 from mvsde.stats import rmse, w2_1d_quantile
 from mvsde.taming import (
     _t1_raw,
@@ -417,7 +418,65 @@ class TestCheckModel:
             assert rep.passed, rep
 
 
+def _counted_double_well(monkeypatch):
+    """Make the oracle's model count its drift calls; returns the counter
+    and the model."""
+    model = double_well_model()
+    calls = [0]
+
+    def drift(t, x, mu):
+        calls[0] += 1
+        return model.drift(t, x, mu)
+
+    counted = dataclasses.replace(model, drift=drift)
+    monkeypatch.setattr("mvsde.models.double_well_model", lambda: counted)
+    return calls, counted
+
+
+def _oracle_re_evaluating_lo(model, scan_lo=-5.0, scan_hi=5.0, scan_step=1e-3):
+    """The oracle's former bisection, which called g(lo) on every step;
+    returns its roots and the number of brackets it refined."""
+
+    def g(c):
+        return float(model.drift(0.0, np.array([[c]]), dirac(c))[0, 0])
+
+    grid = np.arange(scan_lo, scan_hi + scan_step / 2, scan_step)
+    vals = np.array([g(c) for c in grid])
+    roots, brackets = [], 0
+    for i in range(len(grid) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(grid[i]))
+        elif a * b < 0:
+            brackets += 1
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if g(lo) * g(mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append(0.5 * (lo + hi))
+    if len(vals) and vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    merged = []
+    for r in sorted(roots):
+        if not merged or abs(r - merged[-1]) > 10 * scan_step:
+            merged.append(r)
+    return merged, brackets
+
+
 class TestEquilibriaOracle:
+    @pytest.mark.parametrize("scan", [(-5.0, 5.0, 1e-3), (-3.0, 2.5, 0.07)])
+    def test_bisection_keeps_g_lo(self, monkeypatch, scan):
+        calls, model = _counted_double_well(monkeypatch)
+        roots = doublewell_equilibria_oracle(*scan)
+        new_calls, calls[0] = calls[0], 0
+        old_roots, brackets = _oracle_re_evaluating_lo(model, *scan)
+        assert brackets >= 1
+        assert roots == old_roots
+        assert calls[0] - new_calls == 80 * brackets
+
     def test_root_at_zero_found(self):
         roots = doublewell_equilibria_oracle()
         assert any(abs(r) < 1e-6 for r in roots)
