@@ -35,21 +35,21 @@ memory; larger grids regenerate chunks from the counter stream on demand.
 Either way a chunk is generated in particle slabs of doubles, which hold the
 uniforms and then their normal values in place, and a coarsened view sums
 each slab into its coarse steps as it is drawn, so temporaries grow neither
-with N nor with the factor.  A call that draws at least two slabs of values
-splits the particles into contiguous bands, one per core the process may run
-on (at most one band per slab of work); each band draws its own rows into a
-slab of ``_SLAB_WORDS // bands`` doubles, so the slabs of one call hold
-``_SLAB_WORDS`` doubles in all.  Every value is a function of its counter
-alone, so the bits do not depend on the number of bands.
+with N nor with the factor.  A call with enough work splits the particles
+into contiguous bands (``bands.band_count``); each band draws its own rows
+into a slab of ``_SLAB_WORDS // bands`` doubles, and a call has no more
+bands than such slabs that hold a particle's row, so its slabs hold
+``_SLAB_WORDS`` doubles in all (one row, if a row is wider).  Every value
+is a function of its counter alone, so the bits do not depend on the
+number of bands.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 from scipy.special import ndtri
+
+from .bands import band_count, run_bands
 
 _MASK64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
@@ -62,52 +62,6 @@ _SLAB_WORDS = 1 << 20  # max doubles in the slabs of one generation call (8 MiB)
 _TAG_INCREMENTS = 0
 _TAG_INIT_NORMAL = 1
 _TAG_INIT_UNIFORM = 2
-
-
-# cores this process may run on: the most bands a call uses
-try:
-    _CORES = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity API on this platform
-    _CORES = os.cpu_count() or 1
-
-
-def _band_count(work, n) -> int:
-    """Bands for a call of `work` elementary values over `n` rows: one per
-    core, but none with less than one slab of work, and none empty."""
-    return max(1, min(_CORES, work // _SLAB_WORDS, n))
-
-
-def _in_bands(n, bands, task):
-    """Run task(lo, hi) on `bands` contiguous ranges that cover [0, n).
-
-    The first range runs on the calling thread and every other one on a
-    thread of its own; all are joined before the first exception raised, in
-    range order, is re-raised.  Tasks must write disjoint memory, and must
-    not call the names the benchmark tracer wraps, since its span stack
-    belongs to the calling thread.
-    """
-    edges = [n * b // bands for b in range(bands + 1)]
-    errors = [None] * bands
-
-    def run(b):
-        try:
-            task(edges[b], edges[b + 1])
-        except BaseException as exc:  # re-raised below, after every join
-            errors[b] = exc
-
-    threads = []
-    try:
-        for b in range(1, bands):
-            thread = threading.Thread(target=run, args=(b,), daemon=True)
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -215,7 +169,7 @@ class PathGrid:
         out = np.empty((self.N, k1 - k0, m))
         first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
         width = min(r1 - r0, CHUNK_STEPS) * m
-        bands = _band_count(self.N * (r1 - r0) * m, self.N)
+        bands = band_count(self.N * (r1 - r0) * m, min(self.N, _SLAB_WORDS // width))
         slab_len = _SLAB_WORDS // bands
 
         def band(p0, p1):
@@ -237,7 +191,7 @@ class PathGrid:
                     z *= scale
                     _add_terms(out[s0:s1], z.reshape(s1 - s0, hi - lo, m), lo - r0, f)
 
-        _in_bands(self.N, bands, band)
+        run_bands(self.N, bands, band)
         return out
 
     def increments_block(self, k0, k1):

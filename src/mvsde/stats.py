@@ -6,13 +6,12 @@ models.MeasureView; recorded particle paths on stepper.Trajectory.
 
 Every reduction runs in an order fixed by the input sizes alone, so results
 are bitwise reproducible across reruns: rmse is one full-array numpy call;
-kde evaluates its grid in blocks of at most ``_BLOCK_ELEMS`` kernel values,
-each grid point one contiguous pairwise mean over the sample, so the block
-size never enters the bits; W2 adds its segment terms sequentially with
-cumsum.  kde splits its grid rows into contiguous bands, one per core the
-process may run on when the call has at least a slab of work per band (the
-rule of Brownian generation); each band has its own block buffers, so the
-band count does not enter the bits either.
+kde evaluates its grid in blocks of rows, each grid point one contiguous
+pairwise mean over the sample, so the block size never enters the bits; a
+call with enough work splits the rows into contiguous bands
+(``bands.band_count``), each with a block buffer of its own, and the
+buffers of all bands hold at most ``max(2 N, _BLOCK_ELEMS)`` kernel values;
+W2 adds its segment terms sequentially with cumsum.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import _band_count, _in_bands
+from .bands import band_count, run_bands
 
-_BLOCK_ELEMS = 1 << 15  # max grid-point x sample elements per kde block (256 KiB)
+_BLOCK_ELEMS = 1 << 16  # kernel values kde holds at once, or two rows if more (512 KiB)
 
 
 def _states_of(obj):
@@ -121,26 +120,29 @@ def kde(ens, bandwidth=None) -> DensityCurve:
     lo = float(x.min()) - 4.0 * bandwidth
     hi = float(x.max()) + 4.0 * bandwidth
     grid = np.linspace(lo, hi, 512)
-    # blocks of grid rows through two reused buffers: each row's mean is one
-    # contiguous pairwise reduction, so the bits equal those of the one-shot
+    # blocks of grid rows through one reused buffer per band: each row's mean
+    # is one contiguous pairwise reduction, and (z * z) * -0.5 differs from
+    # -0.5 * z * z only where z * z under- or overflows, where both exp to
+    # 1 or 0, so the bits equal those of the one-shot
     # np.mean(np.exp(-0.5 * z * z), axis=1) over the whole 512 x N matrix
-    rows = max(1, min(grid.size, _BLOCK_ELEMS // n))
+    budget = max(2 * n, _BLOCK_ELEMS)
+    bands = band_count(grid.size * n, min(grid.size, budget // n))
+    rows = budget // bands // n
     values = np.empty(grid.size)
 
     def band(g0, g1):
-        z_buf = np.empty((min(rows, g1 - g0), n))
-        e_buf = np.empty_like(z_buf)
+        buf = np.empty((min(rows, g1 - g0), n))
         for r0 in range(g0, g1, rows):
             r1 = min(g1, r0 + rows)
-            z, e = z_buf[: r1 - r0], e_buf[: r1 - r0]
+            z = buf[: r1 - r0]
             np.subtract(grid[r0:r1, None], x[None, :], out=z)
             z /= bandwidth
-            np.multiply(-0.5, z, out=e)
-            e *= z
-            np.exp(e, out=e)
-            np.mean(e, axis=1, out=values[r0:r1])
+            z *= z
+            z *= -0.5
+            np.exp(z, out=z)
+            np.mean(z, axis=1, out=values[r0:r1])
 
-    _in_bands(grid.size, _band_count(grid.size * n, grid.size), band)
+    run_bands(grid.size, bands, band)
     values /= bandwidth * np.sqrt(2.0 * np.pi)
     return DensityCurve(
         grid=grid, values=values, bandwidth=bandwidth, n_source=n, degenerate=degenerate

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from mvsde import brownian
+from mvsde import bands, brownian
 from mvsde.brownian import InitStream, coarsen, derive_seed, generate
 
 
@@ -235,6 +236,11 @@ def test_philox_key_words_in_use():
     assert np.array_equal(a, b)
 
 
+def _block(N):
+    """The whole block of a 1024-step on-demand grid."""
+    return generate(3, 1024, 1.0, N, 1, materialize=False).increments_block(0, 1024)
+
+
 def _block_excess(N, factor):
     """Peak allocation of one 1024-step on-demand block beyond the block."""
     grid = coarsen(generate(3, 1024 * factor, 1.0, N, 1, materialize=False), factor)
@@ -280,56 +286,86 @@ def test_on_demand_block_memory_within_one_slab():
 # -- particle bands across cores -----------------------------------------------
 
 
-def _banded(monkeypatch, cores):
-    """Give the module `cores` cores and a 16-value slab, so that small grids
-    draw in several bands; returns the list the band counts used go to."""
-    monkeypatch.setattr(brownian, "_CORES", cores)
-    monkeypatch.setattr(brownian, "_SLAB_WORDS", 16)
+def _banded(monkeypatch, cores, slab):
+    """Give the process `cores` cores, a 16-value minimum band and a slab of
+    `slab` doubles, so that small grids draw in several bands; returns the
+    list the band counts used go to."""
+    monkeypatch.setattr(bands, "CORES", cores)
+    monkeypatch.setattr(bands, "MIN_WORK", 16)
+    monkeypatch.setattr(brownian, "_SLAB_WORDS", slab)
     used = []
-    run = brownian._in_bands
 
-    def counting(n, bands, task):
-        used.append(bands)
-        run(n, bands, task)
+    def counting(n, count, task):
+        used.append(count)
+        bands.run_bands(n, count, task)
 
-    monkeypatch.setattr(brownian, "_in_bands", counting)
+    monkeypatch.setattr(brownian, "run_bands", counting)
     return used
 
 
 def _band_cases():
+    """Case name -> (particles, draw); no call draws rows wider than 96."""
     n = 3 * (brownian.CHUNK_STEPS // 3 + 4)  # past one chunk, divisible by 3
     eager = generate(29, 48, 1.0, 7, 2, materialize=True)
     lazy = generate(29, 48, 1.0, 7, 2, materialize=False)
     crossing = generate(31, n, 1.0, 5, 2, materialize=False)
     k = brownian.CHUNK_STEPS
     return {
-        "materialized": lambda: eager._root.copy(),
-        "on-demand": lambda: lazy.increments_block(0, 48),
+        "materialized": (7, lambda: eager._root.copy()),
+        "on-demand": (7, lambda: lazy.increments_block(0, 48)),
         # m = 2 and an odd first step: the block starts at word 2 of a
         # Philox block
-        "mid-block": lambda: lazy.increments_block(7, 19),
-        "coarsened": lambda: coarsen(lazy, 3).increments_block(1, 15),
-        "chunk-crossing": lambda: crossing.increments_block(k - 9, k + 7),
-        "coarsened-crossing": lambda: coarsen(crossing, 3).increments_block(
-            k // 3 - 3, k // 3 + 2
+        "mid-block": (7, lambda: lazy.increments_block(7, 19)),
+        "coarsened": (7, lambda: coarsen(lazy, 3).increments_block(1, 15)),
+        "chunk-crossing": (5, lambda: crossing.increments_block(k - 9, k + 7)),
+        "coarsened-crossing": (
+            5,
+            lambda: coarsen(crossing, 3).increments_block(k // 3 - 3, k // 3 + 2),
         ),
-        "init": lambda: np.hstack(
-            [InitStream(37, 9, 2).normals(), InitStream(37, 9, 2).uniforms()]
+        "init": (
+            9,
+            lambda: np.hstack([InitStream(37, 9, 2).normals(), InitStream(37, 9, 2).uniforms()]),
         ),
     }
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3, 16])
 @pytest.mark.parametrize("case", sorted(_band_cases()))
 def test_increments_independent_of_core_count(monkeypatch, case, cores):
     # cases are built inside the test: a materialized grid draws its root
     # block when it is generated
-    expected = _band_cases()[case]()
-    used = _banded(monkeypatch, cores)
-    got = _band_cases()[case]()
-    assert np.array_equal(got, expected)
+    expected = _band_cases()[case][1]()
+    used = _banded(monkeypatch, cores, 16 * 96)
+    particles, draw = _band_cases()[case]
+    assert np.array_equal(draw(), expected)
     if case != "init":  # N x d initial values are drawn in one call
-        assert max(used) == cores
+        assert used[-1] == min(cores, particles)
+
+
+@pytest.mark.parametrize("cores", [4, 16])
+def test_wide_hosts_keep_bits_and_one_slab(monkeypatch, cores):
+    # a band per core on hosts wider than any measured: the slabs of one
+    # call still hold _SLAB_WORDS doubles in all
+    digest = hashlib.sha256(_block(8192).tobytes()).digest()
+    used = _banded(monkeypatch, cores, brownian._SLAB_WORDS)
+    tracemalloc.start()
+    try:
+        block = _block(8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used == [cores]
+    assert peak - block.nbytes <= 9 * (1 << 20)
+    assert hashlib.sha256(block.tobytes()).digest() == digest
+
+
+def test_bands_never_narrower_than_a_row(monkeypatch):
+    # 64 cores but a slab that holds 3 rows of 4096 words: 3 bands
+    grid = generate(43, 4096, 1.0, 64, 1, materialize=False)
+    expected = grid.increments_block(0, 4096)
+    used = _banded(monkeypatch, 64, 3 * 4096 + 5)
+    assert np.array_equal(grid.increments_block(0, 4096), expected)
+    assert used == [3]
 
 
 def _call_with_timeout(fn, seconds=30):
@@ -356,7 +392,8 @@ def test_many_bands_under_frequent_switches(monkeypatch):
     # would get terms twice
     grid = coarsen(generate(41, 3 * 4096, 1.0, 64, 1, materialize=False), 3)
     expected = grid.increments_block(0, 4096)
-    used = _banded(monkeypatch, 8)
+    # one row per slab, so each band draws 8 slabs per chunk
+    used = _banded(monkeypatch, 8, 8 * 4096)
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -368,6 +405,14 @@ def test_many_bands_under_frequent_switches(monkeypatch):
     assert np.array_equal(got[0], expected)
 
 
+def test_band_count_limits(monkeypatch):
+    monkeypatch.setattr(bands, "CORES", 8)
+    assert bands.band_count(3 * bands.MIN_WORK + 1, 100) == 3  # by work
+    assert bands.band_count(100 * bands.MIN_WORK, 100) == 8  # by cores
+    assert bands.band_count(100 * bands.MIN_WORK, 2) == 2  # by the caller's cap
+    assert bands.band_count(0, 0) == 1
+
+
 def test_failing_band_raises_after_joining():
     done = []
 
@@ -377,14 +422,14 @@ def test_failing_band_raises_after_joining():
         done.append((lo, hi))
 
     before = threading.active_count()
-    exc = _call_with_timeout(lambda: brownian._in_bands(9, 3, task))
+    exc = _call_with_timeout(lambda: bands.run_bands(9, 3, task))
     assert isinstance(exc, RuntimeError) and str(exc) == "band 3"  # the first band that failed
     assert done == [(0, 3)]
     assert threading.active_count() == before
 
 
 def test_failing_worker_makes_generation_raise(monkeypatch):
-    _banded(monkeypatch, 2)
+    _banded(monkeypatch, 2, brownian._SLAB_WORDS)
     grid = generate(5, 64, 1.0, 6, 1, materialize=False)
     caller = []
 

@@ -272,16 +272,16 @@ class TestCli:
             assert outputs[0] == outputs[1] == outputs[2], command
 
     def test_outputs_independent_of_band_count(self, tmp_path, monkeypatch):
-        # on-demand grids and a 16-value slab: every grid and kde call of
-        # these small studies splits into `cores` bands
+        # on-demand grids and a 16-value minimum band: the grid and kde calls
+        # of these small studies split into `cores` bands
         monkeypatch.setattr("mvsde.brownian._MATERIALIZE_LIMIT", 0)
-        monkeypatch.setattr("mvsde.brownian._SLAB_WORDS", 16)
+        monkeypatch.setattr("mvsde.bands.MIN_WORK", 16)
         for command in ("paths", "density"):
             path = tmp_path / f"{command}.ini"
             path.write_text(RUN_STUDY_CONFIGS[command])
             outputs = []
             for cores in (1, 2, 3):
-                monkeypatch.setattr("mvsde.brownian._CORES", cores)
+                monkeypatch.setattr("mvsde.bands.CORES", cores)
                 out = tmp_path / f"{command}_{cores}"
                 assert main([command, "--config", str(path), "--out-dir", str(out)]) == 0
                 outputs.append(read_all(out))

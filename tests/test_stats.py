@@ -6,8 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde import MeasureView, brownian, kde, rmse, stats, w2_1d_quantile
+from mvsde import MeasureView, bands, kde, rmse, stats, w2_1d_quantile
 from mvsde.stepper import Ensemble
+
+
+def banded(monkeypatch, cores, min_work):
+    """Give the process `cores` cores and bands of `min_work` values; returns
+    the list the band counts kde uses go to."""
+    monkeypatch.setattr(bands, "CORES", cores)
+    monkeypatch.setattr(bands, "MIN_WORK", min_work)
+    used = []
+
+    def counting(n, count, task):
+        used.append(count)
+        bands.run_bands(n, count, task)
+
+    monkeypatch.setattr(stats, "run_bands", counting)
+    return used
 
 
 def ens(values):
@@ -231,22 +246,14 @@ class TestKde:
             assert np.array_equal(curve.grid, grid)
             assert np.array_equal(curve.values, values)
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 16])
     @pytest.mark.parametrize("n", [5, 65, 1000])
     def test_values_independent_of_core_count(self, monkeypatch, n, cores):
-        # a 16-value slab makes these small samples draw in `cores` bands
+        # a 16-value minimum band makes these small samples run in `cores`
+        # bands
         sample = ens(np.random.default_rng(n).standard_normal(n))
         expected = kde(sample)
-        monkeypatch.setattr(brownian, "_CORES", cores)
-        monkeypatch.setattr(brownian, "_SLAB_WORDS", 16)
-        used = []
-        run = stats._in_bands
-
-        def counting(count, bands, task):
-            used.append(bands)
-            run(count, bands, task)
-
-        monkeypatch.setattr(stats, "_in_bands", counting)
+        used = banded(monkeypatch, cores, 16)
         curve = kde(sample)
         assert used == [cores]
         assert np.array_equal(curve.values, expected.values)
@@ -264,6 +271,25 @@ class TestKde:
             tracemalloc.stop()
         excess = peak - curve.grid.nbytes - curve.values.nbytes
         assert excess <= 16 * max(n, 1 << 15) + (1 << 20)
+
+    @pytest.mark.parametrize("cores", [4, 8, 16])
+    @pytest.mark.parametrize("n", [4096, 32_768])
+    def test_memory_bounded_in_n_on_wide_hosts(self, monkeypatch, n, cores):
+        # bands limited only by cores and by kde's buffer budget of
+        # max(2N, 2^16) values: 16 bands of one row at N = 4096, 2 at 32768
+        sample = ens(np.random.default_rng(11).standard_normal(n))
+        expected = kde(sample)
+        used = banded(monkeypatch, cores, 1)
+        tracemalloc.start()
+        try:
+            curve = kde(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        excess = peak - curve.grid.nbytes - curve.values.nbytes
+        assert excess <= 16 * max(n, 1 << 15) + (1 << 20)
+        assert used == [min(cores, 16 if n == 4096 else 2)]
+        assert np.array_equal(curve.values, expected.values)
 
     def test_single_particle_peak_symmetric(self):
         curve = kde(ens([0.0]), bandwidth=1.0)
