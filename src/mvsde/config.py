@@ -10,6 +10,8 @@ Grammar (stdlib configparser INI dialect, UTF-8):
     [experiment]  N, seed, record_times, repetitions, experiment-specific keys
     [output]      out_dir, formats = comma list of csv | svg
 
+Any other key, in any section, is a configuration error.
+
 Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
 repetitions, orders, trace_particles, trace_stride, n_list, proxy_n) take
@@ -23,11 +25,11 @@ from __future__ import annotations
 import configparser
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .errors import ConfigError
 from .models import ModelSpec, make_model
-from .stepper import MODIFIED_EULER, SPLIT_STEP, SchemeConfig
-from .taming import TamingOperator, parse_taming
+from .stepper import SchemeConfig, parse_scheme
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
@@ -78,19 +80,12 @@ def exact_divide(a: float, b: float, what: str) -> int:
     return n
 
 
-def _parse_operator(text: str, model_rho: float | None) -> TamingOperator:
+def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
+    """Scheme from its config name, for the given model."""
     try:
-        return parse_taming(text, model_rho=model_rho)
+        return parse_scheme(text, model_rho=model.rho)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-
-def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
-    """Scheme from its config name; 'ssm' is the implicit split-step method."""
-    if text.strip().lower() == "ssm":
-        return SchemeConfig(method=SPLIT_STEP, label="ssm")
-    op = _parse_operator(text, model_rho=model.rho)
-    return SchemeConfig(method=MODIFIED_EULER, op=op, label=op.label)
 
 
 def parse_formats(text: str) -> list:
@@ -163,7 +158,50 @@ class ExperimentConfig:
             raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
 
 
+def _scheme_list(text: str) -> list:
+    schemes = parse_list(text, conv=str)
+    if not schemes:
+        raise ConfigError("[schemes] section present but empty")
+    return schemes
+
+
+def _reference_scheme(text: str) -> str | None:
+    name = text.strip().lower()
+    return None if name in ("", "none") else name
+
+
+_int_list = partial(parse_list, conv=parse_int)
+
+# (section, key) -> (ExperimentConfig field, parser of the value text); keys
+# are lower case, as configparser reads them.  [model] keys other than name
+# are model parameters.
+_KEYS = {
+    ("model", "name"): ("model_name", str.strip),
+    ("schemes", "schemes"): ("schemes", _scheme_list),
+    ("grid", "t"): ("T", parse_number),
+    ("grid", "h"): ("h_values", parse_list),
+    ("grid", "h_ref"): ("h_ref", parse_number),
+    ("grid", "h_list"): ("h_list", parse_list),
+    ("experiment", "n"): ("N", parse_int),
+    ("experiment", "seed"): ("seed", lambda text: check_seed(parse_int(text))),
+    ("experiment", "record_times"): ("record_times", parse_list),
+    ("experiment", "repetitions"): ("repetitions", parse_int),
+    ("experiment", "orders"): ("orders", _int_list),
+    ("experiment", "moment_ceiling"): ("moment_ceiling", parse_number),
+    ("experiment", "trace_particles"): ("trace_particles", _int_list),
+    ("experiment", "trace_stride"): ("trace_stride", parse_int),
+    ("experiment", "n_list"): ("n_list", _int_list),
+    ("experiment", "proxy_n"): ("proxy_n", parse_int),
+    ("experiment", "reference_scheme"): ("reference_scheme", _reference_scheme),
+    ("experiment", "reference_h"): ("reference_h", parse_number),
+    ("output", "out_dir"): ("out_dir", str.strip),
+    ("output", "formats"): ("formats", parse_formats),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
+    """Config from a file; a key that is neither in _KEYS nor a [model]
+    parameter is a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         read = parser.read(path, encoding="utf-8")
@@ -172,65 +210,17 @@ def load_config(path: str) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"cannot read config file '{path}'")
     cfg = ExperimentConfig()
-
-    if parser.has_section("model"):
-        sec = parser["model"]
-        cfg.model_name = sec.get("name", cfg.model_name).strip()
-        for key in sec:
-            if key == "name":
-                continue
-            cfg.model_params[key] = parse_number(sec[key])
-
-    if parser.has_section("schemes"):
-        cfg.schemes = parse_list(parser["schemes"].get("schemes", ""), conv=str)
-        if not cfg.schemes:
-            raise ConfigError("[schemes] section present but empty")
-
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        if "t" in sec:
-            cfg.T = parse_number(sec["t"])
-        if "h" in sec:
-            cfg.h_values = parse_list(sec["h"])
-        if "h_ref" in sec:
-            cfg.h_ref = parse_number(sec["h_ref"])
-        if "h_list" in sec:
-            cfg.h_list = parse_list(sec["h_list"])
-
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        if "n" in sec:
-            cfg.N = parse_int(sec["n"])
-        if "seed" in sec:
-            cfg.seed = check_seed(parse_int(sec["seed"]))
-        if "record_times" in sec:
-            cfg.record_times = parse_list(sec["record_times"])
-        if "repetitions" in sec:
-            cfg.repetitions = parse_int(sec["repetitions"])
-        if "orders" in sec:
-            cfg.orders = parse_list(sec["orders"], conv=parse_int)
-        if "moment_ceiling" in sec:
-            cfg.moment_ceiling = parse_number(sec["moment_ceiling"])
-        if "trace_particles" in sec:
-            cfg.trace_particles = parse_list(sec["trace_particles"], conv=parse_int)
-        if "trace_stride" in sec:
-            cfg.trace_stride = parse_int(sec["trace_stride"])
-        if "n_list" in sec:
-            cfg.n_list = parse_list(sec["n_list"], conv=parse_int)
-        if "proxy_n" in sec:
-            cfg.proxy_n = parse_int(sec["proxy_n"])
-        if "reference_scheme" in sec:
-            name = sec["reference_scheme"].strip().lower()
-            cfg.reference_scheme = None if name in ("", "none") else name
-        if "reference_h" in sec:
-            cfg.reference_h = parse_number(sec["reference_h"])
-
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "out_dir" in sec:
-            cfg.out_dir = sec["out_dir"].strip()
-        if "formats" in sec:
-            cfg.formats = parse_formats(sec["formats"])
+    for section in parser.sections():
+        for key, text in parser[section].items():
+            if section == "model" and key != "name":
+                cfg.model_params[key] = parse_number(text)
+            elif (section, key) in _KEYS:
+                name, parse = _KEYS[section, key]
+                setattr(cfg, name, parse(text))
+            else:
+                raise ConfigError(f"unknown key '{key}' in [{section}]")
+    if parser.has_section("schemes") and "schemes" not in parser["schemes"]:
+        raise ConfigError("[schemes] section present but empty")
 
     if cfg.T <= 0:
         raise ConfigError("horizon T must be positive")

@@ -20,26 +20,38 @@ from .stats import kde, rmse, w2_1d_quantile
 from .stepper import simulate
 
 
-def _run_schemes(cfg, model, record_times, reduce, extra=(), trace_ids=None):
+def _check_distinct(cells):
+    """Two cells with one (label, h) would write the same output."""
+    seen = set()
+    for cell in cells:
+        if cell in seen:
+            raise ConfigError(f"two runs share output label {cell[0]} at h = {cell[1]:g}")
+        seen.add(cell)
+
+
+def _run_schemes(cfg, model, default_times, reduce, extra=(), trace_ids=None):
     """One run per (scheme, h) cell of the config, plus the `extra` cells.
 
     A cell is (scheme text, h, label suffix).  The grid of n = T / h steps
     from the config seed is drawn once per distinct n, and every cell at that
-    n runs on it, recording at record_times(cfg, n); reduce(label, h,
-    trajectory) gives the cell's result.  Results come back in cell order:
-    schemes outer, h inner, then the `extra` cells.
+    n runs on it, recording at the configured record_times or else at
+    default_times(cfg, n); reduce(label, h, trajectory) gives the cell's
+    result.  Results come back in cell order: schemes outer, h inner, then
+    the `extra` cells.
     """
     cells = [(text, h, "") for text in cfg.schemes for h in cfg.h_values] + list(extra)
     schemes = [build_scheme(text, model) for text, _, _ in cells]  # errors before any run
+    labels = [scheme.label + suffix for scheme, (_, _, suffix) in zip(schemes, cells)]
+    _check_distinct([(label, h) for label, (_, h, _) in zip(labels, cells)])
     steps = [round(cfg.T / h) for _, h, _ in cells]
     results = [None] * len(cells)
     for n in dict.fromkeys(steps):
         grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
-        times = record_times(cfg, n)
-        for i, (_, h, suffix) in enumerate(cells):
+        times = cfg.record_times if cfg.record_times is not None else default_times(cfg, n)
+        for i, (_, h, _) in enumerate(cells):
             if steps[i] == n:
                 traj = simulate(model, schemes[i], grid, times, trace_ids=trace_ids)
-                results[i] = reduce(schemes[i].label + suffix, h, traj)
+                results[i] = reduce(labels[i], h, traj)
                 del traj  # released before the next run starts
         del grid  # released before the next grid is drawn
     return results
@@ -122,6 +134,7 @@ def run_convergence(cfg: ExperimentConfig):
     cfg.validate_convergence()
     model = cfg.build_model()
     schemes = cfg.build_schemes(model)
+    _check_distinct([(scheme.label, h) for scheme in schemes for h in cfg.h_list])
     n_ref = exact_divide(cfg.T, cfg.h_ref, "T / h_ref")
     grid = brownian.generate(cfg.seed, n_ref, cfg.T, cfg.N, model.m)
     h_list = sorted(cfg.h_list, reverse=True)  # rows by descending h
@@ -167,8 +180,6 @@ class DensityBundle:
 
 
 def _density_record_times(cfg, n):
-    if cfg.record_times is not None:
-        return cfg.record_times
     defaults = [t for t in (1.0, 3.0, 10.0) if t <= cfg.T + 1e-12]
     return defaults or [cfg.T]
 
@@ -223,8 +234,6 @@ class PathBundle:
 
 
 def _paths_record_times(cfg, n):
-    if cfg.record_times is not None:
-        return cfg.record_times
     return [cfg.T * (k + 1) / 10.0 for k in range(10)]
 
 
@@ -297,8 +306,6 @@ class MomentBundle:
 
 
 def _moment_record_times(cfg, n):
-    if cfg.record_times is not None:
-        return cfg.record_times
     steps = range(0, n + 1) if n <= 256 else range(0, n + 1, max(1, n // 256))
     times = [cfg.T * k / n for k in steps]
     if times[-1] != cfg.T:

@@ -32,7 +32,7 @@ class MeasureView:
     summation order per ensemble shape.
     """
 
-    __slots__ = ("states", "_mean", "_w2sq", "_moments")
+    __slots__ = ("states", "_w2sq", "_moments")
 
     def __init__(self, states):
         states = np.ascontiguousarray(states, dtype=np.float64)
@@ -40,7 +40,6 @@ class MeasureView:
             raise ValueError("states must have shape (N, d)")
         states.flags.writeable = False  # the cached moments rely on it
         self.states = states
-        self._mean = None
         self._w2sq = None
         self._moments = {}
 
@@ -55,23 +54,18 @@ class MeasureView:
     @property
     def mean(self) -> np.ndarray:
         """First raw moment, shape (d,)."""
-        if self._mean is None:
-            # np.mean's own reduction and division, without its wrapper
-            mean = np.add.reduce(self.states, axis=0) / self.states.shape[0]
-            mean.flags.writeable = False
-            self._mean = mean
-        return self._mean
+        return self.raw_moment(1)
 
     def raw_moment(self, k: int, coordinate: int | None = None):
         """Per-coordinate k-th raw moment; (d,) vector when no coordinate given."""
-        if k < 1 or k != int(k):
-            raise ValueError("moment order must be a positive integer")
-        k = int(k)
-        if k not in self._moments:
-            mom = np.add.reduce(int_power(self.states, k), axis=0) / self.states.shape[0]
+        mom = self._moments.get(k)  # only valid orders are cached
+        if mom is None:
+            if k < 1 or k != int(k):
+                raise ValueError("moment order must be a positive integer")
+            # np.mean's own reduction and division, without its wrapper
+            mom = np.add.reduce(int_power(self.states, int(k)), axis=0) / self.states.shape[0]
             mom.flags.writeable = False
-            self._moments[k] = mom
-        mom = self._moments[k]
+            self._moments[int(k)] = mom
         return mom if coordinate is None else float(mom[coordinate])
 
     @property

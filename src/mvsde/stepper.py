@@ -28,10 +28,7 @@ import numpy as np
 from .brownian import InitStream, PathGrid
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
-from .taming import TamingOperator, _t1_raw, _t2_raw
-
-MODIFIED_EULER = "modified_euler"
-SPLIT_STEP = "split_step"
+from .taming import TamingOperator, _t1_raw, _t2_raw, parse_taming
 
 NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
@@ -43,19 +40,23 @@ _BLOCK = 1024  # steps of increments drawn at once by simulate
 @dataclass(frozen=True)
 class SchemeConfig:
     """One numerical method: explicit Euler tamed by `op` (its T1 on the
-    drift, its T2 on each diffusion column), or implicit split-step."""
+    drift, its T2 on each diffusion column), or with no `op` the implicit
+    split step."""
 
-    method: str
     op: TamingOperator | None = None
-    label: str = ""
 
-    def __post_init__(self):
-        if self.method not in (MODIFIED_EULER, SPLIT_STEP):
-            raise ValueError(f"unknown method '{self.method}'")
-        if self.method == MODIFIED_EULER and self.op is None:
-            raise ValueError("explicit scheme requires a taming operator")
-        if self.method == SPLIT_STEP and self.op is not None:
-            raise ValueError("the split-step scheme takes no taming operator")
+    @property
+    def label(self) -> str:
+        """Name in output files: the operator's label, or 'ssm'."""
+        return "ssm" if self.op is None else self.op.label
+
+
+def parse_scheme(text: str, model_rho: float | None = None) -> SchemeConfig:
+    """Scheme from its config-file name: 'ssm' is the implicit split step, any
+    other name a taming operator (see taming.parse_taming)."""
+    if text.strip().lower() == "ssm":
+        return SchemeConfig()
+    return SchemeConfig(parse_taming(text, model_rho))
 
 
 class Ensemble(MeasureView):
@@ -94,8 +95,8 @@ def _increments(ens, model, dW):
 
 def euler_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ensemble:
     """Advance one explicit step; dW has shape (N, m)."""
-    if cfg.method != MODIFIED_EULER:
-        raise ValueError("euler_step requires an explicit scheme config")
+    if cfg.op is None:
+        raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
     x = ens.states
     t = ens.t
@@ -151,8 +152,8 @@ def _newton_implicit_drift(model, t, x, mu, h):
 
 def split_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ensemble:
     """Advance one implicit split step; raises NewtonNonConvergence on failure."""
-    if cfg.method != SPLIT_STEP:
-        raise ValueError("split_step requires a split-step scheme config")
+    if cfg.op is not None:
+        raise ValueError("split_step takes no taming operator")
     dW = _increments(ens, model, dW)
     t = ens.t
     y = _newton_implicit_drift(model, t, ens.states, ens, h)
@@ -165,7 +166,7 @@ def split_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ens
 
 
 def step(ens, model, cfg, h, dW) -> Ensemble:
-    if cfg.method == SPLIT_STEP:
+    if cfg.op is None:
         return split_step(ens, model, cfg, h, dW)
     return euler_step(ens, model, cfg, h, dW)
 

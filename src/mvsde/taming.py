@@ -26,7 +26,25 @@ import numpy as np
 
 from .models import int_power
 
-KINDS = ("identity", "drift_tamed", "modified", "tanh", "sin", "fully_tamed")
+# The scheme vocabulary, declared once: config-file name -> (kind, name of its
+# one parameter, default).  A parameter with a default is set in the config and
+# shows in the label; fte's has none, as its exponent is the model's rho.
+SCHEMES = {
+    "identity": ("identity", None, None),
+    "dte": ("drift_tamed", "lambda", 0.5),
+    "me": ("modified", None, None),
+    "te": ("tanh", "alpha", 1.0),
+    "se": ("sin", "alpha", 1.0),
+    "fte": ("fully_tamed", "rho", None),
+}
+_BY_KIND = {kind: (name, param, default) for name, (kind, param, default) in SCHEMES.items()}
+
+# parameter name -> (its range as written, membership test)
+_RANGES = {
+    "lambda": ("(0, 1/2]", lambda p: 0.0 < p <= 0.5),
+    "alpha": ("(0, 3/2)", lambda p: 0.0 < p < 1.5),
+    "rho": ("[0, inf)", lambda p: p >= 0.0),
+}
 
 # step-consistency exponents (r1, r2, r3): |T1(v,h) - v| <= h^r1 |v|^r2 and
 # |T2(v,h) - v| <= h^r3 |v|^r2 hold with constant 1 for these operators
@@ -40,28 +58,17 @@ _DECLARED_H3 = {
 @dataclass(frozen=True)
 class TamingOperator:
     kind: str
-    lam: float | None = None  # drift_tamed exponent, in (0, 1/2]
-    alpha: float | None = None  # tanh/sin exponent, in (0, 3/2)
-    rho: float | None = None  # fully_tamed growth exponent, >= 0
+    param: float | None = None  # the kind's one parameter, if it has one
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _BY_KIND:
             raise ValueError(f"unknown taming kind '{self.kind}'")
-        if self.kind == "drift_tamed":
-            if self.lam is None or not 0.0 < self.lam <= 0.5:
-                raise ValueError("drift_tamed requires lambda in (0, 1/2]")
-        elif self.lam is not None:
-            raise ValueError("lambda only applies to drift_tamed")
-        if self.kind in ("tanh", "sin"):
-            if self.alpha is None or not 0.0 < self.alpha < 1.5:
-                raise ValueError(f"{self.kind} requires alpha in (0, 3/2)")
-        elif self.alpha is not None:
-            raise ValueError("alpha only applies to tanh/sin")
-        if self.kind == "fully_tamed":
-            if self.rho is None or self.rho < 0:
-                raise ValueError("fully_tamed requires the model's rho >= 0")
-        elif self.rho is not None:
-            raise ValueError("rho only applies to fully_tamed")
+        name = _BY_KIND[self.kind][1]
+        if name is None:
+            if self.param is not None:
+                raise ValueError(f"{self.kind} takes no parameter")
+        elif self.param is None or not _RANGES[name][1](self.param):
+            raise ValueError(f"{self.kind} requires {name} in {_RANGES[name][0]}")
 
     @property
     def declared_h3(self):
@@ -71,37 +78,38 @@ class TamingOperator:
     @property
     def label(self) -> str:
         """Filesystem-safe form of the config-file name, e.g. 'te_a1' for te(1)."""
-        if self.kind == "drift_tamed":
-            return f"dte_l{self.lam:g}"
-        if self.kind == "tanh":
-            return f"te_a{self.alpha:g}"
-        if self.kind == "sin":
-            return f"se_a{self.alpha:g}"
-        return {"identity": "identity", "modified": "me", "fully_tamed": "fte"}[self.kind]
+        name, param, default = _BY_KIND[self.kind]
+        return name if default is None else f"{name}_{param[0]}{self.param:g}"
+
+    @property
+    def subject(self) -> str:
+        """Name in assumption-check reports, e.g. 'tanh(alpha=1)'."""
+        param = _BY_KIND[self.kind][1]
+        return self.kind if param is None else f"{self.kind}({param}={self.param:g})"
 
 
 def identity() -> TamingOperator:
     return TamingOperator("identity")
 
 
-def drift_tamed(lam: float = 0.5) -> TamingOperator:
-    return TamingOperator("drift_tamed", lam=lam)
+def drift_tamed(lam: float) -> TamingOperator:
+    return TamingOperator("drift_tamed", lam)
 
 
 def modified() -> TamingOperator:
     return TamingOperator("modified")
 
 
-def tanh_op(alpha: float = 1.0) -> TamingOperator:
-    return TamingOperator("tanh", alpha=alpha)
+def tanh_op(alpha: float) -> TamingOperator:
+    return TamingOperator("tanh", alpha)
 
 
-def sin_op(alpha: float = 1.0) -> TamingOperator:
-    return TamingOperator("sin", alpha=alpha)
+def sin_op(alpha: float) -> TamingOperator:
+    return TamingOperator("sin", alpha)
 
 
 def fully_tamed(rho: float) -> TamingOperator:
-    return TamingOperator("fully_tamed", rho=rho)
+    return TamingOperator("fully_tamed", rho)
 
 
 def _vec_norm(v):
@@ -115,17 +123,17 @@ def _t1_raw(op: TamingOperator, v, x, h):
     if kind == "identity":
         return v
     if kind == "drift_tamed":
-        return v / (1.0 + h**op.lam * _vec_norm(v))
+        return v / (1.0 + h**op.param * _vec_norm(v))
     if kind == "modified":
         return v / (1.0 + h * np.sum(v * v, axis=-1, keepdims=True))
     if kind == "tanh":
-        ha = h**op.alpha
+        ha = h**op.param
         return np.tanh(ha * v) / ha
     if kind == "sin":
-        ha = h**op.alpha
+        ha = h**op.param
         return np.sin(ha * v) / ha
     # fully_tamed: damping driven by the state, not the coefficient
-    p = 4.0 * op.rho
+    p = 4.0 * op.param
     norm = _vec_norm(x)
     damp = int_power(norm, int(p)) if p >= 1.0 and p.is_integer() else norm**p
     return v / (1.0 + np.sqrt(h) * damp)
@@ -138,12 +146,6 @@ def _t2_raw(op: TamingOperator, v, x, h):
     return _t1_raw(op, v, x, h)
 
 
-# config-file names: identity | dte(lambda) | me | te(alpha) | se(alpha) | fte;
-# the parametrized ones take their default parameter from the factory
-_PARAMETRIZED = {"dte": drift_tamed, "te": tanh_op, "se": sin_op}
-_PLAIN = {"identity": identity, "me": modified}
-
-
 def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:
     """Build an operator from its config-file name, e.g. 'me' or 'te(0.5)'.
 
@@ -152,25 +154,22 @@ def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:
     text = text.strip().lower()
     name, arg = text, None
     if text.endswith(")") and "(" in text:
-        name, rest = text.split("(", 1)
-        name = name.strip()
-        rest = rest[:-1].strip()
+        name, rest = text[:-1].split("(", 1)
+        name, rest = name.strip(), rest.strip()
         if rest:
             try:
                 arg = float(rest)
             except ValueError:
                 raise ValueError(f"bad taming parameter in '{text}'") from None
-    if name in _PARAMETRIZED:
-        factory = _PARAMETRIZED[name]
-        return factory() if arg is None else factory(arg)
-    if name in _PLAIN:
-        if arg is not None:
-            raise ValueError(f"'{name}' takes no parameter")
-        return _PLAIN[name]()
-    if name == "fte":
-        if arg is not None:
-            raise ValueError("'fte' takes its exponent from the model")
+    if name not in SCHEMES:
+        raise ValueError(f"unknown taming operator '{text}'")
+    kind, param, default = SCHEMES[name]
+    if arg is not None and default is None:
+        raise ValueError(f"'{name}' takes no parameter")
+    if param is None:
+        return TamingOperator(kind)
+    if default is None:  # the model's exponent
         if model_rho is None:
-            raise ValueError("'fte' needs the model's growth exponent rho")
-        return fully_tamed(model_rho)
-    raise ValueError(f"unknown taming operator '{text}'")
+            raise ValueError(f"'{name}' needs the model's growth exponent {param}")
+        return TamingOperator(kind, model_rho)
+    return TamingOperator(kind, default if arg is None else arg)

@@ -154,12 +154,6 @@ def _magnitude_grid(spec: SampleSpec, h: float) -> np.ndarray:
     return np.geomspace(1e-3, top, spec.n_magnitudes)
 
 
-def _subject_name(op: TamingOperator) -> str:
-    params = (("lambda", op.lam), ("alpha", op.alpha), ("rho", op.rho))
-    shown = [f"{name}={value:g}" for name, value in params if value is not None]
-    return f"{op.kind}({', '.join(shown)})" if shown else op.kind
-
-
 def _synthetic_measures(spec: SampleSpec, rng, d=1):
     out = []
     for scale in spec.measure_scales:
@@ -235,7 +229,7 @@ def check_taming(
     value, witness = _worst(lhs, rhs, **inputs)
     return AssumptionReport(
         assumption_id=assumption,
-        subject=_subject_name(op),
+        subject=op.subject,
         tested_constants=tested,
         samples=lhs.size,
         max_violation=value,
@@ -273,7 +267,7 @@ def _check_ex35(op, constants, spec, model, rng):
             break
     return AssumptionReport(
         assumption_id="EX35_BOUND",
-        subject=f"{_subject_name(op)}|{model.name}",
+        subject=f"{op.subject}|{model.name}",
         tested_constants={"L": L},
         samples=int(finite.sum()),
         max_violation=value,

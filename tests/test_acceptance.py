@@ -28,7 +28,7 @@ from mvsde.cli import main as cli_main
 from mvsde.config import ExperimentConfig
 from mvsde.experiments import run_convergence, run_nscaling
 from mvsde.models import ModelSpec
-from mvsde.stepper import MODIFIED_EULER, SPLIT_STEP, Ensemble, split_step
+from mvsde.stepper import Ensemble, split_step
 from mvsde.taming import drift_tamed, fully_tamed, identity, modified, sin_op, tanh_op
 
 
@@ -124,8 +124,8 @@ def test_criterion_4_deterministic_order_oracle():
 
 def test_criterion_5_moment_bound_vs_em_divergence():
     model = quintic_interaction_model()
-    em = SchemeConfig(method=MODIFIED_EULER, op=identity(), label="em")
-    me = SchemeConfig(method=MODIFIED_EULER, op=modified(), label="me")
+    em = SchemeConfig(identity())
+    me = SchemeConfig(modified())
     h, n = 2.0**-3, 8
     times = [k * h for k in range(n + 1)]
     em_bad_seeds = 0
@@ -175,8 +175,8 @@ def test_criterion_6_double_well_stability_matrix():
     # runaway), so the pinned seed selects a stabilizing realization; at
     # h = 1e-2 every seed tried destabilizes
     model = double_well_model(mu0=3.0, sigma0sq=9.0)
-    te = SchemeConfig(method=MODIFIED_EULER, op=tanh_op(1.0), label="te")
-    dte = SchemeConfig(method=MODIFIED_EULER, op=drift_tamed(0.5), label="dte")
+    te = SchemeConfig(tanh_op(1.0))
+    dte = SchemeConfig(drift_tamed(0.5))
     seed = 0
     te_max, te_nf = _stability_cell(model, te, 1e-2, seed)
     d1_max, d1_nf = _stability_cell(model, dte, 1e-2, seed)
@@ -197,7 +197,7 @@ def test_criterion_6_double_well_stability_matrix():
 
 def test_criterion_7_double_well_clustering():
     model = double_well_model(mu0=0.0, sigma0sq=1.0)
-    te = SchemeConfig(method=MODIFIED_EULER, op=tanh_op(1.0), label="te")
+    te = SchemeConfig(tanh_op(1.0))
     grid = generate(2024, 1000, 10.0, 1000, 1)
     traj = simulate(model, te, grid, [10.0])
     x = traj.records[0][1].states[:, 0]
@@ -305,7 +305,7 @@ def test_criterion_10_infrastructure_properties(tmp_path):
         rho=1.0,
         initial_sampler=lambda s: np.ones(s.shape),
     )
-    ssm = SchemeConfig(method=SPLIT_STEP, label="ssm")
+    ssm = SchemeConfig()
     stepped = split_step(
         Ensemble(np.ones((1, 1))), cubic_pull, ssm, 0.1, np.zeros((1, 1))
     )

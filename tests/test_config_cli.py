@@ -18,6 +18,7 @@ from mvsde.errors import ConfigError
 from mvsde.models import cubic_interaction_model
 from mvsde.output import format_value, render_csv
 from mvsde.svgplot import series_svg
+from mvsde.verify import SampleSpec, check_taming
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -77,17 +78,26 @@ class TestParsing:
             exact_divide(1.0, 0.3, "x")
 
     def test_scheme_labels(self):
-        model = cubic_interaction_model()
-        for text, label in (
-            ("me", "me"),
-            ("te(1)", "te_a1"),
-            ("se(0.5)", "se_a0.5"),
-            ("dte(0.5)", "dte_l0.5"),
-            ("dte", "dte_l0.5"),
-            ("ssm", "ssm"),
-            ("fte", "fte"),
+        # file names and check_report.csv subjects are part of the output bytes
+        model = cubic_interaction_model()  # rho = 1
+        spec = SampleSpec(h_exponents=(1,))
+        for text, label, subject in (
+            ("identity", "identity", "identity"),
+            ("me", "me", "modified"),
+            ("te", "te_a1", "tanh(alpha=1)"),
+            ("te(1)", "te_a1", "tanh(alpha=1)"),
+            ("se", "se_a1", "sin(alpha=1)"),
+            ("se(0.5)", "se_a0.5", "sin(alpha=0.5)"),
+            ("dte(0.5)", "dte_l0.5", "drift_tamed(lambda=0.5)"),
+            ("dte", "dte_l0.5", "drift_tamed(lambda=0.5)"),
+            ("dte(0.25)", "dte_l0.25", "drift_tamed(lambda=0.25)"),
+            ("ssm", "ssm", None),
+            ("fte", "fte", "fully_tamed(rho=1)"),
         ):
-            assert build_scheme(text, model).label == label
+            scheme = build_scheme(text, model)
+            assert scheme.label == label
+            if subject is not None:
+                assert check_taming(scheme.op, "H1", {"L": 1.0}, spec).subject == subject
         for text in ("xx", "te(abc)"):
             with pytest.raises(ConfigError):
                 build_scheme(text, model)
@@ -95,9 +105,9 @@ class TestParsing:
     def test_build_scheme_ssm_and_fte(self):
         model = cubic_interaction_model()
         ssm = build_scheme("ssm", model)
-        assert ssm.method == "split_step"
+        assert ssm.op is None
         fte = build_scheme("fte", model)
-        assert fte.op.rho == model.rho
+        assert fte.op.param == model.rho
 
     def test_load_config_full(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -337,6 +347,69 @@ class TestCli:
             bad.write_text(text)
             assert main([command, "--config", str(bad)]) == 2, edits
             assert "config error:" in capsys.readouterr().err, edits
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[output]", "[outptu]"),
+            ("[experiment]", "[experment]"),
+            ("trace_particles = 0, 3, 5", "trace_particles = 0, 3, 5\nrepetition = 16"),
+            ("trace_particles = 0, 3, 5", "trace_particles = 0, 3, 5\ntrace_strid = 4"),
+            ("formats = csv, svg", "format = csv, svg"),
+            ("schemes = me, te(1)", "scheme = me, te(1)"),
+            ("h = 2^-3, 2^-4", "h = 2^-3, 2^-4\nh_lst = 2^-3"),
+        ],
+    )
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, capsys, monkeypatch, old, new):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a run started despite a config error")
+
+        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        text = RUN_STUDY_CONFIGS["paths"]
+        assert old in text
+        path = tmp_path / "typo.ini"
+        path.write_text(text.replace(old, new) + f"out_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["paths", "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, old, new",
+        [
+            ("paths", "schemes = me, te(1)", "schemes = me, te(1), te(1.0)"),
+            ("paths", "h = 2^-3, 2^-4", "h = 2^-3, 2^-4, 0.125"),
+            ("density", "schemes = me, te(1)", "schemes = dte, dte(0.5)"),
+            ("converge", "schemes = me, se(1)", "schemes = me, se(1), se"),
+            ("converge", "h_list = 2^-4, 2^-5, 2^-6", "h_list = 2^-4, 2^-5, 0.0625"),
+        ],
+    )
+    def test_duplicate_output_label_is_config_error(self, tmp_path, capsys, monkeypatch, command, old, new):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a run started despite a config error")
+
+        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        out = tmp_path / "out"
+        if command == "converge":
+            text = CONV_TEMPLATE.format(out=out, formats="csv")
+        else:
+            text = RUN_STUDY_CONFIGS[command] + f"out_dir = {out}\n"
+        assert old in text
+        path = tmp_path / "dup.ini"
+        path.write_text(text.replace(old, new))
+        assert main([command, "--config", str(path)]) == 2
+        assert "share output label" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reference_cell_label_distinct_from_its_scheme(self, tmp_path, capsys):
+        # the density reference at a run step is a cell of its own, me_ref
+        text = RUN_STUDY_CONFIGS["density"].replace("reference_scheme = ssm", "reference_scheme = me")
+        path = tmp_path / "ref.ini"
+        path.write_text(text.replace("reference_h = 2^-6", "reference_h = 2^-3") + f"out_dir = {tmp_path}\n")
+        assert main(["density", "--config", str(path)]) == 0
+        assert (tmp_path / "density_me_ref_h0.125_T0.5.csv").exists()
+        assert (tmp_path / "density_me_h0.125_T0.5.csv").exists()
 
     def test_strict_divergence_exit_code(self, tmp_path, capsys):
         # plain Euler-Maruyama on the quintic model overflows by t=1.875

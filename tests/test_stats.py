@@ -339,7 +339,7 @@ class TestPathTrace:
             rho=0.0,
             initial_sampler=lambda s: np.full(s.shape, 2.5),
         )
-        cfg = SchemeConfig(method="modified_euler", op=identity())
+        cfg = SchemeConfig(identity())
         grid = generate(1, n, 1.0, 4, 1)
         return simulate(model, cfg, grid, [1.0], trace_ids=ids)
 

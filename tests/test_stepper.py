@@ -14,8 +14,6 @@ from mvsde import (
 )
 from mvsde.models import ModelSpec
 from mvsde.stepper import (
-    MODIFIED_EULER,
-    SPLIT_STEP,
     Ensemble,
     euler_step,
     grid_floor_step,
@@ -48,9 +46,9 @@ def unit_diffusion(t, x, mu, r):
     return np.ones_like(x)
 
 
-EM = SchemeConfig(method=MODIFIED_EULER, op=identity(), label="em")
-ME = SchemeConfig(method=MODIFIED_EULER, op=modified(), label="me")
-SSM = SchemeConfig(method=SPLIT_STEP, label="ssm")
+EM = SchemeConfig(identity())
+ME = SchemeConfig(modified())
+SSM = SchemeConfig()
 
 
 class TestEulerStep:
@@ -226,8 +224,9 @@ class TestSplitStep:
         assert calls["drift"] == iterations + 1
 
     def test_rejects_taming_operator(self):
-        with pytest.raises(ValueError, match="split-step"):
-            SchemeConfig(method=SPLIT_STEP, op=modified())
+        model = make_model(zero_drift, zero_diffusion)
+        with pytest.raises(ValueError, match="no taming operator"):
+            split_step(Ensemble(np.zeros((1, 1))), model, ME, 0.1, np.zeros((1, 1)))
 
     def test_newton_non_convergence_raises(self):
         # Y = 3 + 0.5 (2 + 2 Y^2) has no real root
@@ -292,7 +291,7 @@ class TestSimulate:
     def test_moment_boundedness_across_step_sizes(self):
         # tamed schemes keep 2nd/4th moments under one fixed ceiling as h halves
         model = quintic_interaction_model()
-        TE = SchemeConfig(method=MODIFIED_EULER, op=tanh_op(1.0))
+        TE = SchemeConfig(tanh_op(1.0))
         for cfg in (ME, TE):
             for n in (16, 32, 64, 128):
                 grid = generate(9, n, 1.0, 64, 1)

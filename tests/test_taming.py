@@ -80,7 +80,7 @@ def test_parameter_ranges_enforced():
     with pytest.raises(ValueError):
         fully_tamed(-1.0)
     with pytest.raises(ValueError):
-        TamingOperator("modified", alpha=1.0)
+        TamingOperator("modified", 1.0)
     with pytest.raises(ValueError):
         TamingOperator("nope")
 
@@ -133,13 +133,13 @@ def test_parse_round_trips():
     assert parse_taming("identity").kind == "identity"
     assert parse_taming("me").kind == "modified"
     op = parse_taming("dte(0.25)")
-    assert op.kind == "drift_tamed" and op.lam == 0.25
-    assert parse_taming("dte").lam == 0.5
-    assert parse_taming("te").alpha == 1.0
-    assert parse_taming("te(0.5)").alpha == 0.5
+    assert op.kind == "drift_tamed" and op.param == 0.25
+    assert parse_taming("dte").param == 0.5
+    assert parse_taming("te").param == 1.0
+    assert parse_taming("te(0.5)").param == 0.5
     assert parse_taming("se(1.0)").kind == "sin"
     op = parse_taming("fte", model_rho=2.0)
-    assert op.kind == "fully_tamed" and op.rho == 2.0
+    assert op.kind == "fully_tamed" and op.param == 2.0
     with pytest.raises(ValueError):
         parse_taming("fte")
     with pytest.raises(ValueError):
