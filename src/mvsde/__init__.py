@@ -6,10 +6,7 @@ from .brownian import InitStream, PathGrid, coarsen, derive_seed, generate
 from .errors import ConfigError, MvsdeError, NewtonNonConvergence
 from .experiments import (
     ConvergenceReport,
-    DensityBundle,
-    MomentBundle,
     NScalingReport,
-    PathBundle,
     run_convergence,
     run_density,
     run_moments,

@@ -136,44 +136,44 @@ _STUDIES = {
     ),
     "density": _Study(
         run=lambda cfg: experiments.run_density(cfg),
-        csv=lambda bundle, cfg: output.density_files(bundle, cfg.h_values),
-        svgs=lambda bundle, cfg: [
-            (f"density_T{t:g}.svg", partial(svgplot.density_svg, bundle.entries, t))
-            for t in bundle.times()
+        csv=lambda entries, cfg: output.density_files(entries, cfg.h_values),
+        svgs=lambda entries, cfg: [
+            (f"density_T{t:g}.svg", partial(svgplot.density_svg, entries, t))
+            for t in sorted({e.time for e in entries})
         ],
-        diverged=lambda bundle: any(e.note == "diverged" for e in bundle.entries),
-        summary=lambda bundle: [
-            f"density: {len(bundle.entries)} curves at times {bundle.times()}"
+        diverged=lambda entries: any(e.note == "diverged" for e in entries),
+        summary=lambda entries: [
+            f"density: {len(entries)} curves at times {sorted({e.time for e in entries})}"
         ],
     ),
     "paths": _Study(
         run=lambda cfg: experiments.run_paths(cfg),
-        csv=lambda bundle, cfg: output.path_files(bundle, cfg.h_values),
-        svgs=lambda bundle, cfg: [
+        csv=lambda cells, cfg: output.path_files(cells, cfg.h_values),
+        svgs=lambda cells, cfg: [
             (f"paths_{c.scheme}{output.h_suffix(c.h, cfg.h_values)}.svg",
              partial(svgplot.paths_svg, c))
-            for c in bundle.cells
+            for c in cells
         ],
-        diverged=lambda bundle: any(c.diverged for c in bundle.cells),
-        summary=lambda bundle: [
+        diverged=lambda cells: any(c.diverged for c in cells),
+        summary=lambda cells: [
             f"{c.scheme} h={c.h:g}: max|X| over records = {c.max_abs_recorded:.4g}, "
             f"first non-finite t = {c.first_nonfinite_time}"
-            for c in bundle.cells
+            for c in cells
         ],
     ),
     "moments": _Study(
         run=lambda cfg: experiments.run_moments(cfg),
-        csv=lambda bundle, cfg: output.moment_files(bundle, cfg.h_values),
-        svgs=lambda bundle, cfg: [
+        csv=lambda cells, cfg: output.moment_files(cells, cfg.h_values),
+        svgs=lambda cells, cfg: [
             (f"moments_{c.scheme}{output.h_suffix(c.h, cfg.h_values)}.svg",
              partial(svgplot.moments_svg, c))
-            for c in bundle.cells
+            for c in cells
         ],
-        diverged=lambda bundle: any(c.nonfinite for c in bundle.cells),
-        summary=lambda bundle: [
+        diverged=lambda cells: any(c.nonfinite for c in cells),
+        summary=lambda cells: [
             f"{c.scheme} h={c.h:g}: {len(c.times)} rows"
             + (" [non-finite]" if c.nonfinite else (" [ceiling]" if c.exceeded else ""))
-            for c in bundle.cells
+            for c in cells
         ],
     ),
     "nscaling": _Study(

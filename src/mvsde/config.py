@@ -10,7 +10,8 @@ Grammar (stdlib configparser INI dialect, UTF-8):
     [experiment]  N, seed, record_times, repetitions, experiment-specific keys
     [output]      out_dir, formats = comma list of csv | svg
 
-Any other key, in any section, is a configuration error.
+Any other key, in any section, is a configuration error, and so is a key
+the study does not read, unless it holds its default value.
 
 Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
@@ -129,10 +130,14 @@ class ExperimentConfig:
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad model: {err}") from None
 
-    def build_schemes(self, model: ModelSpec) -> list:
-        if not self.schemes:
-            raise ConfigError("no schemes configured")
-        return [build_scheme(text, model) for text in self.schemes]
+    def reject_unread(self, reads):
+        """ConfigError for a [grid] or [experiment] key other than T, seed
+        and `reads`, the keys a study reads, set to a non-default value."""
+        default = ExperimentConfig()
+        for (section, key), (name, _) in _KEYS.items():
+            unread = section in ("grid", "experiment") and key not in ("t", "seed", *reads)
+            if unread and getattr(self, name) != getattr(default, name):
+                raise ConfigError(f"this study does not read '{key}' in [{section}]")
 
     def validate_convergence(self):
         if self.h_ref is None or not self.h_list:

@@ -1,15 +1,18 @@
 """The experiment harness: convergence, density, path, moment and N-scaling
 studies.
 
-All studies are deterministic given (config, seed): Brownian paths and
-initial data come from counter-keyed streams, cells run one after another,
-and every reduction has a fixed order.
+Each study is a list of cells, and `_run_cells` is the one loop that draws
+their Brownian grids, simulates and reduces.  All studies are deterministic
+given (config, seed): Brownian paths and initial data come from
+counter-keyed streams, cells run one after another, and every reduction has
+a fixed order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,44 +20,71 @@ from . import brownian
 from .config import ExperimentConfig, build_scheme, exact_divide
 from .errors import ConfigError
 from .stats import kde, rmse, w2_1d_quantile
-from .stepper import simulate
+from .stepper import SchemeConfig, simulate
 
 
-def _check_distinct(cells):
-    """Two cells with one (label, h) would write the same output."""
-    seen = set()
-    for cell in cells:
-        if cell in seen:
-            raise ConfigError(f"two runs share output label {cell[0]} at h = {cell[1]:g}")
-        seen.add(cell)
+class _Cell(NamedTuple):
+    """One simulation, output as `label`: `scheme` at step `h` on the root
+    grid (seed, n_root, N), coarsened by `factor`, recorded at `times`."""
+
+    label: str
+    h: float
+    scheme: SchemeConfig
+    root: tuple
+    factor: int
+    times: list
 
 
-def _run_schemes(cfg, model, default_times, reduce, extra=(), trace_ids=None):
-    """One run per (scheme, h) cell of the config, plus the `extra` cells.
+def _run_cells(model, T, cells, reduce, trace_ids=None):
+    """reduce(cell, trajectory) of every cell, in cell order.
 
-    A cell is (scheme text, h, label suffix).  The grid of n = T / h steps
-    from the config seed is drawn once per distinct n, and every cell at that
-    n runs on it, recording at the configured record_times or else at
-    default_times(cfg, n); reduce(label, h, trajectory) gives the cell's
-    result.  Results come back in cell order: schemes outer, h inner, then
-    the `extra` cells.
+    Roots are drawn in order of first use; the cells on a root run on
+    `brownian.coarsen` views of one draw, which is released before the next
+    root is drawn.
     """
-    cells = [(text, h, "") for text in cfg.schemes for h in cfg.h_values] + list(extra)
-    schemes = [build_scheme(text, model) for text, _, _ in cells]  # errors before any run
-    labels = [scheme.label + suffix for scheme, (_, _, suffix) in zip(schemes, cells)]
-    _check_distinct([(label, h) for label, (_, h, _) in zip(labels, cells)])
-    steps = [round(cfg.T / h) for _, h, _ in cells]
     results = [None] * len(cells)
-    for n in dict.fromkeys(steps):
-        grid = brownian.generate(cfg.seed, n, cfg.T, cfg.N, model.m)
-        times = cfg.record_times if cfg.record_times is not None else default_times(cfg, n)
-        for i, (_, h, _) in enumerate(cells):
-            if steps[i] == n:
-                traj = simulate(model, schemes[i], grid, times, trace_ids=trace_ids)
-                results[i] = reduce(labels[i], h, traj)
+    for root in dict.fromkeys(cell.root for cell in cells):
+        seed, n_root, n_particles = root
+        grid = brownian.generate(seed, n_root, T, n_particles, model.m)
+        for i, cell in enumerate(cells):
+            if cell.root == root:
+                # the view stays a temporary: a name bound to it would keep the root alive
+                traj = simulate(
+                    model, cell.scheme, brownian.coarsen(grid, cell.factor), cell.times, trace_ids=trace_ids
+                )
+                results[i] = reduce(cell, traj)
                 del traj  # released before the next run starts
-        del grid  # released before the next grid is drawn
+        del grid  # released before the next root is drawn
     return results
+
+
+def _study(cfg, reads, steps):
+    """Model and schemes of a study that reads the config keys `reads` and
+    runs every scheme at each of `steps`.  Two runs with one (label, h) would
+    write the same output; a `_ref` label is never a scheme's."""
+    cfg.reject_unread(reads)
+    model = cfg.build_model()
+    if not cfg.schemes:
+        raise ConfigError("no schemes configured")
+    schemes = [build_scheme(text, model) for text in cfg.schemes]
+    seen = set()
+    for label, h in ((scheme.label, h) for scheme in schemes for h in steps):
+        if (label, h) in seen:
+            raise ConfigError(f"two runs share output label {label} at h = {h:g}")
+        seen.add((label, h))
+    return model, schemes
+
+
+def _run_schemes(cfg, model, schemes, default_times, reduce, extra=(), trace_ids=None):
+    """One cell per (scheme, h) of the config, schemes outer, then the
+    `extra` (label, h, scheme) cells, each on the grid of n = T / h steps
+    from the config seed, recorded at record_times or default_times(cfg, n)."""
+    cells = []
+    for label, h, scheme in [(s.label, h, s) for s in schemes for h in cfg.h_values] + list(extra):
+        n = round(cfg.T / h)
+        times = cfg.record_times if cfg.record_times is not None else default_times(cfg, n)
+        cells.append(_Cell(label, h, scheme, (cfg.seed, n, cfg.N), 1, times))
+    return _run_cells(model, cfg.T, cells, reduce, trace_ids)
 
 
 def fit_loglog(xs, ys):
@@ -132,28 +162,28 @@ def run_convergence(cfg: ExperimentConfig):
     ensemble, and errors are root-mean-square particle gaps at T.
     """
     cfg.validate_convergence()
-    model = cfg.build_model()
-    schemes = cfg.build_schemes(model)
-    _check_distinct([(scheme.label, h) for scheme in schemes for h in cfg.h_list])
-    n_ref = exact_divide(cfg.T, cfg.h_ref, "T / h_ref")
-    grid = brownian.generate(cfg.seed, n_ref, cfg.T, cfg.N, model.m)
+    model, schemes = _study(cfg, {"h_ref", "h_list", "n"}, cfg.h_list)
+    root = (cfg.seed, exact_divide(cfg.T, cfg.h_ref, "T / h_ref"), cfg.N)
     h_list = sorted(cfg.h_list, reverse=True)  # rows by descending h
-
-    def cell(scheme):
-        ref = simulate(model, scheme, grid, [cfg.T])
+    cells = [
+        _Cell(scheme.label, h, scheme, root, round(h / cfg.h_ref), [cfg.T])
+        for scheme in schemes
+        for h in [cfg.h_ref, *h_list]
+    ]
+    finals = _run_cells(model, cfg.T, cells, lambda cell, traj: (traj.final, traj.diverged))
+    per = 1 + len(h_list)  # cells per scheme: the reference, then h_list
+    reports = []
+    for k, scheme in enumerate(schemes):
+        (ref, ref_diverged), *runs = finals[k * per : (k + 1) * per]
         rows = []
-        for h in h_list:
-            factor = round(h / cfg.h_ref)
-            sub = brownian.coarsen(grid, factor)
-            traj = simulate(model, scheme, sub, [cfg.T])
-            diverged = traj.diverged or ref.diverged
-            err = rmse(traj.final, ref.final) if not diverged else math.nan
+        for h, (final, diverged) in zip(h_list, runs):
+            diverged = diverged or ref_diverged
+            err = rmse(final, ref) if not diverged else math.nan
             rows.append(ConvergenceRow(h=h, rmse=err, diverged=diverged))
-        return ConvergenceReport(
-            model=model.name, scheme=scheme.label, h_ref=cfg.h_ref, rows=rows
-        ).refit()
-
-    return [cell(scheme) for scheme in schemes]
+        reports.append(
+            ConvergenceReport(model=model.name, scheme=scheme.label, h_ref=cfg.h_ref, rows=rows).refit()
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -170,44 +200,36 @@ class DensityEntry:
     note: str = ""
 
 
-@dataclass
-class DensityBundle:
-    model: str
-    entries: list = field(default_factory=list)
-
-    def times(self):
-        return sorted({e.time for e in self.entries})
-
-
 def _density_record_times(cfg, n):
     defaults = [t for t in (1.0, 3.0, 10.0) if t <= cfg.T + 1e-12]
     return defaults or [cfg.T]
 
 
-def run_density(cfg: ExperimentConfig) -> DensityBundle:
-    """Kernel density curves per (scheme, record time), plus an optional
-    implicit reference run at its own (finer) step size."""
+def run_density(cfg: ExperimentConfig) -> list:
+    """Kernel density curves, a DensityEntry per (cell, record time), with an
+    optional implicit reference run at its own (finer) step size."""
     cfg.validate_run_steps()
-    model = cfg.build_model()
+    model, schemes = _study(cfg, {"h", "n", "record_times", "reference_scheme", "reference_h"}, cfg.h_values)
     if model.d != 1:
         raise ConfigError("density study needs a one-dimensional model")
     extra = []
     if cfg.reference_scheme:
         ref_h = cfg.reference_h if cfg.reference_h is not None else 1e-4
         exact_divide(cfg.T, ref_h, "T / reference_h")
-        extra.append((cfg.reference_scheme, ref_h, "_ref"))
+        ref = build_scheme(cfg.reference_scheme, model)
+        extra.append((ref.label + "_ref", ref_h, ref))
 
-    def reduce(label, h, traj):
+    def reduce(cell, traj):
         out = []
         for rt, ens in traj.records:
             if np.all(np.isfinite(ens.states)):
-                out.append(DensityEntry(label, h, rt, kde(ens)))
+                out.append(DensityEntry(cell.label, cell.h, rt, kde(ens)))
             else:
-                out.append(DensityEntry(label, h, rt, None, note="diverged"))
+                out.append(DensityEntry(cell.label, cell.h, rt, None, note="diverged"))
         return out
 
-    cells = _run_schemes(cfg, model, _density_record_times, reduce, extra)
-    return DensityBundle(model=model.name, entries=[e for cell in cells for e in cell])
+    cells = _run_schemes(cfg, model, schemes, _density_record_times, reduce, extra)
+    return [entry for cell in cells for entry in cell]
 
 
 # ---------------------------------------------------------------------------
@@ -227,51 +249,43 @@ class PathCell:
     diverged: bool
 
 
-@dataclass
-class PathBundle:
-    model: str
-    cells: list = field(default_factory=list)
-
-
 def _paths_record_times(cfg, n):
     return [cfg.T * (k + 1) / 10.0 for k in range(10)]
 
 
-def run_paths(cfg: ExperimentConfig) -> PathBundle:
+def run_paths(cfg: ExperimentConfig) -> list:
     """Trace a particle subset per (scheme, h) cell and summarize stability:
     the largest |X| over the recorded ensembles and the first non-finite
-    time, if any."""
+    time, if any; a list of PathCell, in cell order."""
     cfg.validate_run_steps()
-    model = cfg.build_model()
+    model, schemes = _study(cfg, {"h", "n", "record_times", "trace_particles", "trace_stride"}, cfg.h_values)
     ids = cfg.trace_particles
     if ids is None:
         ids = list(range(min(10, cfg.N)))
     bad = [i for i in ids if not 0 <= i < cfg.N]
     if bad:
         raise ConfigError(f"trace_particles {bad} outside 0..{cfg.N - 1}")
-    stride = cfg.trace_stride
-    if stride < 1:
-        raise ConfigError(f"trace_stride must be at least 1, got {stride}")
+    if cfg.trace_stride < 1:
+        raise ConfigError(f"trace_stride must be at least 1, got {cfg.trace_stride}")
 
-    def reduce(label, h, traj):
+    def reduce(cell, traj):
         max_abs = 0.0
         for _, ens in traj.records:
             finite = ens.states[np.isfinite(ens.states)]
             if finite.size:
                 max_abs = max(max_abs, float(np.max(np.abs(finite))))
         return PathCell(
-            scheme=label,
-            h=h,
-            times=traj.trace_times[::stride],
-            values=traj.trace_values[::stride],
+            scheme=cell.label,
+            h=cell.h,
+            times=traj.trace_times[::cfg.trace_stride],
+            values=traj.trace_values[::cfg.trace_stride],
             particle_ids=tuple(ids),
             max_abs_recorded=max_abs,
             first_nonfinite_time=traj.first_nonfinite_time,
             diverged=traj.diverged,
         )
 
-    cells = _run_schemes(cfg, model, _paths_record_times, reduce, trace_ids=ids)
-    return PathBundle(model=model.name, cells=cells)
+    return _run_schemes(cfg, model, schemes, _paths_record_times, reduce, trace_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +305,6 @@ class MomentCell:
     first_nonfinite_time: float | None
 
 
-@dataclass
-class MomentBundle:
-    model: str
-    cells: list = field(default_factory=list)
-
-    def sup_moment(self, scheme, h, order):
-        for c in self.cells:
-            if c.scheme == scheme and c.h == h:
-                vals = c.moments[order]
-                finite = vals[np.isfinite(vals)]
-                return float(np.max(finite)) if finite.size else math.nan
-        raise KeyError((scheme, h))
-
-
 def _moment_record_times(cfg, n):
     steps = range(0, n + 1) if n <= 256 else range(0, n + 1, max(1, n // 256))
     times = [cfg.T * k / n for k in steps]
@@ -313,13 +313,13 @@ def _moment_record_times(cfg, n):
     return times
 
 
-def run_moments(cfg: ExperimentConfig) -> MomentBundle:
-    """Empirical raw moments over time per (scheme, h) cell, flagged when
-    they leave the configured ceiling or stop being finite."""
+def run_moments(cfg: ExperimentConfig) -> list:
+    """Empirical raw moments over time, a MomentCell per (scheme, h) cell,
+    flagged when they leave the configured ceiling or stop being finite."""
     cfg.validate_run_steps()
-    model = cfg.build_model()
+    model, schemes = _study(cfg, {"h", "n", "record_times", "orders", "moment_ceiling"}, cfg.h_values)
 
-    def reduce(label, h, traj):
+    def reduce(cell, traj):
         rec_t = np.array([rt for rt, _ in traj.records])
         table = {}
         for order in cfg.orders:
@@ -331,8 +331,8 @@ def run_moments(cfg: ExperimentConfig) -> MomentBundle:
             np.any(v[np.isfinite(v)] > cfg.moment_ceiling) for v in table.values()
         )
         return MomentCell(
-            scheme=label,
-            h=h,
+            scheme=cell.label,
+            h=cell.h,
             times=rec_t,
             moments=table,
             ceiling=cfg.moment_ceiling,
@@ -341,8 +341,7 @@ def run_moments(cfg: ExperimentConfig) -> MomentBundle:
             first_nonfinite_time=traj.first_nonfinite_time,
         )
 
-    cells = _run_schemes(cfg, model, _moment_record_times, reduce)
-    return MomentBundle(model=model.name, cells=cells)
+    return _run_schemes(cfg, model, schemes, _moment_record_times, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -386,46 +385,43 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
         raise ConfigError("N-scaling study needs exactly one h in [grid]")
     if not cfg.n_list or min(cfg.n_list) < 1 or cfg.proxy_n < 1:
         raise ConfigError("N-scaling study needs positive n_list and proxy_n in [experiment]")
-    model = cfg.build_model()
+    model, schemes = _study(cfg, {"h", "n_list", "proxy_n", "repetitions"}, cfg.h_values)
     if model.d != 1:
         raise ConfigError("N-scaling study needs a one-dimensional model")
-    if len(cfg.schemes) != 1:
+    if len(schemes) != 1:
         raise ConfigError("N-scaling study runs one scheme at a time")
-    scheme = build_scheme(cfg.schemes[0], model)
+    (scheme,) = schemes
     h = cfg.h_values[0]
     n_steps = round(cfg.T / h)
-    diverged = []  # one flag per run
 
-    def terminal(seed, n_particles):
-        grid = brownian.generate(seed, n_steps, cfg.T, n_particles, model.m)
-        traj = simulate(model, scheme, grid, [cfg.T])
-        diverged.append(traj.diverged)
-        return traj.final.states[:, 0]
+    runs = [(0, cfg.proxy_n)] + [(r, n) for n in cfg.n_list for r in range(cfg.repetitions)]
+    cells = [
+        _Cell(scheme.label, h, scheme, (brownian.derive_seed(cfg.seed, r), n_steps, n), 1, [cfg.T])
+        for r, n in runs
+    ]
+    proxy = None
 
-    proxy = terminal(brownian.derive_seed(cfg.seed, 0), cfg.proxy_n)
+    def reduce(cell, traj):
+        nonlocal proxy
+        terminal = traj.final.states[:, 0]
+        if proxy is None:  # the proxy is the first cell run
+            proxy = terminal
+            return math.nan, traj.diverged
+        return w2_1d_quantile(terminal, proxy), traj.diverged
 
-    def cell(n_particles):
-        vals = []
-        for r in range(cfg.repetitions):
-            run = terminal(brownian.derive_seed(cfg.seed, r), n_particles)
-            vals.append(w2_1d_quantile(run, proxy))
-        vals = np.array(vals)
+    results = _run_cells(model, cfg.T, cells, reduce)
+    w2 = np.array([w2 for w2, _ in results[1:]]).reshape(len(cfg.n_list), cfg.repetitions)
+    rows = []
+    for n_particles, vals in zip(cfg.n_list, w2):
         sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        return NScalingRow(
-            n_particles=n_particles,
-            mean_w2=float(vals.mean()),
-            sem_w2=sem,
-            repetitions=cfg.repetitions,
-        )
-
-    rows = [cell(n_particles) for n_particles in cfg.n_list]
+        rows.append(NScalingRow(n_particles, float(vals.mean()), sem, cfg.repetitions))
     report = NScalingReport(
         model=model.name,
         scheme=scheme.label,
         h=h,
         proxy_n=cfg.proxy_n,
         rows=rows,
-        diverged=any(diverged),
+        diverged=any(diverged for _, diverged in results),
     )
     usable = [r for r in rows if math.isfinite(r.mean_w2) and r.mean_w2 > 0]
     if len(usable) >= 2:

@@ -65,9 +65,9 @@ def h_suffix(h, h_values) -> str:
     return "" if len(h_values) <= 1 else f"_h{h:g}"
 
 
-def density_files(bundle, h_values) -> dict:
+def density_files(entries, h_values) -> dict:
     files = {}
-    for e in bundle.entries:
+    for e in entries:
         name = f"density_{e.scheme}{h_suffix(e.h, h_values)}_T{e.time:g}.csv"
         if e.curve is None:
             files[name] = render_csv(("x", "density"), [])
@@ -84,10 +84,10 @@ def _time_csv(times, columns) -> bytes:
     return render_csv(["t"] + [name for name, _ in columns], rows)
 
 
-def path_files(bundle, h_values) -> dict:
+def path_files(cells, h_values) -> dict:
     files = {}
     summary_rows = []
-    for c in bundle.cells:
+    for c in cells:
         columns = [(f"p{pid}", c.values[:, j, 0]) for j, pid in enumerate(c.particle_ids)]
         files[f"paths_{c.scheme}{h_suffix(c.h, h_values)}.csv"] = _time_csv(c.times, columns)
         summary_rows.append(
@@ -100,9 +100,9 @@ def path_files(bundle, h_values) -> dict:
     return files
 
 
-def moment_files(bundle, h_values) -> dict:
+def moment_files(cells, h_values) -> dict:
     files = {}
-    for c in bundle.cells:
+    for c in cells:
         columns = [(f"m{k}", c.moments[k]) for k in sorted(c.moments)]
         files[f"moments_{c.scheme}{h_suffix(c.h, h_values)}.csv"] = _time_csv(c.times, columns)
     return files

@@ -67,6 +67,47 @@ formats = csv
 """
 
 
+# two schemes, each a reference run and two coarse runs on one root grid:
+# 2 * (64 + 8 + 16) steps
+TINY_CONVERGE = """
+[model]
+name = cubic
+[schemes]
+schemes = me, se(1)
+[grid]
+T = 1
+h_ref = 2^-6
+h_list = 2^-3, 2^-4
+[experiment]
+n = 8
+seed = 3
+[output]
+out_dir = {out}
+formats = csv, svg
+"""
+
+
+# the proxy and 2 repetitions at each N, 8 steps each; repetition 0 at N = 8
+# has the proxy's seed and N, so 4 distinct roots serve the 5 runs
+TINY_NSCALING = """
+[model]
+name = cubic
+[schemes]
+schemes = me
+[grid]
+T = 1
+h = 2^-3
+[experiment]
+seed = 3
+n_list = 4, 8
+proxy_n = 8
+repetitions = 2
+[output]
+out_dir = {out}
+formats = csv, svg
+"""
+
+
 def traced_layers(tmp_path, command, template):
     config = tmp_path / f"{command}.ini"
     config.write_text(template.format(out=tmp_path / "out"))
@@ -103,3 +144,15 @@ def test_traced_counts_exact_under_band_threads(tmp_path):
     layers = traced_layers(tmp_path, "paths", BANDED_PATHS)
     assert layers["brownian.values"] == 1024 * 2048 * 1
     assert layers["stepper.steps"] == 2048
+
+
+def test_traced_converge_draws_one_root(tmp_path):
+    layers = traced_layers(tmp_path, "converge", TINY_CONVERGE)
+    assert layers["experiments.grids_generated"] == 1
+    assert layers["stepper.steps"] == 2 * (64 + 8 + 16)
+
+
+def test_traced_nscaling_draws_each_root_once(tmp_path):
+    layers = traced_layers(tmp_path, "nscaling", TINY_NSCALING)
+    assert layers["experiments.grids_generated"] == 4
+    assert layers["stepper.steps"] == 5 * 8

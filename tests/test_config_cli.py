@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde.cli import main
+from mvsde import config
+from mvsde.cli import _STUDIES, main
 from mvsde.config import (
     ExperimentConfig,
     build_scheme,
@@ -139,17 +140,18 @@ class TestParsing:
                 load_config(str(path))
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
-    def test_shipped_config_loads_and_validates(self, path):
-        # build and validate only; no simulation
-        cfg = load_config(str(path))
-        model = cfg.build_model()
-        cfg.build_schemes(model)
-        if cfg.reference_scheme:
-            build_scheme(cfg.reference_scheme, model)
-        if path.name.startswith("converge_"):
-            cfg.validate_convergence()
-        else:
-            cfg.validate_run_steps()
+    def test_shipped_config_loads_and_validates(self, path, monkeypatch):
+        # the study passes every check, the read-keys check included, and
+        # stops at its first grid draw: no simulation
+        class FirstDraw(Exception):
+            pass
+
+        def first_draw(*args, **kwargs):
+            raise FirstDraw
+
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", first_draw)
+        with pytest.raises(FirstDraw):
+            _STUDIES[path.name.split("_")[0]].run(load_config(str(path)))
 
     def test_model_params_forwarded(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -376,6 +378,58 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, old, new, key",
+        [
+            ("converge", "seed = 5", "seed = 5\nrecord_times = 0.5", "record_times"),
+            ("density", "seed = 11", "seed = 11\ntrace_stride = 2", "trace_stride"),
+            ("paths", "h = 2^-3, 2^-4", "h = 2^-3, 2^-4\nh_ref = 2^-9", "h_ref"),
+            ("moments", "seed = 11", "seed = 11\nrepetitions = 4", "repetitions"),
+            # the base config's n = 40: nscaling reads n_list and proxy_n instead
+            ("nscaling", "trace_particles = 0, 3, 5", "n_list = 10, 20\nproxy_n = 20", "n"),
+        ],
+        ids=["converge", "density", "paths", "moments", "nscaling"],
+    )
+    def test_key_the_study_does_not_read_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command, old, new, key
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a run started despite a config error")
+
+        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        out = tmp_path / "out"
+        if command == "converge":
+            text = CONV_TEMPLATE.format(out=out, formats="csv")
+        elif command == "nscaling":  # the paths config with one scheme and one h
+            text = RUN_STUDY_CONFIGS["paths"].replace("me, te(1)", "me").replace("2^-3, 2^-4", "2^-3")
+            text += f"out_dir = {out}\n"
+        else:
+            text = RUN_STUDY_CONFIGS[command] + f"out_dir = {out}\n"
+        assert old in text
+        path = tmp_path / "unread.ini"
+        path.write_text(text.replace(old, new))
+        load_config(str(path))  # a key of the grammar
+        assert main([command, "--config", str(path)]) == 2
+        assert f"does not read '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_check_accepts_every_study_key(self, tmp_path, capsys, monkeypatch):
+        fast = SampleSpec(h_exponents=(1, 5, 10, 20), n_magnitudes=7)
+        monkeypatch.setattr("mvsde.verify.SampleSpec", lambda: fast)
+        every_key = (
+            "h_ref = 2^-6\nh_list = 2^-4\n"
+            "[experiment]\nrepetitions = 2\norders = 2\nmoment_ceiling = 10\n"
+            "trace_particles = 0\ntrace_stride = 2\nn_list = 10\nproxy_n = 20\n"
+        )
+        text = RUN_STUDY_CONFIGS["density"].replace("[experiment]\n", every_key)
+        path = tmp_path / "all.ini"
+        path.write_text(text + f"out_dir = {tmp_path / 'o'}\n")
+        cfg, default = load_config(str(path)), ExperimentConfig()
+        for (section, _), (name, _) in config._KEYS.items():
+            assert section not in ("grid", "experiment") or getattr(cfg, name) != getattr(default, name)
+        assert main(["check", "--config", str(path)]) == 0
+        assert (tmp_path / "o" / "check_report.csv").exists()
+
+    @pytest.mark.parametrize(
         "command, old, new",
         [
             ("paths", "schemes = me, te(1)", "schemes = me, te(1), te(1.0)"),
@@ -526,15 +580,14 @@ class TestSvgDispatch:
             model_name="cubic", schemes=["me"], T=1.0, N=8, seed=5,
             h_values=[0.25], trace_particles=[0, 1],
         )
-        cell = run_paths(pcfg).cells[0]
+        cell = run_paths(pcfg)[0]
         assert "<polyline" in paths_svg(cell)
 
         dcfg = ExperimentConfig(
             model_name="cubic", schemes=["me", "te(1)"], T=1.0, N=32, seed=5,
             h_values=[0.125], record_times=[1.0],
         )
-        bundle = run_density(dcfg)
-        ddoc = density_svg(bundle.entries, 1.0)
+        ddoc = density_svg(run_density(dcfg), 1.0)
         assert ddoc.count("<polyline") == 2  # one curve per scheme
 
         ncfg = ExperimentConfig(

@@ -1,10 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from mvsde import experiments, models
-from mvsde.config import ExperimentConfig
+from mvsde import brownian, experiments, models
+from mvsde.config import ExperimentConfig, build_scheme
 from mvsde.errors import ConfigError
 from mvsde.experiments import (
     fit_loglog,
@@ -14,6 +15,8 @@ from mvsde.experiments import (
     run_nscaling,
     run_paths,
 )
+from mvsde.stats import w2_1d_quantile
+from mvsde.stepper import simulate
 
 
 @pytest.fixture
@@ -176,19 +179,19 @@ class TestDensity:
         return ExperimentConfig(**base)
 
     def test_entries_per_scheme_and_time(self):
-        bundle = run_density(self.cfg())
-        labels = {(e.scheme, e.time) for e in bundle.entries}
+        entries = run_density(self.cfg())
+        labels = {(e.scheme, e.time) for e in entries}
         assert ("te_a1", 0.5) in labels and ("te_a1", 1.0) in labels
         assert ("ssm_ref", 0.5) in labels and ("ssm_ref", 1.0) in labels
-        for e in bundle.entries:
+        for e in entries:
             assert e.curve is not None
             assert 0.9 <= e.curve.integral() <= 1.1
 
     def test_point_mass_model_peaks_at_start(self):
         cfg = self.cfg(model_name="cubic", model_params={}, reference_scheme=None)
-        bundle = run_density(cfg)
+        entries = run_density(cfg)
         # cubic starts at 0 with drift pushing right; density mass is finite
-        for e in bundle.entries:
+        for e in entries:
             assert e.curve.n_source == 64
 
     def test_requires_h(self):
@@ -197,14 +200,14 @@ class TestDensity:
 
     def test_one_grid_per_step_size(self, grid_calls):
         cfg = self.cfg(schemes=["me", "te(1)", "se(1)"])
-        bundle = run_density(cfg)
+        entries = run_density(cfg)
         # the three schemes share the h = 0.05 grid, the reference draws its own
         assert [args[1] for args in grid_calls] == [20, 100]
-        labels = [e.scheme for e in bundle.entries]
+        labels = [e.scheme for e in entries]
         assert labels == ["me", "me", "te_a1", "te_a1", "se_a1", "se_a1", "ssm_ref", "ssm_ref"]
         # a shared grid gives the bits of a run on its own
         alone = run_density(self.cfg(reference_scheme=None))
-        for a, b in zip(alone.entries, bundle.entries[2:4]):
+        for a, b in zip(alone, entries[2:4]):
             assert (a.scheme, a.time) == (b.scheme, b.time)
             assert np.array_equal(a.curve.values, b.curve.values)
 
@@ -222,8 +225,7 @@ class TestPaths:
             trace_particles=[0, 5, 31],
             trace_stride=4,
         )
-        bundle = run_paths(cfg)
-        cell = bundle.cells[0]
+        cell = run_paths(cfg)[0]
         assert cell.particle_ids == (0, 5, 31)
         assert cell.values.shape == (20 // 4 + 1, 3, 1)
         assert cell.max_abs_recorded > 0
@@ -239,8 +241,7 @@ class TestPaths:
             seed=2,
             h_values=[0.25, 0.125],
         )
-        bundle = run_paths(cfg)
-        assert len(bundle.cells) == 4
+        assert len(run_paths(cfg)) == 4
 
     def test_one_grid_per_step_size(self, grid_calls):
         cfg = ExperimentConfig(
@@ -251,10 +252,10 @@ class TestPaths:
             seed=2,
             h_values=[0.25, 0.125],
         )
-        bundle = run_paths(cfg)
+        cells = run_paths(cfg)
         assert [args[1] for args in grid_calls] == [4, 8]
         # cells stay in config order: schemes outer, h inner
-        assert [(c.scheme, c.h) for c in bundle.cells] == [
+        assert [(c.scheme, c.h) for c in cells] == [
             ("me", 0.25), ("me", 0.125), ("te_a1", 0.25), ("te_a1", 0.125)
         ]
 
@@ -278,8 +279,7 @@ class TestMoments:
                 model_name="frozen", schemes=["identity"], T=1.0, N=8, seed=1,
                 h_values=[0.125], orders=[2, 4],
             )
-            bundle = run_moments(cfg)
-            cell = bundle.cells[0]
+            cell = run_moments(cfg)[0]
             assert np.all(cell.moments[2] == 1.5**2)
             assert np.all(cell.moments[4] == 1.5**4)
             assert not cell.exceeded and not cell.nonfinite
@@ -295,10 +295,10 @@ class TestMoments:
             seed=3,
             h_values=[0.25],
         )
-        bundle = run_moments(cfg)
-        cell = bundle.cells[0]
+        cell = run_moments(cfg)[0]
         assert cell.nonfinite
-        assert bundle.sup_moment(cell.scheme, 0.25, 2) > 0  # finite prefix exists
+        m2 = cell.moments[2]
+        assert np.max(m2[np.isfinite(m2)]) > 0  # finite prefix exists
 
 
 class TestNScaling:
@@ -338,3 +338,72 @@ class TestNScaling:
             run_nscaling(self.cfg(n_list=[]))
         with pytest.raises(ConfigError):
             run_nscaling(self.cfg(schemes=["me", "te(1)"]))
+
+
+@pytest.mark.parametrize(
+    "run, keys",
+    [
+        (run_convergence, dict(h_ref=2.0**-6, h_list=[2.0**-4])),
+        (run_density, dict(h_values=[0.25])),
+        (run_paths, dict(h_values=[0.25])),
+        (run_moments, dict(h_values=[0.25])),
+        (run_nscaling, dict(h_values=[0.25], n_list=[4], proxy_n=8)),
+    ],
+    ids=["converge", "density", "paths", "moments", "nscaling"],
+)
+def test_no_schemes_is_config_error(run, keys, grid_calls):
+    with pytest.raises(ConfigError, match="no schemes configured"):
+        run(ExperimentConfig(schemes=[], **keys))
+    assert not grid_calls
+
+
+class TestRunner:
+    def test_convergence_draws_one_root(self, grid_calls):
+        cfg = ExperimentConfig(
+            model_name="cubic", schemes=["me", "se(1)"], N=8, seed=5,
+            h_ref=2.0**-6, h_list=[2.0**-3, 2.0**-4],
+        )
+        run_convergence(cfg)
+        assert len(grid_calls) == 1
+
+    def test_nscaling_repetition_shares_the_proxy_draw(self, grid_calls):
+        cfg = ExperimentConfig(
+            model_name="cubic", schemes=["me"], T=1.0, seed=42,
+            h_values=[2.0**-5], n_list=[16, 64], proxy_n=64, repetitions=3,
+        )
+        rep = run_nscaling(cfg)
+        # the proxy, 3 repetitions at N = 16 and 2 at N = 64: repetition 0
+        # at N = proxy_n has the proxy's seed and runs on its draw
+        assert len(grid_calls) == 6
+        # the rows of one grid per run
+        model = models.make_model("cubic")
+        scheme = build_scheme("me", model)
+
+        def terminal(r, n):
+            grid = brownian.generate(brownian.derive_seed(42, r), 32, 1.0, n, model.m)
+            return simulate(model, scheme, grid, [1.0]).final.states[:, 0]
+
+        proxy = terminal(0, 64)
+        for row, n in zip(rep.rows, cfg.n_list):
+            vals = np.array([w2_1d_quantile(terminal(r, n), proxy) for r in range(3)])
+            assert row.mean_w2 == float(vals.mean())
+            assert row.sem_w2 == float(vals.std(ddof=1) / np.sqrt(3))
+        assert rep.rows[1].mean_w2 > 0 and not rep.diverged
+
+    def test_each_root_released_before_the_next_draw(self, monkeypatch):
+        generate = brownian.generate
+        roots = []
+
+        def tracked(*args, **kwargs):
+            assert all(root() is None for root in roots), "a previous root is still alive"
+            grid = generate(*args, **kwargs)
+            roots.append(weakref.ref(grid._root))
+            return grid
+
+        monkeypatch.setattr(experiments.brownian, "generate", tracked)
+        cfg = ExperimentConfig(
+            model_name="doublewell", schemes=["me", "te(1)"], T=1.0, N=16, seed=9,
+            h_values=[0.05], reference_scheme="ssm", reference_h=0.01,
+        )
+        run_density(cfg)
+        assert len(roots) == 2

@@ -1,15 +1,19 @@
 """README's library example runs as written against the current API, its
-command-line synopsis lists exactly the flags the parser accepts, and the
+command-line synopsis lists exactly the flags the parser accepts, the
 config grammars in README and the config module list exactly the keys and
-scheme names their tables accept."""
+scheme names their tables accept, README lists the keys each study reads,
+and its output names are the files the studies write."""
 
 import argparse
 import re
 from pathlib import Path
 
-from mvsde import config
-from mvsde.cli import build_parser
+from mvsde import config, experiments
+from mvsde.cli import build_parser, main
+from mvsde.config import ExperimentConfig
+from mvsde.errors import ConfigError
 from mvsde.taming import SCHEMES
+from mvsde.verify import SampleSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,3 +62,98 @@ def test_config_docstring_lists_exactly_the_scheme_table():
     # a parameter is written in the config iff it has a default
     table = {name: param if default is not None else None for name, (_, param, default) in SCHEMES.items()}
     assert listed == {**table, "ssm": None}
+
+
+# a value other than the default for every [grid] and [experiment] field but T and seed
+_NON_DEFAULT = dict(
+    h_values=[0.25], h_ref=2.0**-6, h_list=[0.25], N=8, record_times=[0.5], repetitions=2,
+    orders=[3], moment_ceiling=10.0, trace_particles=[0], trace_stride=2, n_list=[4],
+    proxy_n=8, reference_scheme="ssm", reference_h=0.125,
+)
+_STUDY_RUNS = {
+    "converge": (experiments.run_convergence, dict(h_ref=2.0**-6, h_list=[0.25])),
+    "density": (experiments.run_density, dict(h_values=[0.25])),
+    "paths": (experiments.run_paths, dict(h_values=[0.25])),
+    "moments": (experiments.run_moments, dict(h_values=[0.25])),
+    "nscaling": (experiments.run_nscaling, dict(h_values=[0.25], n_list=[4], proxy_n=8)),
+}
+
+
+def test_study_key_lists_are_the_keys_each_study_reads(monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Config grammar", 1)[1].split("### Outputs", 1)[0]
+    listed = dict(re.findall(r"^\* `(\w+)`: (.*)$", section, re.M))
+    assert set(listed) == set(_STUDY_RUNS)
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(experiments.brownian, "generate", started)
+    assert {name for (section, key), (name, _) in config._KEYS.items()
+            if section in ("grid", "experiment") and key not in ("t", "seed")} == set(_NON_DEFAULT)
+    for study, (run, base) in _STUDY_RUNS.items():
+        reads = set(re.findall(r"`(\w+)`", listed[study]))
+        for (section, key), (name, _) in config._KEYS.items():
+            if name not in _NON_DEFAULT:
+                continue
+            try:
+                run(ExperimentConfig(model_name="doublewell", **{**base, name: _NON_DEFAULT[name]}))
+            except ConfigError as err:
+                unread = f"does not read '{key}'" in str(err)
+            except Started:
+                unread = False
+            assert unread == (key not in reads), (study, key)
+
+
+# the five studies and check, each on a tiny config written as csv and svg
+_TINY = """
+[model]
+name = doublewell
+[schemes]
+schemes = me
+[grid]
+T = 0.5
+{grid}
+[experiment]
+seed = 3
+{experiment}
+[output]
+formats = csv, svg
+"""
+_TINY_STUDIES = {
+    "converge": ("h_ref = 2^-6\nh_list = 2^-2, 2^-3, 2^-4", "n = 8"),
+    "density": ("h = 2^-3, 2^-4", "n = 8\nreference_scheme = ssm\nreference_h = 2^-5"),
+    "paths": ("h = 2^-3, 2^-4", "n = 8"),
+    "moments": ("h = 2^-3", "n = 8"),
+    "nscaling": ("h = 2^-3", "n_list = 4, 8\nproxy_n = 16\nrepetitions = 2"),
+}
+
+
+def test_outputs_section_names_exactly_the_written_files(tmp_path, capsys, monkeypatch):
+    fast = SampleSpec(h_exponents=(1, 5, 10, 20), n_magnitudes=7)
+    monkeypatch.setattr("mvsde.verify.SampleSpec", lambda: fast)
+    written = set()
+    for command, (grid, experiment) in _TINY_STUDIES.items():
+        path = tmp_path / f"{command}.ini"
+        path.write_text(_TINY.format(grid=grid, experiment=experiment))
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 0
+        written |= {p.name for p in out.iterdir()}
+    assert main(["check", "--out-dir", str(tmp_path / "check")]) == 0
+    written |= {p.name for p in (tmp_path / "check").iterdir()}
+
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Outputs", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([\w<>*.]+\.(?:csv|svg))`", section)
+    patterns = {
+        name: re.compile(re.sub(r"<\w+>", ".+", re.escape(name).replace(r"\*", ".*")))
+        for name in names
+    }
+    assert {".csv", ".svg"} == {Path(f).suffix for f in written}
+    for f in sorted(written):
+        assert any(p.fullmatch(f) for p in patterns.values()), f
+    for name, pattern in patterns.items():
+        assert any(pattern.fullmatch(f) for f in written), name
