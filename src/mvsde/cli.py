@@ -9,6 +9,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 when --strict is set and the
 only failures were diverged runs (for nscaling, the proxy or a repetition).
+A run diverged when a state became non-finite or a Newton failure cut it.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ _STUDIES = {
             (f"density_T{t:g}.svg", partial(svgplot.density_svg, entries, t))
             for t in sorted({e.time for e in entries})
         ],
-        diverged=lambda entries: any(e.note == "diverged" for e in entries),
+        diverged=lambda entries: any(e.diverged for e in entries),
         summary=lambda entries: [
             f"density: {len(entries)} curves at times {sorted({e.time for e in entries})}"
         ],
@@ -169,7 +170,7 @@ _STUDIES = {
              partial(svgplot.moments_svg, c))
             for c in cells
         ],
-        diverged=lambda cells: any(c.nonfinite for c in cells),
+        diverged=lambda cells: any(c.diverged for c in cells),
         summary=lambda cells: [
             f"{c.scheme} h={c.h:g}: {len(c.times)} rows"
             + (" [non-finite]" if c.nonfinite else (" [ceiling]" if c.exceeded else ""))

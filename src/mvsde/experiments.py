@@ -196,8 +196,8 @@ class DensityEntry:
     scheme: str
     h: float
     time: float
-    curve: object | None  # DensityCurve, or None when the run degenerated
-    note: str = ""
+    curve: object | None  # DensityCurve, or None when the record is non-finite or was never reached
+    diverged: bool  # the run went non-finite or a Newton failure cut it
 
 
 def _density_record_times(cfg, n):
@@ -222,10 +222,11 @@ def run_density(cfg: ExperimentConfig) -> list:
     def reduce(cell, traj):
         out = []
         for rt, ens in traj.records:
-            if np.all(np.isfinite(ens.states)):
-                out.append(DensityEntry(cell.label, cell.h, rt, kde(ens)))
-            else:
-                out.append(DensityEntry(cell.label, cell.h, rt, None, note="diverged"))
+            curve = kde(ens) if np.all(np.isfinite(ens.states)) else None
+            out.append(DensityEntry(cell.label, cell.h, rt, curve, traj.diverged))
+        # records are the earliest times; the rest lie past a Newton failure
+        for rt in sorted(cell.times)[len(traj.records):]:
+            out.append(DensityEntry(cell.label, cell.h, rt, None, traj.diverged))
         return out
 
     cells = _run_schemes(cfg, model, schemes, _density_record_times, reduce, extra)
@@ -299,10 +300,9 @@ class MomentCell:
     h: float
     times: np.ndarray
     moments: dict  # order -> (len(times),) array, summed over coordinates
-    ceiling: float
     exceeded: bool  # some finite moment grew beyond the ceiling
     nonfinite: bool  # some recorded moment is not finite
-    first_nonfinite_time: float | None
+    diverged: bool  # the run went non-finite or a Newton failure cut it
 
 
 def _moment_record_times(cfg, n):
@@ -335,10 +335,9 @@ def run_moments(cfg: ExperimentConfig) -> list:
             h=cell.h,
             times=rec_t,
             moments=table,
-            ceiling=cfg.moment_ceiling,
             exceeded=bool(exceeded),
             nonfinite=not all_finite,
-            first_nonfinite_time=traj.first_nonfinite_time,
+            diverged=traj.diverged,
         )
 
     return _run_schemes(cfg, model, schemes, _moment_record_times, reduce)

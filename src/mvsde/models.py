@@ -32,7 +32,7 @@ class MeasureView:
     summation order per ensemble shape.
     """
 
-    __slots__ = ("states", "_w2sq", "_moments")
+    __slots__ = ("states", "_moments")
 
     def __init__(self, states):
         states = np.ascontiguousarray(states, dtype=np.float64)
@@ -40,7 +40,6 @@ class MeasureView:
             raise ValueError("states must have shape (N, d)")
         states.flags.writeable = False  # the cached moments rely on it
         self.states = states
-        self._w2sq = None
         self._moments = {}
 
     @property
@@ -56,8 +55,8 @@ class MeasureView:
         """First raw moment, shape (d,)."""
         return self.raw_moment(1)
 
-    def raw_moment(self, k: int, coordinate: int | None = None):
-        """Per-coordinate k-th raw moment; (d,) vector when no coordinate given."""
+    def raw_moment(self, k: int):
+        """Per-coordinate k-th raw moment, a read-only (d,) vector."""
         mom = self._moments.get(k)  # only valid orders are cached
         if mom is None:
             if k < 1 or k != int(k):
@@ -66,15 +65,13 @@ class MeasureView:
             mom = np.add.reduce(int_power(self.states, int(k)), axis=0) / self.states.shape[0]
             mom.flags.writeable = False
             self._moments[int(k)] = mom
-        return mom if coordinate is None else float(mom[coordinate])
+        return mom
 
     @property
     def w2sq_to_dirac0(self) -> float:
         """Squared 2-Wasserstein distance to the Dirac at the origin,
-        (1/N) * sum_i |x_i|^2."""
-        if self._w2sq is None:
-            self._w2sq = float(np.mean(np.sum(self.states**2, axis=1)))
-        return self._w2sq
+        (1/N) * sum_i |x_i|^2, the coordinate sum of the second raw moment."""
+        return float(np.sum(self.raw_moment(2)))
 
 
 def int_power(x, k: int):

@@ -181,7 +181,11 @@ class Trajectory:
     trace_times: np.ndarray | None = None
     trace_values: np.ndarray | None = None  # (n_steps+1, n_traced, d)
     newton_failure: tuple | None = None  # (step, particle, residual)
-    complete: bool = True
+
+    @property
+    def complete(self) -> bool:
+        """The run reached the end of its grid: no Newton failure cut it."""
+        return self.newton_failure is None
 
     @property
     def diverged(self) -> bool:
@@ -273,5 +277,4 @@ def simulate(
         trace_times=trace_times,
         trace_values=trace_values,
         newton_failure=newton_failure,
-        complete=newton_failure is None,
     )

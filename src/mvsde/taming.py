@@ -16,6 +16,9 @@ fully_tamed (for the scalar benchmark models the norm-wise and componentwise
 readings coincide; tanh/sin are necessarily componentwise).  The state x
 enters only through fully_tamed, whose damping depends on |x| rather than
 |v|; all operators share one interface so schemes can swap them freely.
+
+An operator is built as TamingOperator(kind, param), or from its config-file
+name (see SCHEMES) by parse_taming.
 """
 
 from __future__ import annotations
@@ -86,30 +89,6 @@ class TamingOperator:
         """Name in assumption-check reports, e.g. 'tanh(alpha=1)'."""
         param = _BY_KIND[self.kind][1]
         return self.kind if param is None else f"{self.kind}({param}={self.param:g})"
-
-
-def identity() -> TamingOperator:
-    return TamingOperator("identity")
-
-
-def drift_tamed(lam: float) -> TamingOperator:
-    return TamingOperator("drift_tamed", lam)
-
-
-def modified() -> TamingOperator:
-    return TamingOperator("modified")
-
-
-def tanh_op(alpha: float) -> TamingOperator:
-    return TamingOperator("tanh", alpha)
-
-
-def sin_op(alpha: float) -> TamingOperator:
-    return TamingOperator("sin", alpha)
-
-
-def fully_tamed(rho: float) -> TamingOperator:
-    return TamingOperator("fully_tamed", rho)
 
 
 def _vec_norm(v):

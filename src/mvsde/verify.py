@@ -10,7 +10,10 @@ coefficients once on its whole sample block and reports as witness the first
 sample in sweep order that reaches the largest violation.  The sweep order is
 (h, magnitude, direction, state probe, T1 before T2) for H1-H3, (h,
 magnitude, sign, measure) for EX35_BOUND, and (measure or measure pair,
-(x, y) pair) for the model checks.  A NaN violation never wins.
+(x, y) pair) for the model checks.  A NaN violation never wins.  L enters
+the right-hand side only, so one helper runs every check's L sweep: a given
+L is tested alone (H1-H3 default to L = 1), otherwise L sweeps 2^0..2^10 and
+the report holds the smallest L with no violation.
 
 Checked inequalities, with L and the exponents supplied as test inputs:
 
@@ -113,6 +116,28 @@ def _worst(lhs, rhs, **inputs):
     return float(viol[at]), witness
 
 
+def _sweep_report(
+    assumption, subject, constants, lhs, rhs, inputs, tested=None, samples=None, caveat=""
+):
+    """Report of lhs against rhs(L), through _worst, at L = constants["L"]
+    or, when none is given, over _L_SWEEP: the report holds the smallest L
+    with no violation, or the largest tried, with its violation, if none has."""
+    sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
+    for L in sweep:
+        value, witness = _worst(lhs, rhs(L), **inputs)
+        if value <= 0:
+            break
+    return AssumptionReport(
+        assumption_id=assumption,
+        subject=subject,
+        tested_constants={"L": L, **(tested or {})},
+        samples=lhs.size if samples is None else samples,
+        max_violation=value,
+        witness=witness,
+        caveat=caveat,
+    )
+
+
 def _norm(v):
     """Euclidean norm along the last axis; for d = 1 it is |v| exactly."""
     return _vec_norm(v)[..., 0]
@@ -186,12 +211,12 @@ def check_taming(
     if assumption == "EX35_BOUND":
         return _check_ex35(op, constants, spec, model, rng)
 
-    L = float(constants.get("L", 1.0))
+    constants.setdefault("L", 1.0)
     declared = op.declared_h3 or (0.5, 2.0, 0.5)
     r1 = float(constants.get("r1", declared[0]))
     r2 = float(constants.get("r2", declared[1]))
     r3 = float(constants.get("r3", declared[2]))
-    tested = {"L": L}
+    tested = {}
     if assumption in ("H2", "H3"):
         tested.update({"r1": r1, "r2": r2})
     if assumption == "H3":
@@ -203,7 +228,7 @@ def check_taming(
         xs = np.array([np.zeros(spec.dim), np.full(spec.dim, 1.0), np.full(spec.dim, 1e3)])
     n_parts = 1 if assumption == "H2" else 2
     h_values = spec.h_values()
-    lhs, rhs, nv = [], [], []
+    lhs, nv = [], []
     for h in h_values:
         v = _magnitude_grid(spec, h)[:, None, None] * dirs
         v = np.broadcast_to(v[:, :, None, :], v.shape[:2] + xs.shape)
@@ -211,30 +236,26 @@ def check_taming(
         t1, t2 = _t1_raw(op, v, xs, h), _t2_raw(op, v, xs, h)
         if assumption == "H1":
             lhs_h = (_norm(t1), _norm(t2))
-            rhs_h = (np.minimum(L * h**-2, nv[-1]), np.minimum(L * h**-1.5, nv[-1]))
         else:  # H2, and H3 adds the T2 bound
-            growth = np.float_power(nv[-1], r2)
             lhs_h = (_norm(t1 - v), _norm(t2 - v))
-            rhs_h = (L * h**r1 * growth, L * h**r3 * growth)
         lhs.append(np.stack(lhs_h[:n_parts], axis=-1))
-        rhs.append(np.stack(rhs_h[:n_parts], axis=-1))
+    nv = np.stack(nv)[..., None]
+    # per-h factors of L in the (T1, T2) bounds: caps (H1) or rates (H2/H3)
+    if assumption == "H1":
+        caps = np.reshape([(h**-2, h**-1.5) for h in h_values], (-1, 1, 1, 1, 2))
+        rhs = lambda L: np.minimum(L * caps, nv)
+    else:
+        rates = np.reshape([(h**r1, h**r3) for h in h_values], (-1, 1, 1, 1, 2))[..., :n_parts]
+        growth = np.float_power(nv, r2)
+        rhs = lambda L: L * rates * growth
     inputs = {
         "part": np.array(["T1", "T2"][:n_parts]),
         "h": np.reshape(h_values, (-1, 1, 1, 1, 1)),
-        "|v|": np.stack(nv)[..., None],
+        "|v|": nv,
     }
     if op.kind == "fully_tamed":
         inputs["|x|"] = _norm(xs)[:, None]
-    lhs, rhs = np.stack(lhs), np.stack(rhs)
-    value, witness = _worst(lhs, rhs, **inputs)
-    return AssumptionReport(
-        assumption_id=assumption,
-        subject=op.subject,
-        tested_constants=tested,
-        samples=lhs.size,
-        max_violation=value,
-        witness=witness,
-    )
+    return _sweep_report(assumption, op.subject, constants, np.stack(lhs), rhs, inputs, tested)
 
 
 def _check_ex35(op, constants, spec, model, rng):
@@ -258,21 +279,10 @@ def _check_ex35(op, constants, spec, model, rng):
     finite = np.isfinite(nb)  # outside double range the bound is void: drop
     lhs = np.where(finite, np.stack(lhs), np.nan)
     scale = np.reshape([h**-0.25 for h in h_values], (-1, 1, 1))
-    h_col = np.reshape(h_values, (-1, 1, 1))
-    sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
-    for L in sweep:
-        rhs = np.minimum(L * scale * (1.0 + nx) + w2, nb)
-        value, witness = _worst(lhs, rhs, h=h_col, **{"|x|": nx, "W2": w2})
-        if value <= 0:
-            break
-    return AssumptionReport(
-        assumption_id="EX35_BOUND",
-        subject=f"{op.subject}|{model.name}",
-        tested_constants={"L": L},
-        samples=int(finite.sum()),
-        max_violation=value,
-        witness=witness,
-    )
+    rhs = lambda L: np.minimum(L * scale * (1.0 + nx) + w2, nb)
+    inputs = {"h": np.reshape(h_values, (-1, 1, 1)), "|x|": nx, "W2": w2}
+    subject = f"{op.subject}|{model.name}"
+    return _sweep_report("EX35_BOUND", subject, constants, lhs, rhs, inputs, samples=int(finite.sum()))
 
 
 def check_model(
@@ -355,30 +365,15 @@ def check_model(
                     for (i, j), d in zip(mpairs, bdiff)
                 ]
                 rhs_terms = [sq_norm(x - y) + np.reshape([w**2 for w in w2], (-1, 1))]
-    lhs = np.stack(lhs)
-    sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
-    for L in sweep:
-        rhs = sum(L * term for term in rhs_terms)
-        value, witness = _worst(lhs, rhs, **inputs)
-        if value <= 0:
-            break
-
-    tested = {"L": L}
+    tested = {}
     if assumption == "A2":
         tested["p0"] = p0
     if assumption == "A5":
         tested["p1"] = p1
     if assumption == "A6":
         tested["rho"] = rho
-    return AssumptionReport(
-        assumption_id=assumption,
-        subject=model.name,
-        tested_constants=tested,
-        samples=lhs.size,
-        max_violation=value,
-        witness=witness,
-        caveat=caveat,
-    )
+    rhs = lambda L: sum(L * term for term in rhs_terms)
+    return _sweep_report(assumption, model.name, constants, np.stack(lhs), rhs, inputs, tested, caveat=caveat)
 
 
 def doublewell_equilibria_oracle(scan_lo=-5.0, scan_hi=5.0, scan_step=1e-3):

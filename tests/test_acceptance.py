@@ -29,7 +29,7 @@ from mvsde.config import ExperimentConfig
 from mvsde.experiments import run_convergence, run_nscaling
 from mvsde.models import ModelSpec
 from mvsde.stepper import Ensemble, split_step
-from mvsde.taming import drift_tamed, fully_tamed, identity, modified, sin_op, tanh_op
+from mvsde.taming import TamingOperator
 
 
 def report(num, ok, detail):
@@ -124,8 +124,8 @@ def test_criterion_4_deterministic_order_oracle():
 
 def test_criterion_5_moment_bound_vs_em_divergence():
     model = quintic_interaction_model()
-    em = SchemeConfig(identity())
-    me = SchemeConfig(modified())
+    em = SchemeConfig(TamingOperator("identity"))
+    me = SchemeConfig(TamingOperator("modified"))
     h, n = 2.0**-3, 8
     times = [k * h for k in range(n + 1)]
     em_bad_seeds = 0
@@ -175,8 +175,8 @@ def test_criterion_6_double_well_stability_matrix():
     # runaway), so the pinned seed selects a stabilizing realization; at
     # h = 1e-2 every seed tried destabilizes
     model = double_well_model(mu0=3.0, sigma0sq=9.0)
-    te = SchemeConfig(tanh_op(1.0))
-    dte = SchemeConfig(drift_tamed(0.5))
+    te = SchemeConfig(TamingOperator("tanh", 1.0))
+    dte = SchemeConfig(TamingOperator("drift_tamed", 0.5))
     seed = 0
     te_max, te_nf = _stability_cell(model, te, 1e-2, seed)
     d1_max, d1_nf = _stability_cell(model, dte, 1e-2, seed)
@@ -197,7 +197,7 @@ def test_criterion_6_double_well_stability_matrix():
 
 def test_criterion_7_double_well_clustering():
     model = double_well_model(mu0=0.0, sigma0sq=1.0)
-    te = SchemeConfig(tanh_op(1.0))
+    te = SchemeConfig(TamingOperator("tanh", 1.0))
     grid = generate(2024, 1000, 10.0, 1000, 1)
     traj = simulate(model, te, grid, [10.0])
     x = traj.records[0][1].states[:, 0]
@@ -246,14 +246,18 @@ def test_criterion_8_propagation_of_chaos_slope():
 
 def test_criterion_9_assumption_suite():
     results = {}
-    for op, name in ((modified(), "me"), (tanh_op(1.0), "te"), (sin_op(1.0), "se")):
+    for op, name in (
+        (TamingOperator("modified"), "me"),
+        (TamingOperator("tanh", 1.0), "te"),
+        (TamingOperator("sin", 1.0), "se"),
+    ):
         for a in ("H1", "H3"):
             rep = check_taming(op, a, {"L": 1.0})
             results[f"{name}/{a}"] = rep.max_violation
     passes = all(v <= 0.0 for v in results.values())
 
-    fte = check_taming(fully_tamed(1.0), "H1", {"L": 1.0})
-    ident = check_taming(identity(), "H1", {"L": 1.0})
+    fte = check_taming(TamingOperator("fully_tamed", 1.0), "H1", {"L": 1.0})
+    ident = check_taming(TamingOperator("identity"), "H1", {"L": 1.0})
     fte_fails = not fte.passed and bool(fte.witness)
     ident_fails = not ident.passed and ident.witness["|v|"] > ident.witness["h"] ** -2
 

@@ -492,6 +492,24 @@ class TestCli:
         assert main(["nscaling", "--config", str(path)]) == 0
         assert main(["nscaling", "--config", str(path), "--strict"]) == 3
 
+    @pytest.mark.parametrize("command", ["density", "moments", "paths"])
+    def test_strict_reports_newton_cut_run(self, tmp_path, capsys, command):
+        # from N(30, 900) the split step's Newton solve fails at step 1, which
+        # cuts the run before its first record time
+        path = tmp_path / "cut.ini"
+        path.write_text(
+            "[model]\nname = doublewell\nmu0 = 30\nsigma0sq = 900\n"
+            "[schemes]\nschemes = ssm\n"
+            "[grid]\nT = 1\nh = 0.25\n"
+            "[experiment]\nn = 200\nseed = 1\nrecord_times = 0.25, 0.5, 1\n"
+            f"[output]\nout_dir = {tmp_path / 'o'}\n"
+        )
+        assert main([command, "--config", str(path)]) == 0
+        assert main([command, "--config", str(path), "--strict"]) == 3
+        if command == "density":  # a header-only file for each unreached time
+            for t in ("0.25", "0.5", "1"):
+                assert (tmp_path / "o" / f"density_ssm_T{t}.csv").read_text() == "x,density\n"
+
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys):
         path = write_conv_config(tmp_path)
         text = path.read_text()

@@ -74,6 +74,15 @@ class TestW2Dirac0:
             by_moment = float(np.sum(np.mean(states**2, axis=0)))
             assert direct == pytest.approx(by_moment, rel=1e-12)
 
+    def test_bitwise_mean_of_squared_norms_at_d1(self):
+        # at d = 1 the second raw moment sums the same values in the same
+        # order as the mean of squared norms, so the bits agree
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7, 8, 9, 127, 128, 129, 1000, 4097, 20000):
+            states = rng.standard_normal((n, 1)) * rng.uniform(0.1, 30)
+            old = float(np.mean(np.sum(states**2, axis=1)))
+            assert MeasureView(states).w2sq_to_dirac0 == old
+
 
 def brute_force_w2(xs, ys):
     # minimum over all pairings of equal-weight atoms
@@ -322,7 +331,7 @@ class TestPathTrace:
     def make_traj(self, n=8, ids=(0, 1)):
         from mvsde import SchemeConfig, generate, simulate
         from mvsde.models import ModelSpec
-        from mvsde.taming import identity
+        from mvsde.taming import TamingOperator
 
         def drift(t, x, mu):
             return np.zeros_like(x)
@@ -339,7 +348,7 @@ class TestPathTrace:
             rho=0.0,
             initial_sampler=lambda s: np.full(s.shape, 2.5),
         )
-        cfg = SchemeConfig(identity())
+        cfg = SchemeConfig(TamingOperator("identity"))
         grid = generate(1, n, 1.0, 4, 1)
         return simulate(model, cfg, grid, [1.0], trace_ids=ids)
 

@@ -19,7 +19,7 @@ from mvsde.stepper import (
     grid_floor_step,
     split_step,
 )
-from mvsde.taming import identity, modified, tanh_op
+from mvsde.taming import TamingOperator
 
 
 def make_model(drift, diffusion, init=0.0, d=1, m=1, rho=1.0, name="test"):
@@ -46,8 +46,8 @@ def unit_diffusion(t, x, mu, r):
     return np.ones_like(x)
 
 
-EM = SchemeConfig(identity())
-ME = SchemeConfig(modified())
+EM = SchemeConfig(TamingOperator("identity"))
+ME = SchemeConfig(TamingOperator("modified"))
 SSM = SchemeConfig()
 
 
@@ -291,7 +291,7 @@ class TestSimulate:
     def test_moment_boundedness_across_step_sizes(self):
         # tamed schemes keep 2nd/4th moments under one fixed ceiling as h halves
         model = quintic_interaction_model()
-        TE = SchemeConfig(tanh_op(1.0))
+        TE = SchemeConfig(TamingOperator("tanh", 1.0))
         for cfg in (ME, TE):
             for n in (16, 32, 64, 128):
                 grid = generate(9, n, 1.0, 64, 1)

@@ -19,16 +19,7 @@ from mvsde import (
 )
 from mvsde.models import dirac
 from mvsde.stats import rmse, w2_1d_quantile
-from mvsde.taming import (
-    _t1_raw,
-    _t2_raw,
-    fully_tamed,
-    identity,
-    modified,
-    parse_taming,
-    sin_op,
-    tanh_op,
-)
+from mvsde.taming import TamingOperator, _t1_raw, _t2_raw, parse_taming
 from mvsde.verify import (
     _L_SWEEP,
     _magnitude_grid,
@@ -242,7 +233,7 @@ def test_operator_checks_match_loop_reference(text, assumption, constants, spec)
 
 def test_ex35_matches_loop_reference():
     model = quintic_interaction_model()
-    op = fully_tamed(model.rho)
+    op = TamingOperator("fully_tamed", model.rho)
     rep = check_taming(op, "EX35_BOUND", None, FAST, model=model)
     _assert_same(rep, _loop_check_taming(op, "EX35_BOUND", {}, FAST, model=model))
 
@@ -331,27 +322,27 @@ class TestTheoryConstants:
 
 class TestCheckTaming:
     def test_h1_passes_for_modified_tanh_sin(self):
-        for op in (modified(), tanh_op(1.0), sin_op(1.0)):
+        for op in (TamingOperator("modified"), TamingOperator("tanh", 1.0), TamingOperator("sin", 1.0)):
             rep = check_taming(op, "H1", {"L": 1.0}, FAST)
             assert rep.passed, rep
 
     def test_h1_fails_for_identity_with_witness(self):
-        rep = check_taming(identity(), "H1", {"L": 1.0}, FAST)
+        rep = check_taming(TamingOperator("identity"), "H1", {"L": 1.0}, FAST)
         assert not rep.passed
         assert rep.witness["lhs"] > rep.witness["rhs"]
         assert rep.witness["|v|"] > rep.witness["h"] ** -2
 
     def test_h1_fails_for_fully_tamed(self):
-        rep = check_taming(fully_tamed(1.0), "H1", {"L": 1.0}, FAST)
+        rep = check_taming(TamingOperator("fully_tamed", 1.0), "H1", {"L": 1.0}, FAST)
         assert not rep.passed
         assert rep.witness["|x|"] == 0.0  # undamped at the origin state
 
     def test_h2_modified_with_r2_three(self):
-        rep = check_taming(modified(), "H2", {"L": 1.0, "r1": 1.0, "r2": 3.0}, FAST)
+        rep = check_taming(TamingOperator("modified"), "H2", {"L": 1.0, "r1": 1.0, "r2": 3.0}, FAST)
         assert rep.passed, rep
 
     def test_h3_passes_with_declared_exponents(self):
-        for op in (modified(), tanh_op(1.0), sin_op(1.0)):
+        for op in (TamingOperator("modified"), TamingOperator("tanh", 1.0), TamingOperator("sin", 1.0)):
             rep = check_taming(op, "H3", {"L": 1.0}, FAST)
             assert rep.tested_constants["r1"] == 0.5
             assert rep.tested_constants["r3"] == 0.5
@@ -359,31 +350,31 @@ class TestCheckTaming:
 
     def test_ex35_bound_holds_for_fully_tamed_on_builtins(self):
         for model in (cubic_interaction_model(), quintic_interaction_model()):
-            op = fully_tamed(model.rho)
+            op = TamingOperator("fully_tamed", model.rho)
             rep = check_taming(op, "EX35_BOUND", None, FAST, model=model)
             assert rep.passed, rep
 
     def test_ex35_witness_is_the_norm_of_the_probed_state(self):
         # the probes are x = (s m, s m): |x| = sqrt(2) m, not m
-        rep = check_taming(fully_tamed(1.0), "EX35_BOUND", None, FAST, model=planar_model())
+        rep = check_taming(TamingOperator("fully_tamed", 1.0), "EX35_BOUND", None, FAST, model=planar_model())
         w = rep.witness
         mags = _magnitude_grid(FAST, w["h"])
         assert any(w["|x|"] == pytest.approx(math.sqrt(2.0) * m, rel=1e-15) for m in mags)
 
     def test_ex35_needs_model(self):
         with pytest.raises(ValueError):
-            check_taming(fully_tamed(1.0), "EX35_BOUND", None, FAST)
+            check_taming(TamingOperator("fully_tamed", 1.0), "EX35_BOUND", None, FAST)
 
     def test_reports_deterministic(self):
-        a = check_taming(modified(), "H1", {"L": 1.0}, FAST)
-        b = check_taming(modified(), "H1", {"L": 1.0}, FAST)
+        a = check_taming(TamingOperator("modified"), "H1", {"L": 1.0}, FAST)
+        b = check_taming(TamingOperator("modified"), "H1", {"L": 1.0}, FAST)
         assert a.max_violation == b.max_violation
         assert a.witness == b.witness
         assert a.samples == b.samples
 
     def test_unknown_assumption(self):
         with pytest.raises(ValueError):
-            check_taming(modified(), "H9", None, FAST)
+            check_taming(TamingOperator("modified"), "H9", None, FAST)
 
 
 class TestCheckModel:
