@@ -37,7 +37,6 @@ from .taming import TamingOperator, parse_taming
 from .verify import (
     AssumptionReport,
     SampleSpec,
-    TheoryConstants,
     check_model,
     check_taming,
     compare_equilibria,

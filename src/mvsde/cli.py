@@ -24,7 +24,7 @@ from . import experiments, output, svgplot, verify
 from .config import ExperimentConfig, check_seed, load_config, paper_scale, parse_formats
 from .errors import ConfigError
 from .models import BUILTIN_MODELS, make_model
-from .taming import parse_taming
+from .taming import SCHEMES, parse_taming
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,20 +92,16 @@ def _check_battery(cfg: ExperimentConfig | None):
     else:
         models = [make_model(name) for name in sorted(BUILTIN_MODELS)]
     reports = []
-    spec = verify.SampleSpec()
-    for text in ("identity", "dte(0.5)", "me", "te(1)", "se(1)"):
-        op = parse_taming(text)
+    # every scheme at its default parameter; fte's exponent is the model's, so it is checked per model
+    for op in [parse_taming(name) for name in SCHEMES if name != "fte"]:
         for assumption in ("H1", "H2", "H3"):
-            constants = {"L": 1.0}
-            if assumption == "H2" and op.kind == "modified":
-                constants.update({"r1": 1.0, "r2": 3.0})
-            reports.append(verify.check_taming(op, assumption, constants, spec))
+            me_h2 = assumption == "H2" and op.kind == "modified"
+            reports.append(verify.check_taming(op, assumption, {"r1": 1.0, "r2": 3.0} if me_h2 else None))
     for model in models:
         fte = parse_taming("fte", model_rho=model.rho)
-        reports.append(verify.check_taming(fte, "H1", {"L": 1.0}, spec))
-        reports.append(verify.check_taming(fte, "EX35_BOUND", None, spec, model=model))
-        for assumption in ("A2", "A3", "A5", "A6"):
-            reports.append(verify.check_model(model, assumption, None, spec))
+        reports.append(verify.check_taming(fte, "H1"))
+        reports.append(verify.check_taming(fte, "EX35_BOUND", model=model))
+        reports.extend(verify.check_model(model, assumption) for assumption in verify.MODEL_ASSUMPTIONS)
     return reports
 
 
@@ -144,7 +140,8 @@ _STUDIES = {
         ],
         diverged=lambda entries: any(e.diverged for e in entries),
         summary=lambda entries: [
-            f"density: {len(entries)} curves at times {sorted({e.time for e in entries})}"
+            f"density: {sum(e.curve is not None for e in entries)} curves "
+            f"at times {sorted({e.time for e in entries})}"
         ],
     ),
     "paths": _Study(
@@ -158,7 +155,7 @@ _STUDIES = {
         diverged=lambda cells: any(c.diverged for c in cells),
         summary=lambda cells: [
             f"{c.scheme} h={c.h:g}: max|X| over records = {c.max_abs_recorded:.4g}, "
-            f"first non-finite t = {c.first_nonfinite_time}"
+            f"first non-finite t = {c.first_nonfinite_time}" + (" [diverged]" if c.diverged else "")
             for c in cells
         ],
     ),
@@ -174,6 +171,7 @@ _STUDIES = {
         summary=lambda cells: [
             f"{c.scheme} h={c.h:g}: {len(c.times)} rows"
             + (" [non-finite]" if c.nonfinite else (" [ceiling]" if c.exceeded else ""))
+            + (" [diverged]" if c.diverged else "")
             for c in cells
         ],
     ),

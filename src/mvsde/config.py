@@ -30,7 +30,8 @@ from functools import partial
 
 from .errors import ConfigError
 from .models import ModelSpec, make_model
-from .stepper import SchemeConfig, parse_scheme
+from .stepper import SchemeConfig
+from .taming import parse_taming
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
@@ -73,7 +74,9 @@ def check_seed(seed: int) -> int:
 
 
 def exact_divide(a: float, b: float, what: str) -> int:
-    """a / b as an integer, rejecting non-integral ratios."""
+    """a / b as an integer, rejecting a divisor <= 0 and non-integral ratios."""
+    if b <= 0:
+        raise ConfigError(f"{what}: divisor {b!r} is not positive")
     ratio = a / b
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
@@ -82,9 +85,12 @@ def exact_divide(a: float, b: float, what: str) -> int:
 
 
 def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
-    """Scheme from its config name, for the given model."""
+    """Scheme from its config name, for the given model: 'ssm' is the implicit
+    split step, any other name a taming operator (see taming.parse_taming)."""
+    if text.strip().lower() == "ssm":
+        return SchemeConfig()
     try:
-        return parse_scheme(text, model_rho=model.rho)
+        return SchemeConfig(parse_taming(text, model_rho=model.rho))
     except ValueError as err:
         raise ConfigError(str(err)) from None
 

@@ -423,8 +423,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
         diverged=any(diverged for _, diverged in results),
     )
     usable = [r for r in rows if math.isfinite(r.mean_w2) and r.mean_w2 > 0]
-    if len(usable) >= 2:
-        report.slope, report.intercept, report.r2 = fit_loglog(
-            [r.n_particles for r in usable], [r.mean_w2 for r in usable]
-        )
+    report.slope, report.intercept, report.r2 = fit_loglog(
+        [r.n_particles for r in usable], [r.mean_w2 for r in usable]
+    )
     return report

@@ -47,10 +47,6 @@ class MeasureView:
         return self.states.shape[0]
 
     @property
-    def d(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def mean(self) -> np.ndarray:
         """First raw moment, shape (d,)."""
         return self.raw_moment(1)
@@ -91,12 +87,9 @@ def int_power(x, k: int):
         x = x * x
 
 
-def dirac(point, d: int = 1) -> MeasureView:
-    """Single-particle measure concentrated at `point` (moments c^k)."""
-    arr = np.full((1, d), float(point)) if np.isscalar(point) else np.atleast_2d(
-        np.asarray(point, dtype=np.float64)
-    )
-    return MeasureView(arr)
+def dirac(point: float, d: int = 1) -> MeasureView:
+    """Single-particle measure at (point, ..., point) in R^d (moments point^k)."""
+    return MeasureView(np.full((1, d), float(point)))
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,6 @@ class DensityCurve:
     n_source: int
     degenerate: bool = False  # zero-variance input, bandwidth floored
 
-    def integral(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
-
 
 def kde(ens, bandwidth=None) -> DensityCurve:
     """Gaussian-kernel density estimate of a d = 1 ensemble.

@@ -28,7 +28,7 @@ import numpy as np
 from .brownian import InitStream, PathGrid
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
-from .taming import TamingOperator, _t1_raw, _t2_raw, parse_taming
+from .taming import TamingOperator, _t1_raw, _t2_raw
 
 NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
@@ -49,14 +49,6 @@ class SchemeConfig:
     def label(self) -> str:
         """Name in output files: the operator's label, or 'ssm'."""
         return "ssm" if self.op is None else self.op.label
-
-
-def parse_scheme(text: str, model_rho: float | None = None) -> SchemeConfig:
-    """Scheme from its config-file name: 'ssm' is the implicit split step, any
-    other name a taming operator (see taming.parse_taming)."""
-    if text.strip().lower() == "ssm":
-        return SchemeConfig()
-    return SchemeConfig(parse_taming(text, model_rho))
 
 
 class Ensemble(MeasureView):

@@ -47,6 +47,11 @@ _L_SWEEP = [2.0**k for k in range(0, 11)]
 # ulp-level amount; genuine violations sit many orders of magnitude higher
 PASS_ROUNDING_TOL = 1e-12
 
+# the equilibria oracle scans the Dirac map on [SCAN_LO, SCAN_HI] in steps of SCAN_STEP
+SCAN_LO = -5.0
+SCAN_HI = 5.0
+SCAN_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -150,27 +155,6 @@ def compute_G(rho: float, r1: float, r2: float) -> float:
     if r1 <= 0 or r2 <= 0:
         raise ValueError("r1 and r2 must be positive")
     return max(6.0 * rho, ((2.0 * rho + 1.0) * r2 - 1.0) / r1)
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Computable theory-side constants for a (rho, r1, r2, p_bar) choice.
-
-    p_max_lemma is the largest moment order p for which the discrete-time
-    moment bound applies, (2 p_bar - G) / (2 + 4 G).
-    """
-
-    rho: float
-    r1: float
-    r2: float
-    p_bar: float
-    G: float = 0.0
-    p_max_lemma: float = 0.0
-
-    def __post_init__(self):
-        g = compute_G(self.rho, self.r1, self.r2)
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "p_max_lemma", (2.0 * self.p_bar - g) / (2.0 + 4.0 * g))
 
 
 def _magnitude_grid(spec: SampleSpec, h: float) -> np.ndarray:
@@ -376,10 +360,10 @@ def check_model(
     return _sweep_report(assumption, model.name, constants, np.stack(lhs), rhs, inputs, tested, caveat=caveat)
 
 
-def doublewell_equilibria_oracle(scan_lo=-5.0, scan_hi=5.0, scan_step=1e-3):
+def doublewell_equilibria_oracle():
     """Roots of the Dirac self-consistency map of the double-well drift.
 
-    Scans c -> b(0, c, delta_c) on [scan_lo, scan_hi] with a dense grid and
+    Scans c -> b(0, c, delta_c) on [SCAN_LO, SCAN_HI] with a dense grid and
     refines each sign change by bisection; no analytic simplification of the
     implemented drift is assumed.  Use compare_equilibria to report the root
     set against externally expected stable states.
@@ -391,7 +375,7 @@ def doublewell_equilibria_oracle(scan_lo=-5.0, scan_hi=5.0, scan_step=1e-3):
     def g(c):
         return float(model.drift(0.0, np.array([[c]]), dirac(c))[0, 0])
 
-    grid = np.arange(scan_lo, scan_hi + scan_step / 2, scan_step)
+    grid = np.arange(SCAN_LO, SCAN_HI + SCAN_STEP / 2, SCAN_STEP)
     vals = np.array([g(c) for c in grid])
     roots = []
     for i in range(len(grid) - 1):
@@ -414,7 +398,7 @@ def doublewell_equilibria_oracle(scan_lo=-5.0, scan_hi=5.0, scan_step=1e-3):
     # collapse near-duplicates from adjacent brackets
     merged = []
     for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > 10 * scan_step:
+        if not merged or abs(r - merged[-1]) > 10 * SCAN_STEP:
             merged.append(r)
     return merged
 

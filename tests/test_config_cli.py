@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvsde import config
-from mvsde.cli import _STUDIES, main
+from mvsde.cli import _STUDIES, _check_battery, main
 from mvsde.config import (
     ExperimentConfig,
     build_scheme,
@@ -77,6 +77,9 @@ class TestParsing:
         assert exact_divide(10.0, 0.01, "x") == 1000
         with pytest.raises(ConfigError):
             exact_divide(1.0, 0.3, "x")
+        for divisor in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="not positive"):
+                exact_divide(1.0, divisor, "x")
 
     def test_scheme_labels(self):
         # file names and check_report.csv subjects are part of the output bytes
@@ -316,6 +319,16 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[grid]\nT = 1\nh_ref = 0.3\nh_list = 0.3\n")
         assert main(["converge", "--config", str(bad)]) == 2
+        # a zero step is a config error, not a ZeroDivisionError traceback
+        conv = CONV_TEMPLATE.format(out=tmp_path / "o", formats="csv")
+        for command, text in (
+            ("converge", conv.replace("h_ref = 2^-8", "h_ref = 0")),
+            ("density", RUN_STUDY_CONFIGS["density"].replace("reference_h = 2^-6", "reference_h = 0")),
+        ):
+            capsys.readouterr()
+            bad.write_text(text)
+            assert main([command, "--config", str(bad)]) == 2, command
+            assert "is not positive" in capsys.readouterr().err, command
         # malformed scheme parameters are config errors, not tracebacks
         for scheme in ("te(abc)", "dte(x)"):
             capsys.readouterr()
@@ -510,6 +523,27 @@ class TestCli:
             for t in ("0.25", "0.5", "1"):
                 assert (tmp_path / "o" / f"density_ssm_T{t}.csv").read_text() == "x,density\n"
 
+    def test_summaries_name_a_diverged_run(self, tmp_path, capsys):
+        # from N(30, 1) the split step's Newton solve fails at step 1, before
+        # the density record time t = 1, so no kde runs
+        path = tmp_path / "cut.ini"
+        path.write_text(
+            "[model]\nname = doublewell\nmu0 = 30\n"
+            "[schemes]\nschemes = ssm\n"
+            "[grid]\nT = 1\nh = 0.25\n"
+            "[experiment]\nn = 20\nseed = 0\n"
+            f"[output]\nout_dir = {tmp_path / 'o'}\n"
+        )
+        summaries = {
+            "density": "density: 0 curves at times [1.0]",
+            "paths": "ssm h=0.25: max|X| over records = 33.09, first non-finite t = None [diverged]",
+            "moments": "ssm h=0.25: 1 rows [ceiling] [diverged]",
+        }
+        for command, summary in summaries.items():
+            capsys.readouterr()
+            assert main([command, "--config", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == summary
+
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys):
         path = write_conv_config(tmp_path)
         text = path.read_text()
@@ -565,6 +599,20 @@ class TestCli:
         assert any(line.startswith("identity,H1,false") for line in lines)
         assert any(line.startswith("modified,H1,true") for line in lines)
         assert any("fully_tamed" in line and ",H1,false" in line for line in lines)
+
+    def test_check_battery_order(self, monkeypatch):
+        # the rows of check_report.csv, in order: H1-H3 per operator, then
+        # per built-in model (sorted by name) fte's H1 and EX35_BOUND and A2-A6
+        fast = SampleSpec(h_exponents=(1, 5, 10, 20), n_magnitudes=7)
+        monkeypatch.setattr("mvsde.verify.SampleSpec", lambda: fast)
+        operators = ["identity", "drift_tamed(lambda=0.5)", "modified", "tanh(alpha=1)", "sin(alpha=1)"]
+        expected = [(op, a) for op in operators for a in ("H1", "H2", "H3")]
+        for model, fte in (("cubic", "fully_tamed(rho=1)"), ("doublewell", "fully_tamed(rho=1)"),
+                           ("quintic", "fully_tamed(rho=2)")):
+            expected += [(fte, "H1"), (f"{fte}|{model}", "EX35_BOUND")]
+            expected += [(model, a) for a in ("A2", "A3", "A5", "A6")]
+        assert len(expected) == 33
+        assert [(r.subject, r.assumption_id) for r in _check_battery(None)] == expected
 
     @pytest.mark.parametrize(
         "model", ["name = foo", "name = doublewell\nsigma0sq = -1"], ids=["unknown", "bad_param"]

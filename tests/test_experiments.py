@@ -185,7 +185,7 @@ class TestDensity:
         assert ("ssm_ref", 0.5) in labels and ("ssm_ref", 1.0) in labels
         for e in entries:
             assert e.curve is not None
-            assert 0.9 <= e.curve.integral() <= 1.1
+            assert 0.9 <= np.trapezoid(e.curve.values, e.curve.grid) <= 1.1
 
     def test_point_mass_model_peaks_at_start(self):
         cfg = self.cfg(model_name="cubic", model_params={}, reference_scheme=None)

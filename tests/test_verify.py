@@ -7,7 +7,6 @@ import pytest
 from mvsde import (
     ModelSpec,
     SampleSpec,
-    TheoryConstants,
     check_model,
     check_taming,
     compare_equilibria,
@@ -312,14 +311,6 @@ class TestComputeG:
                 assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-class TestTheoryConstants:
-    def test_invariants(self):
-        tc = TheoryConstants(rho=1.0, r1=0.5, r2=2.0, p_bar=30.0)
-        assert tc.G >= 6.0 * tc.rho
-        assert tc.G >= ((2 * tc.rho + 1) * tc.r2 - 1) / tc.r1
-        assert tc.p_max_lemma == pytest.approx((2 * 30.0 - tc.G) / (2 + 4 * tc.G))
-
-
 class TestCheckTaming:
     def test_h1_passes_for_modified_tanh_sin(self):
         for op in (TamingOperator("modified"), TamingOperator("tanh", 1.0), TamingOperator("sin", 1.0)):
@@ -461,7 +452,9 @@ class TestEquilibriaOracle:
     @pytest.mark.parametrize("scan", [(-5.0, 5.0, 1e-3), (-3.0, 2.5, 0.07)])
     def test_bisection_keeps_g_lo(self, monkeypatch, scan):
         calls, model = _counted_double_well(monkeypatch)
-        roots = doublewell_equilibria_oracle(*scan)
+        for name, value in zip(("SCAN_LO", "SCAN_HI", "SCAN_STEP"), scan):
+            monkeypatch.setattr(f"mvsde.verify.{name}", value)
+        roots = doublewell_equilibria_oracle()
         new_calls, calls[0] = calls[0], 0
         old_roots, brackets = _oracle_re_evaluating_lo(model, *scan)
         assert brackets >= 1
