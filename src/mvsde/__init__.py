@@ -27,9 +27,9 @@ from .models import (
 from .stats import DensityCurve, kde, rmse, w2_1d_quantile
 from .stepper import (
     Ensemble,
-    SchemeConfig,
     Trajectory,
     euler_step,
+    scheme_label,
     simulate,
     split_step,
 )

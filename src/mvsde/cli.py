@@ -59,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("moments", "empirical moments over time")
     add("nscaling", "terminal-law error against a large-N proxy run")
     add("check", "numerical certification of scheme/model assumptions")
-    lm = sub.add_parser("list-models", help="list built-in model names")
-    lm.set_defaults(command="list-models")
+    sub.add_parser("list-models", help="list built-in model names")
     return parser
 
 
@@ -156,6 +155,8 @@ _STUDIES = {
         summary=lambda cells: [
             f"{c.scheme} h={c.h:g}: max|X| over records = {c.max_abs_recorded:.4g}, "
             f"first non-finite t = {c.first_nonfinite_time}" + (" [diverged]" if c.diverged else "")
+            + ("" if c.newton_failure is None
+               else " Newton cut at step {}, particle {}, residual {:.3g}".format(*c.newton_failure))
             for c in cells
         ],
     ),
@@ -211,7 +212,7 @@ def _run_command(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     study = _STUDIES[args.command]
     result = study.run(cfg)
-    files = study.csv(result, cfg)
+    files = study.csv(result, cfg) if "csv" in cfg.formats else {}
     if "svg" in cfg.formats:
         fp = _fingerprint(args)
         for name, render in study.svgs(result, cfg):

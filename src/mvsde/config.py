@@ -8,10 +8,12 @@ Grammar (stdlib configparser INI dialect, UTF-8):
     [grid]        T, and either h  = comma list of run step sizes
                   or          h_ref + h_list   (convergence studies)
     [experiment]  N, seed, record_times, repetitions, experiment-specific keys
-    [output]      out_dir, formats = comma list of csv | svg
+    [output]      out_dir, formats = non-empty comma list of csv | svg
+                  (a study writes its CSV files only when csv is listed)
 
 Any other key, in any section, is a configuration error, and so is a key
-the study does not read, unless it holds its default value.
+the study does not read, unless it holds its default value, and so is
+reference_h without reference_scheme.
 
 Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
@@ -30,8 +32,7 @@ from functools import partial
 
 from .errors import ConfigError
 from .models import ModelSpec, make_model
-from .stepper import SchemeConfig
-from .taming import parse_taming
+from .taming import TamingOperator, parse_taming
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
@@ -84,20 +85,22 @@ def exact_divide(a: float, b: float, what: str) -> int:
     return n
 
 
-def build_scheme(text: str, model: ModelSpec) -> SchemeConfig:
-    """Scheme from its config name, for the given model: 'ssm' is the implicit
-    split step, any other name a taming operator (see taming.parse_taming)."""
+def build_scheme(text: str, model: ModelSpec) -> TamingOperator | None:
+    """Scheme from its config name, for the given model: None for 'ssm', the
+    implicit split step, else a taming operator (see taming.parse_taming)."""
     if text.strip().lower() == "ssm":
-        return SchemeConfig()
+        return None
     try:
-        return SchemeConfig(parse_taming(text, model_rho=model.rho))
+        return parse_taming(text, model_rho=model.rho)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
 
 def parse_formats(text: str) -> list:
-    """Output formats from a comma list of csv | svg."""
+    """Output formats from a non-empty comma list of csv | svg."""
     formats = parse_list(text, conv=str.lower)
+    if not formats:
+        raise ConfigError("formats lists no output format")
     bad = [f for f in formats if f not in ("csv", "svg")]
     if bad:
         raise ConfigError(f"unknown output formats: {bad}")

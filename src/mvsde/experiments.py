@@ -20,7 +20,8 @@ from . import brownian
 from .config import ExperimentConfig, build_scheme, exact_divide
 from .errors import ConfigError
 from .stats import kde, rmse, w2_1d_quantile
-from .stepper import SchemeConfig, simulate
+from .stepper import scheme_label, simulate
+from .taming import TamingOperator
 
 
 class _Cell(NamedTuple):
@@ -29,7 +30,7 @@ class _Cell(NamedTuple):
 
     label: str
     h: float
-    scheme: SchemeConfig
+    scheme: TamingOperator | None  # None for the split step
     root: tuple
     factor: int
     times: list
@@ -68,7 +69,7 @@ def _study(cfg, reads, steps):
         raise ConfigError("no schemes configured")
     schemes = [build_scheme(text, model) for text in cfg.schemes]
     seen = set()
-    for label, h in ((scheme.label, h) for scheme in schemes for h in steps):
+    for label, h in ((scheme_label(scheme), h) for scheme in schemes for h in steps):
         if (label, h) in seen:
             raise ConfigError(f"two runs share output label {label} at h = {h:g}")
         seen.add((label, h))
@@ -80,7 +81,7 @@ def _run_schemes(cfg, model, schemes, default_times, reduce, extra=(), trace_ids
     `extra` (label, h, scheme) cells, each on the grid of n = T / h steps
     from the config seed, recorded at record_times or default_times(cfg, n)."""
     cells = []
-    for label, h, scheme in [(s.label, h, s) for s in schemes for h in cfg.h_values] + list(extra):
+    for label, h, scheme in [(scheme_label(s), h, s) for s in schemes for h in cfg.h_values] + list(extra):
         n = round(cfg.T / h)
         times = cfg.record_times if cfg.record_times is not None else default_times(cfg, n)
         cells.append(_Cell(label, h, scheme, (cfg.seed, n, cfg.N), 1, times))
@@ -142,17 +143,6 @@ class ConvergenceReport:
     r2: float = math.nan
     n_fit: int = 0
 
-    def refit(self):
-        used = [r for r in self.rows if r.usable]
-        self.n_fit = len(used)
-        if self.n_fit >= 3:
-            self.slope, self.intercept, self.r2 = fit_loglog(
-                [r.h for r in used], [r.rmse for r in used]
-            )
-        else:
-            self.slope = self.intercept = self.r2 = math.nan
-        return self
-
 
 def run_convergence(cfg: ExperimentConfig):
     """Coupled fine/coarse strong-error study; one report per scheme.
@@ -166,7 +156,7 @@ def run_convergence(cfg: ExperimentConfig):
     root = (cfg.seed, exact_divide(cfg.T, cfg.h_ref, "T / h_ref"), cfg.N)
     h_list = sorted(cfg.h_list, reverse=True)  # rows by descending h
     cells = [
-        _Cell(scheme.label, h, scheme, root, round(h / cfg.h_ref), [cfg.T])
+        _Cell(scheme_label(scheme), h, scheme, root, round(h / cfg.h_ref), [cfg.T])
         for scheme in schemes
         for h in [cfg.h_ref, *h_list]
     ]
@@ -180,8 +170,10 @@ def run_convergence(cfg: ExperimentConfig):
             diverged = diverged or ref_diverged
             err = rmse(final, ref) if not diverged else math.nan
             rows.append(ConvergenceRow(h=h, rmse=err, diverged=diverged))
+        used = [r for r in rows if r.usable]  # a fit needs three usable rows
+        fit = fit_loglog([r.h for r in used], [r.rmse for r in used]) if len(used) >= 3 else (math.nan,) * 3
         reports.append(
-            ConvergenceReport(model=model.name, scheme=scheme.label, h_ref=cfg.h_ref, rows=rows).refit()
+            ConvergenceReport(model.name, scheme_label(scheme), cfg.h_ref, rows, *fit, n_fit=len(used))
         )
     return reports
 
@@ -217,7 +209,9 @@ def run_density(cfg: ExperimentConfig) -> list:
         ref_h = cfg.reference_h if cfg.reference_h is not None else 1e-4
         exact_divide(cfg.T, ref_h, "T / reference_h")
         ref = build_scheme(cfg.reference_scheme, model)
-        extra.append((ref.label + "_ref", ref_h, ref))
+        extra.append((scheme_label(ref) + "_ref", ref_h, ref))
+    elif cfg.reference_h is not None:
+        raise ConfigError("reference_h needs a reference_scheme")
 
     def reduce(cell, traj):
         out = []
@@ -248,6 +242,7 @@ class PathCell:
     max_abs_recorded: float  # over the recorded full ensembles
     first_nonfinite_time: float | None
     diverged: bool
+    newton_failure: tuple | None  # (step, particle, residual) of a Newton cut
 
 
 def _paths_record_times(cfg, n):
@@ -284,6 +279,7 @@ def run_paths(cfg: ExperimentConfig) -> list:
             max_abs_recorded=max_abs,
             first_nonfinite_time=traj.first_nonfinite_time,
             diverged=traj.diverged,
+            newton_failure=traj.newton_failure,
         )
 
     return _run_schemes(cfg, model, schemes, _paths_record_times, reduce, trace_ids=ids)
@@ -395,7 +391,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
 
     runs = [(0, cfg.proxy_n)] + [(r, n) for n in cfg.n_list for r in range(cfg.repetitions)]
     cells = [
-        _Cell(scheme.label, h, scheme, (brownian.derive_seed(cfg.seed, r), n_steps, n), 1, [cfg.T])
+        _Cell(scheme_label(scheme), h, scheme, (brownian.derive_seed(cfg.seed, r), n_steps, n), 1, [cfg.T])
         for r, n in runs
     ]
     proxy = None
@@ -416,7 +412,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
         rows.append(NScalingRow(n_particles, float(vals.mean()), sem, cfg.repetitions))
     report = NScalingReport(
         model=model.name,
-        scheme=scheme.label,
+        scheme=scheme_label(scheme),
         h=h,
         proxy_n=cfg.proxy_n,
         rows=rows,

@@ -37,18 +37,9 @@ NEWTON_FD_EPS = 1e-7  # relative forward-difference bump of the Jacobian
 _BLOCK = 1024  # steps of increments drawn at once by simulate
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """One numerical method: explicit Euler tamed by `op` (its T1 on the
-    drift, its T2 on each diffusion column), or with no `op` the implicit
-    split step."""
-
-    op: TamingOperator | None = None
-
-    @property
-    def label(self) -> str:
-        """Name in output files: the operator's label, or 'ssm'."""
-        return "ssm" if self.op is None else self.op.label
+def scheme_label(op: TamingOperator | None) -> str:
+    """Output-file name of a scheme: the operator's label, or 'ssm' for None."""
+    return "ssm" if op is None else op.label
 
 
 class Ensemble(MeasureView):
@@ -85,19 +76,25 @@ def _increments(ens, model, dW):
     return dW
 
 
-def euler_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ensemble:
-    """Advance one explicit step; dW has shape (N, m)."""
-    if cfg.op is None:
+def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
+    """new + sum_r T2(sigma_r(t, z, mu)) dW_r, with the T2 of op, or untamed
+    with no op; the caller holds np.errstate."""
+    for r in range(1, model.m + 1):
+        s = np.asarray(model.diffusion_col(t, z, mu, r), dtype=np.float64)
+        new = new + (s if op is None else _t2_raw(op, s, z, h)) * dW[:, r - 1 : r]
+    return new
+
+
+def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> Ensemble:
+    """Advance one explicit step tamed by op; dW has shape (N, m)."""
+    if op is None:
         raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
     x = ens.states
     t = ens.t
     with np.errstate(all="ignore"):
         b = np.asarray(model.drift(t, x, ens), dtype=np.float64)
-        new = x + _t1_raw(cfg.op, b, x, h) * h
-        for r in range(1, model.m + 1):
-            s = np.asarray(model.diffusion_col(t, x, ens, r), dtype=np.float64)
-            new = new + _t2_raw(cfg.op, s, x, h) * dW[:, r - 1 : r]
+        new = _add_diffusion(x + _t1_raw(op, b, x, h) * h, model, t, x, ens, h, dW, op)
     return _next_ensemble(new, ens, h)
 
 
@@ -142,25 +139,19 @@ def _newton_implicit_drift(model, t, x, mu, h):
     raise NewtonNonConvergence(particle, float(resid[particle]), NEWTON_MAX_ITER)
 
 
-def split_step(ens: Ensemble, model: ModelSpec, cfg: SchemeConfig, h, dW) -> Ensemble:
+def split_step(ens: Ensemble, model: ModelSpec, h, dW) -> Ensemble:
     """Advance one implicit split step; raises NewtonNonConvergence on failure."""
-    if cfg.op is not None:
-        raise ValueError("split_step takes no taming operator")
     dW = _increments(ens, model, dW)
-    t = ens.t
-    y = _newton_implicit_drift(model, t, ens.states, ens, h)
+    y = _newton_implicit_drift(model, ens.t, ens.states, ens, h)
     with np.errstate(all="ignore"):
-        new = y.copy()
-        for r in range(1, model.m + 1):
-            s = np.asarray(model.diffusion_col(t, y, ens, r), dtype=np.float64)
-            new = new + s * dW[:, r - 1 : r]
+        new = _add_diffusion(y, model, ens.t, y, ens, h, dW)
     return _next_ensemble(new, ens, h)
 
 
-def step(ens, model, cfg, h, dW) -> Ensemble:
-    if cfg.op is None:
-        return split_step(ens, model, cfg, h, dW)
-    return euler_step(ens, model, cfg, h, dW)
+def step(ens, model, op, h, dW) -> Ensemble:
+    if op is None:
+        return split_step(ens, model, h, dW)
+    return euler_step(ens, model, op, h, dW)
 
 
 @dataclass
@@ -204,12 +195,12 @@ def grid_floor_step(t, T, n):
 
 def simulate(
     model: ModelSpec,
-    cfg: SchemeConfig,
+    op: TamingOperator | None,
     grid: PathGrid,
     record_times,
     trace_ids=None,
 ) -> Trajectory:
-    """Run the configured scheme over the whole grid.
+    """Run the scheme op (None for the split step) over the whole grid.
 
     Initial states are drawn from the model's sampler on a stream derived
     from the grid seed (independent of the increments).  Each requested
@@ -253,7 +244,7 @@ def simulate(
             if j == 0:
                 dw = None  # release the previous block before drawing the next
                 dw = grid.increments_block(k, min(k + _BLOCK, n))
-            ens = step(ens, model, cfg, h, dw[:, j, :])
+            ens = step(ens, model, op, h, dw[:, j, :])
             if trace_values is not None:
                 trace_values[k + 1] = ens.states[trace_ids, :]
             for rt in by_step.get(k + 1, ()):

@@ -42,6 +42,9 @@ MODEL_ASSUMPTIONS = ("A2", "A3", "A5", "A6")
 
 _L_SWEEP = [2.0**k for k in range(0, 11)]
 
+# assumption -> the constants besides L that its report echoes, in order
+_TESTED = {"H2": ("r1", "r2"), "H3": ("r1", "r2", "r3"), "A2": ("p0",), "A5": ("p1",), "A6": ("rho",)}
+
 # a pass tolerates rounding of the check's own evaluation: where a bound is
 # mathematically tight, |T1(v) - v| computed in doubles can exceed it by an
 # ulp-level amount; genuine violations sit many orders of magnitude higher
@@ -122,11 +125,12 @@ def _worst(lhs, rhs, **inputs):
 
 
 def _sweep_report(
-    assumption, subject, constants, lhs, rhs, inputs, tested=None, samples=None, caveat=""
+    assumption, subject, constants, lhs, rhs, inputs, values=None, samples=None, caveat=""
 ):
     """Report of lhs against rhs(L), through _worst, at L = constants["L"]
     or, when none is given, over _L_SWEEP: the report holds the smallest L
-    with no violation, or the largest tried, with its violation, if none has."""
+    with no violation, or the largest tried, with its violation, if none has.
+    It echoes the `values` that _TESTED names for the assumption."""
     sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
     for L in sweep:
         value, witness = _worst(lhs, rhs(L), **inputs)
@@ -135,7 +139,7 @@ def _sweep_report(
     return AssumptionReport(
         assumption_id=assumption,
         subject=subject,
-        tested_constants={"L": L, **(tested or {})},
+        tested_constants={"L": L, **{name: values[name] for name in _TESTED.get(assumption, ())}},
         samples=lhs.size if samples is None else samples,
         max_violation=value,
         witness=witness,
@@ -200,11 +204,6 @@ def check_taming(
     r1 = float(constants.get("r1", declared[0]))
     r2 = float(constants.get("r2", declared[1]))
     r3 = float(constants.get("r3", declared[2]))
-    tested = {}
-    if assumption in ("H2", "H3"):
-        tested.update({"r1": r1, "r2": r2})
-    if assumption == "H3":
-        tested["r3"] = r3
 
     # samples in sweep order: (h, magnitude, direction, state probe, part)
     xs = np.zeros((1, spec.dim))
@@ -239,7 +238,8 @@ def check_taming(
     }
     if op.kind == "fully_tamed":
         inputs["|x|"] = _norm(xs)[:, None]
-    return _sweep_report(assumption, op.subject, constants, np.stack(lhs), rhs, inputs, tested)
+    values = {"r1": r1, "r2": r2, "r3": r3}
+    return _sweep_report(assumption, op.subject, constants, np.stack(lhs), rhs, inputs, values)
 
 
 def _check_ex35(op, constants, spec, model, rng):
@@ -349,15 +349,9 @@ def check_model(
                     for (i, j), d in zip(mpairs, bdiff)
                 ]
                 rhs_terms = [sq_norm(x - y) + np.reshape([w**2 for w in w2], (-1, 1))]
-    tested = {}
-    if assumption == "A2":
-        tested["p0"] = p0
-    if assumption == "A5":
-        tested["p1"] = p1
-    if assumption == "A6":
-        tested["rho"] = rho
     rhs = lambda L: sum(L * term for term in rhs_terms)
-    return _sweep_report(assumption, model.name, constants, np.stack(lhs), rhs, inputs, tested, caveat=caveat)
+    values = {"p0": p0, "p1": p1, "rho": rho}
+    return _sweep_report(assumption, model.name, constants, np.stack(lhs), rhs, inputs, values, caveat=caveat)
 
 
 def doublewell_equilibria_oracle():

@@ -12,7 +12,6 @@ import pytest
 
 from mvsde import (
     MeasureView,
-    SchemeConfig,
     check_taming,
     compare_equilibria,
     compute_G,
@@ -124,8 +123,8 @@ def test_criterion_4_deterministic_order_oracle():
 
 def test_criterion_5_moment_bound_vs_em_divergence():
     model = quintic_interaction_model()
-    em = SchemeConfig(TamingOperator("identity"))
-    me = SchemeConfig(TamingOperator("modified"))
+    em = TamingOperator("identity")
+    me = TamingOperator("modified")
     h, n = 2.0**-3, 8
     times = [k * h for k in range(n + 1)]
     em_bad_seeds = 0
@@ -175,8 +174,8 @@ def test_criterion_6_double_well_stability_matrix():
     # runaway), so the pinned seed selects a stabilizing realization; at
     # h = 1e-2 every seed tried destabilizes
     model = double_well_model(mu0=3.0, sigma0sq=9.0)
-    te = SchemeConfig(TamingOperator("tanh", 1.0))
-    dte = SchemeConfig(TamingOperator("drift_tamed", 0.5))
+    te = TamingOperator("tanh", 1.0)
+    dte = TamingOperator("drift_tamed", 0.5)
     seed = 0
     te_max, te_nf = _stability_cell(model, te, 1e-2, seed)
     d1_max, d1_nf = _stability_cell(model, dte, 1e-2, seed)
@@ -197,7 +196,7 @@ def test_criterion_6_double_well_stability_matrix():
 
 def test_criterion_7_double_well_clustering():
     model = double_well_model(mu0=0.0, sigma0sq=1.0)
-    te = SchemeConfig(TamingOperator("tanh", 1.0))
+    te = TamingOperator("tanh", 1.0)
     grid = generate(2024, 1000, 10.0, 1000, 1)
     traj = simulate(model, te, grid, [10.0])
     x = traj.records[0][1].states[:, 0]
@@ -309,9 +308,8 @@ def test_criterion_10_infrastructure_properties(tmp_path):
         rho=1.0,
         initial_sampler=lambda s: np.ones(s.shape),
     )
-    ssm = SchemeConfig()
     stepped = split_step(
-        Ensemble(np.ones((1, 1))), cubic_pull, ssm, 0.1, np.zeros((1, 1))
+        Ensemble(np.ones((1, 1))), cubic_pull, 0.1, np.zeros((1, 1))
     )
     lo, hi = 0.0, 1.0
     for _ in range(200):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde import config
+from mvsde import config, experiments
 from mvsde.cli import _STUDIES, _check_battery, main
 from mvsde.config import (
     ExperimentConfig,
@@ -18,6 +18,7 @@ from mvsde.config import (
 from mvsde.errors import ConfigError
 from mvsde.models import cubic_interaction_model
 from mvsde.output import format_value, render_csv
+from mvsde.stepper import scheme_label
 from mvsde.svgplot import series_svg
 from mvsde.verify import SampleSpec, check_taming
 
@@ -98,20 +99,19 @@ class TestParsing:
             ("ssm", "ssm", None),
             ("fte", "fte", "fully_tamed(rho=1)"),
         ):
-            scheme = build_scheme(text, model)
-            assert scheme.label == label
+            op = build_scheme(text, model)
+            assert scheme_label(op) == label
             if subject is not None:
-                assert check_taming(scheme.op, "H1", {"L": 1.0}, spec).subject == subject
+                assert check_taming(op, "H1", {"L": 1.0}, spec).subject == subject
         for text in ("xx", "te(abc)"):
             with pytest.raises(ConfigError):
                 build_scheme(text, model)
 
     def test_build_scheme_ssm_and_fte(self):
         model = cubic_interaction_model()
-        ssm = build_scheme("ssm", model)
-        assert ssm.op is None
+        assert build_scheme("ssm", model) is None
         fte = build_scheme("fte", model)
-        assert fte.op.param == model.rho
+        assert fte.param == model.rho
 
     def test_load_config_full(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -349,6 +349,7 @@ class TestCli:
             ("paths", orders, "trace_stride = 0"),
             ("paths", orders, "trace_particles = 0, 40"),
             ("paths", orders, "trace_particles = -1"),
+            ("density", orders, "reference_h = 2^-6"),  # no reference_scheme
             ("nscaling", "me, te(1)", "me", "2^-3, 2^-4", "2^-3",
              orders, "n_list = 0, 10\nproxy_n = 20"),
             # configparser's own errors: a duplicate key, text before a section
@@ -536,13 +537,35 @@ class TestCli:
         )
         summaries = {
             "density": "density: 0 curves at times [1.0]",
-            "paths": "ssm h=0.25: max|X| over records = 33.09, first non-finite t = None [diverged]",
+            "paths": "ssm h=0.25: max|X| over records = 33.09, first non-finite t = None [diverged]"
+            " Newton cut at step 1, particle 14, residual 3.45e-12",
             "moments": "ssm h=0.25: 1 rows [ceiling] [diverged]",
         }
         for command, summary in summaries.items():
             capsys.readouterr()
             assert main([command, "--config", str(path)]) == 0
             assert capsys.readouterr().out.splitlines()[0] == summary
+
+    def test_paths_summary_names_the_newton_cut(self, tmp_path, capsys):
+        # the config above: the split step's Newton solve fails at step 1
+        path = tmp_path / "cut.ini"
+        path.write_text(
+            "[model]\nname = doublewell\nmu0 = 30\n"
+            "[schemes]\nschemes = ssm\n"
+            "[grid]\nT = 1\nh = 0.25\n"
+            "[experiment]\nn = 20\nseed = 0\n"
+            f"[output]\nout_dir = {tmp_path / 'o'}\n"
+        )
+        (cell,) = experiments.run_paths(load_config(str(path)))
+        step, particle, residual = cell.newton_failure
+        assert step == 1 and 0 <= particle < 20 and residual > 0
+        assert main(["paths", "--config", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(f"[diverged] Newton cut at step 1, particle {particle}, residual {residual:.3g}")
+        # the cut reaches the printed line only, not the summary CSV
+        summary = (tmp_path / "o" / "paths_summary.csv").read_text().splitlines()
+        assert summary[0] == "scheme,h,max_abs_recorded,first_nonfinite_time,diverged"
+        assert summary[1].startswith("ssm,0.25,") and summary[1].endswith(",,true")
 
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys):
         path = write_conv_config(tmp_path)
@@ -674,6 +697,25 @@ class TestCliFlagWiring:
                      "--format", "csv"]) == 0
         assert all(p.suffix == ".csv" for p in out.iterdir())
         assert main(["converge", "--config", str(path), "--format", "pdf"]) == 2
+
+    def test_format_override_svg_only(self, tmp_path):
+        path = tmp_path / "paths.ini"
+        path.write_text(RUN_STUDY_CONFIGS["paths"])
+        out = tmp_path / "svgonly"
+        assert main(["paths", "--config", str(path), "--out-dir", str(out), "--format", "svg"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["paths_me_h0.0625.svg", "paths_me_h0.125.svg",
+                         "paths_te_a1_h0.0625.svg", "paths_te_a1_h0.125.svg"]
+
+    def test_empty_format_list_is_config_error(self, tmp_path, capsys):
+        path = write_conv_config(tmp_path)
+        out = tmp_path / "none"
+        assert main(["converge", "--config", str(path), "--out-dir", str(out), "--format", ""]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+        path.write_text(path.read_text().replace("formats = csv", "formats ="))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
 
     def test_subcommands_reject_flags_they_do_not_read(self, tmp_path):
         conv = str(write_conv_config(tmp_path))

@@ -188,7 +188,7 @@ class TestDensity:
             assert 0.9 <= np.trapezoid(e.curve.values, e.curve.grid) <= 1.1
 
     def test_point_mass_model_peaks_at_start(self):
-        cfg = self.cfg(model_name="cubic", model_params={}, reference_scheme=None)
+        cfg = self.cfg(model_name="cubic", model_params={}, reference_scheme=None, reference_h=None)
         entries = run_density(cfg)
         # cubic starts at 0 with drift pushing right; density mass is finite
         for e in entries:
@@ -206,7 +206,7 @@ class TestDensity:
         labels = [e.scheme for e in entries]
         assert labels == ["me", "me", "te_a1", "te_a1", "se_a1", "se_a1", "ssm_ref", "ssm_ref"]
         # a shared grid gives the bits of a run on its own
-        alone = run_density(self.cfg(reference_scheme=None))
+        alone = run_density(self.cfg(reference_scheme=None, reference_h=None))
         for a, b in zip(alone, entries[2:4]):
             assert (a.scheme, a.time) == (b.scheme, b.time)
             assert np.array_equal(a.curve.values, b.curve.values)

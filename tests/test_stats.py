@@ -329,7 +329,7 @@ class TestKde:
 class TestPathTrace:
     # run_paths keeps rows 0, s, 2s, ... of the trajectory's trace
     def make_traj(self, n=8, ids=(0, 1)):
-        from mvsde import SchemeConfig, generate, simulate
+        from mvsde import generate, simulate
         from mvsde.models import ModelSpec
         from mvsde.taming import TamingOperator
 
@@ -348,9 +348,9 @@ class TestPathTrace:
             rho=0.0,
             initial_sampler=lambda s: np.full(s.shape, 2.5),
         )
-        cfg = SchemeConfig(TamingOperator("identity"))
+        op = TamingOperator("identity")
         grid = generate(1, n, 1.0, 4, 1)
-        return simulate(model, cfg, grid, [1.0], trace_ids=ids)
+        return simulate(model, op, grid, [1.0], trace_ids=ids)
 
     def test_row_count(self):
         traj = self.make_traj(n=8)

@@ -5,7 +5,6 @@ import pytest
 
 from mvsde import (
     NewtonNonConvergence,
-    SchemeConfig,
     cubic_interaction_model,
     double_well_model,
     generate,
@@ -46,9 +45,9 @@ def unit_diffusion(t, x, mu, r):
     return np.ones_like(x)
 
 
-EM = SchemeConfig(TamingOperator("identity"))
-ME = SchemeConfig(TamingOperator("modified"))
-SSM = SchemeConfig()
+EM = TamingOperator("identity")
+ME = TamingOperator("modified")
+SSM = None  # the split step
 
 
 class TestEulerStep:
@@ -164,21 +163,21 @@ class TestSplitStep:
         model = make_model(zero_drift, unit_diffusion)
         ens = Ensemble(np.array([[1.0], [2.0]]))
         w = np.array([[0.5], [-0.25]])
-        out = split_step(ens, model, SSM, 0.1, w)
+        out = split_step(ens, model, 0.1, w)
         assert np.allclose(out.states, ens.states + w)
 
     def test_linear_drift_closed_form(self):
         # Y = X + h*(-Y) at X=1, h=0.5 gives Y = 2/3 exactly
         model = make_model(lambda t, x, mu: -x, zero_diffusion)
         ens = Ensemble(np.ones((1, 1)))
-        out = split_step(ens, model, SSM, 0.5, np.zeros((1, 1)))
+        out = split_step(ens, model, 0.5, np.zeros((1, 1)))
         assert out.states[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_cubic_implicit_matches_bisection_oracle(self):
         # Y + 0.1*Y^3 = 1, solved independently by bisection
         model = make_model(lambda t, x, mu: -(x**3), zero_diffusion)
         ens = Ensemble(np.ones((1, 1)))
-        out = split_step(ens, model, SSM, 0.1, np.zeros((1, 1)))
+        out = split_step(ens, model, 0.1, np.zeros((1, 1)))
         root = bisect_root(lambda y: y + 0.1 * y**3 - 1.0, 0.0, 1.0)
         assert out.states[0, 0] == pytest.approx(root, abs=1e-10)
 
@@ -189,7 +188,7 @@ class TestSplitStep:
         model = make_model(lambda t, x, mu: x @ A.T, zero_diffusion, d=2)
         x = np.array([[1.0, -2.0], [0.5, 3.0], [-4.0, 0.25]])
         h = 0.5
-        out = split_step(Ensemble(x), model, SSM, h, np.zeros((3, 1)))
+        out = split_step(Ensemble(x), model, h, np.zeros((3, 1)))
         expected = np.linalg.solve(np.eye(2) - h * A, x.T).T
         assert np.allclose(out.states, expected, rtol=0.0, atol=1e-12)
 
@@ -198,8 +197,8 @@ class TestSplitStep:
         rng = np.random.default_rng(3)
         ens = Ensemble(3.0 + 3.0 * rng.standard_normal((500, 1)))
         dW = np.sqrt(1e-3) * rng.standard_normal((500, 1))
-        out = split_step(ens, model, SSM, 1e-3, dW)
-        fd = split_step(ens, dataclasses.replace(model, drift_dx=None), SSM, 1e-3, dW)
+        out = split_step(ens, model, 1e-3, dW)
+        fd = split_step(ens, dataclasses.replace(model, drift_dx=None), 1e-3, dW)
         assert np.allclose(out.states, fd.states, rtol=0.0, atol=1e-12)
 
     def test_analytic_jacobian_one_drift_call_per_iteration(self):
@@ -218,21 +217,16 @@ class TestSplitStep:
         counting = dataclasses.replace(model, drift=counted("drift"), drift_dx=counted("drift_dx"))
         rng = np.random.default_rng(4)
         ens = Ensemble(3.0 + 3.0 * rng.standard_normal((500, 1)))
-        split_step(ens, counting, SSM, 1e-3, np.zeros((500, 1)))
+        split_step(ens, counting, 1e-3, np.zeros((500, 1)))
         iterations = calls["drift_dx"]
         assert iterations >= 1
         assert calls["drift"] == iterations + 1
-
-    def test_rejects_taming_operator(self):
-        model = make_model(zero_drift, zero_diffusion)
-        with pytest.raises(ValueError, match="no taming operator"):
-            split_step(Ensemble(np.zeros((1, 1))), model, ME, 0.1, np.zeros((1, 1)))
 
     def test_newton_non_convergence_raises(self):
         # Y = 3 + 0.5 (2 + 2 Y^2) has no real root
         model = make_model(lambda t, x, mu: 2.0 + 2.0 * x**2, zero_diffusion)
         with pytest.raises(NewtonNonConvergence) as err:
-            split_step(Ensemble(np.full((2, 1), 3.0)), model, SSM, 0.5, np.zeros((2, 1)))
+            split_step(Ensemble(np.full((2, 1), 3.0)), model, 0.5, np.zeros((2, 1)))
         assert err.value.particle in (0, 1)
         assert err.value.residual > 0
 
@@ -291,11 +285,11 @@ class TestSimulate:
     def test_moment_boundedness_across_step_sizes(self):
         # tamed schemes keep 2nd/4th moments under one fixed ceiling as h halves
         model = quintic_interaction_model()
-        TE = SchemeConfig(TamingOperator("tanh", 1.0))
-        for cfg in (ME, TE):
+        TE = TamingOperator("tanh", 1.0)
+        for op in (ME, TE):
             for n in (16, 32, 64, 128):
                 grid = generate(9, n, 1.0, 64, 1)
-                traj = simulate(model, cfg, grid, [k / 8 for k in range(9)])
+                traj = simulate(model, op, grid, [k / 8 for k in range(9)])
                 for _, ens in traj.records:
                     m2 = float(np.mean(ens.states**2))
                     m4 = float(np.mean(ens.states**4))
