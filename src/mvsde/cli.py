@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import experiments, output, svgplot, verify
-from .config import ExperimentConfig, check_seed, load_config, paper_scale, parse_formats
+from .config import ExperimentConfig, load_config, paper_scale, parse_list
 from .errors import ConfigError
 from .models import BUILTIN_MODELS, make_model
 from .taming import SCHEMES, parse_taming
@@ -65,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
-        cfg.seed = check_seed(args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
+        cfg = replace(cfg, out_dir=args.out_dir)
     if args.format is not None:
-        cfg.formats = parse_formats(args.format)
+        cfg = replace(cfg, formats=parse_list(args.format, conv=str.lower))
     if args.paper_scale:
         cfg = paper_scale(cfg)
     return cfg

@@ -11,9 +11,12 @@ Grammar (stdlib configparser INI dialect, UTF-8):
     [output]      out_dir, formats = non-empty comma list of csv | svg
                   (a study writes its CSV files only when csv is listed)
 
-Any other key, in any section, is a configuration error, and so is a key
-the study does not read, unless it holds its default value, and so is
-reference_h without reference_scheme.
+Any other key, in any section, is a configuration error.  An unset [grid] or
+[experiment] key other than T and seed is None; STUDY_KEYS lists the keys
+each study reads, the ones it needs and the defaults of the others, and a
+set key the study does not read is an error (ExperimentConfig.for_study).
+Every value is checked when an ExperimentConfig is constructed, from a file
+or in library code alike.
 
 Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
@@ -66,14 +69,6 @@ def parse_list(text: str, conv=parse_number) -> list:
     return [conv(part) for part in items if part]
 
 
-def check_seed(seed: int) -> int:
-    """The seed keys the Brownian streams mod 2^64, so one outside [0, 2^64)
-    would silently run as another seed."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed {seed} outside [0, 2^64)")
-    return seed
-
-
 def exact_divide(a: float, b: float, what: str) -> int:
     """a / b as an integer, rejecting a divisor <= 0 and non-integral ratios."""
     if b <= 0:
@@ -96,42 +91,75 @@ def build_scheme(text: str, model: ModelSpec) -> TamingOperator | None:
         raise ConfigError(str(err)) from None
 
 
-def parse_formats(text: str) -> list:
-    """Output formats from a non-empty comma list of csv | svg."""
-    formats = parse_list(text, conv=str.lower)
-    if not formats:
-        raise ConfigError("formats lists no output format")
-    bad = [f for f in formats if f not in ("csv", "svg")]
-    if bad:
-        raise ConfigError(f"unknown output formats: {bad}")
-    return formats
-
-
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description shared by every subcommand."""
+    """Parsed experiment description shared by every subcommand.  A [grid] or
+    [experiment] field other than T and seed is None while unset."""
 
     model_name: str = "cubic"
     model_params: dict = field(default_factory=dict)
     schemes: list = field(default_factory=lambda: ["me"])
     T: float = 1.0
-    N: int = 100
+    N: int | None = None
     seed: int = 1
-    h_values: list = field(default_factory=list)  # run step sizes (one cell per h)
+    h_values: list | None = None  # run step sizes (one cell per h)
     h_ref: float | None = None  # convergence reference step
-    h_list: list = field(default_factory=list)  # convergence coarse steps
+    h_list: list | None = None  # convergence coarse steps
     record_times: list | None = None
-    repetitions: int = 1
-    orders: list = field(default_factory=lambda: [2, 4])
-    moment_ceiling: float = 1e4
+    repetitions: int | None = None
+    orders: list | None = None
+    moment_ceiling: float | None = None
     trace_particles: list | None = None
-    trace_stride: int = 1
-    n_list: list = field(default_factory=list)
-    proxy_n: int = 0
+    trace_stride: int | None = None
+    n_list: list | None = None
+    proxy_n: int | None = None
     reference_scheme: str | None = None
     reference_h: float | None = None
     out_dir: str = "out"
     formats: list = field(default_factory=lambda: ["csv"])
+
+    def __post_init__(self):
+        """ConfigError for a value that no study could run with."""
+        if not self.schemes:
+            raise ConfigError("no schemes configured")
+        if not self.formats:
+            raise ConfigError("formats lists no output format")
+        bad = [f for f in self.formats if f not in ("csv", "svg")]
+        if bad:
+            raise ConfigError(f"unknown output formats: {bad}")
+        if self.T <= 0:
+            raise ConfigError("horizon T must be positive")
+        # the seed keys the Brownian streams mod 2^64, so one outside [0, 2^64)
+        # would silently run as another seed
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed {self.seed} outside [0, 2^64)")
+        if self.N is not None and self.N < 1:
+            raise ConfigError("particle count N must be positive")
+        if self.repetitions is not None and self.repetitions < 1:
+            raise ConfigError("repetitions must be at least 1")
+        if self.orders is not None and (not self.orders or min(self.orders) < 1):
+            raise ConfigError(f"moment orders must be at least 1, got {self.orders}")
+        if self.trace_stride is not None and self.trace_stride < 1:
+            raise ConfigError(f"trace_stride must be at least 1, got {self.trace_stride}")
+        if any(n < 1 for n in self.n_list or ()) or (self.proxy_n is not None and self.proxy_n < 1):
+            raise ConfigError("n_list entries and proxy_n must be at least 1")
+        # with N unset, the ids are checked again once for_study fills N in
+        bad = [i for i in self.trace_particles or () if self.N is not None and not 0 <= i < self.N]
+        if bad:
+            raise ConfigError(f"trace_particles {bad} outside 0..{self.N - 1}")
+        # the tolerance of stepper.simulate, which would reject them after set-up
+        if any(t < 0 or t > self.T + 1e-12 for t in self.record_times or ()):
+            raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
+        for h in self.h_values or ():
+            exact_divide(self.T, h, "T / h")
+        if self.h_ref is not None:
+            n_ref = exact_divide(self.T, self.h_ref, "T / h_ref")
+            for h in self.h_list or ():
+                if n_ref % exact_divide(h, self.h_ref, "h / h_ref") != 0:
+                    raise ConfigError(f"h = {h} does not divide the reference grid")
+        for h in [self.h_ref, *(self.h_list or ()), *(self.h_values or ())]:
+            if h is not None and not 0.0 < h < 1.0:
+                raise ConfigError(f"step size {h} outside (0, 1)")
 
     def build_model(self) -> ModelSpec:
         try:
@@ -139,44 +167,21 @@ class ExperimentConfig:
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad model: {err}") from None
 
-    def reject_unread(self, reads):
-        """ConfigError for a [grid] or [experiment] key other than T, seed
-        and `reads`, the keys a study reads, set to a non-default value."""
-        default = ExperimentConfig()
+    def for_study(self, study: str) -> ExperimentConfig:
+        """This config with the unset keys of `study` at their STUDY_KEYS
+        defaults; a ConfigError for a set [grid] or [experiment] key the
+        study does not read, and for an unset or empty one it needs."""
+        reads = STUDY_KEYS[study]
         for (section, key), (name, _) in _KEYS.items():
-            unread = section in ("grid", "experiment") and key not in ("t", "seed", *reads)
-            if unread and getattr(self, name) != getattr(default, name):
+            if section not in ("grid", "experiment") or key in ("t", "seed"):
+                continue
+            value = getattr(self, name)
+            if name not in reads and value is not None:
                 raise ConfigError(f"this study does not read '{key}' in [{section}]")
-
-    def validate_convergence(self):
-        if self.h_ref is None or not self.h_list:
-            raise ConfigError("convergence study needs h_ref and h_list in [grid]")
-        n_ref = exact_divide(self.T, self.h_ref, "T / h_ref")
-        for h in [self.h_ref, *self.h_list]:
-            if not 0.0 < h < 1.0:
-                raise ConfigError(f"step size {h} outside (0, 1)")
-        for h in self.h_list:
-            factor = exact_divide(h, self.h_ref, "h / h_ref")
-            if n_ref % factor != 0:
-                raise ConfigError(f"h = {h} does not divide the reference grid")
-
-    def validate_run_steps(self):
-        if not self.h_values:
-            raise ConfigError("this experiment needs h = ... in [grid]")
-        for h in self.h_values:
-            if not 0.0 < h < 1.0:
-                raise ConfigError(f"step size {h} outside (0, 1)")
-            exact_divide(self.T, h, "T / h")
-        # the tolerance of stepper.simulate, which would reject them after set-up
-        if any(t < 0 or t > self.T + 1e-12 for t in self.record_times or ()):
-            raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
-
-
-def _scheme_list(text: str) -> list:
-    schemes = parse_list(text, conv=str)
-    if not schemes:
-        raise ConfigError("[schemes] section present but empty")
-    return schemes
+            if reads.get(name) is REQUIRED and not value:
+                raise ConfigError(f"this study needs '{key}' in [{section}]")
+        unset = {name: default for name, default in reads.items() if getattr(self, name) is None}
+        return replace(self, **unset)
 
 
 def _reference_scheme(text: str) -> str | None:
@@ -191,13 +196,13 @@ _int_list = partial(parse_list, conv=parse_int)
 # are model parameters.
 _KEYS = {
     ("model", "name"): ("model_name", str.strip),
-    ("schemes", "schemes"): ("schemes", _scheme_list),
+    ("schemes", "schemes"): ("schemes", partial(parse_list, conv=str)),
     ("grid", "t"): ("T", parse_number),
     ("grid", "h"): ("h_values", parse_list),
     ("grid", "h_ref"): ("h_ref", parse_number),
     ("grid", "h_list"): ("h_list", parse_list),
     ("experiment", "n"): ("N", parse_int),
-    ("experiment", "seed"): ("seed", lambda text: check_seed(parse_int(text))),
+    ("experiment", "seed"): ("seed", parse_int),
     ("experiment", "record_times"): ("record_times", parse_list),
     ("experiment", "repetitions"): ("repetitions", parse_int),
     ("experiment", "orders"): ("orders", _int_list),
@@ -209,7 +214,19 @@ _KEYS = {
     ("experiment", "reference_scheme"): ("reference_scheme", _reference_scheme),
     ("experiment", "reference_h"): ("reference_h", parse_number),
     ("output", "out_dir"): ("out_dir", str.strip),
-    ("output", "formats"): ("formats", parse_formats),
+    ("output", "formats"): ("formats", partial(parse_list, conv=str.lower)),
+}
+
+REQUIRED = object()  # a key the study needs the config to set
+
+# study -> {field it reads: its value while unset}, over the [grid] and
+# [experiment] fields but T and seed; None where the study picks the default
+STUDY_KEYS = {
+    "converge": {"h_ref": REQUIRED, "h_list": REQUIRED, "N": 100},
+    "density": {"h_values": REQUIRED, "N": 100, "record_times": None, "reference_scheme": None, "reference_h": None},
+    "paths": {"h_values": REQUIRED, "N": 100, "record_times": None, "trace_particles": None, "trace_stride": 1},
+    "moments": {"h_values": REQUIRED, "N": 100, "record_times": None, "orders": (2, 4), "moment_ceiling": 1e4},
+    "nscaling": {"h_values": REQUIRED, "n_list": REQUIRED, "proxy_n": REQUIRED, "repetitions": 1},
 }
 
 
@@ -223,28 +240,19 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(str(err)) from None
     if not read:
         raise ConfigError(f"cannot read config file '{path}'")
-    cfg = ExperimentConfig()
+    values, params = {}, {}
     for section in parser.sections():
         for key, text in parser[section].items():
             if section == "model" and key != "name":
-                cfg.model_params[key] = parse_number(text)
+                params[key] = parse_number(text)
             elif (section, key) in _KEYS:
                 name, parse = _KEYS[section, key]
-                setattr(cfg, name, parse(text))
+                values[name] = parse(text)
             else:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
     if parser.has_section("schemes") and "schemes" not in parser["schemes"]:
         raise ConfigError("[schemes] section present but empty")
-
-    if cfg.T <= 0:
-        raise ConfigError("horizon T must be positive")
-    if cfg.N < 1:
-        raise ConfigError("particle count N must be positive")
-    if cfg.repetitions < 1:
-        raise ConfigError("repetitions must be at least 1")
-    if not cfg.orders or min(cfg.orders) < 1:
-        raise ConfigError(f"moment orders must be at least 1, got {cfg.orders}")
-    return cfg
+    return ExperimentConfig(model_params=params, **values)
 
 
 def paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -59,21 +59,19 @@ def _run_cells(model, T, cells, reduce, trace_ids=None):
     return results
 
 
-def _study(cfg, reads, steps):
-    """Model and schemes of a study that reads the config keys `reads` and
-    runs every scheme at each of `steps`.  Two runs with one (label, h) would
-    write the same output; a `_ref` label is never a scheme's."""
-    cfg.reject_unread(reads)
+def _study(cfg, study):
+    """cfg.for_study(study), its model and its schemes.  Two runs with one
+    (label, h) would write the same output; a `_ref` label is never a scheme's."""
+    cfg = cfg.for_study(study)
     model = cfg.build_model()
-    if not cfg.schemes:
-        raise ConfigError("no schemes configured")
     schemes = [build_scheme(text, model) for text in cfg.schemes]
     seen = set()
+    steps = cfg.h_list if study == "converge" else cfg.h_values
     for label, h in ((scheme_label(scheme), h) for scheme in schemes for h in steps):
         if (label, h) in seen:
             raise ConfigError(f"two runs share output label {label} at h = {h:g}")
         seen.add((label, h))
-    return model, schemes
+    return cfg, model, schemes
 
 
 def _run_schemes(cfg, model, schemes, default_times, reduce, extra=(), trace_ids=None):
@@ -89,11 +87,11 @@ def _run_schemes(cfg, model, schemes, default_times, reduce, extra=(), trace_ids
 
 
 def fit_loglog(xs, ys):
-    """OLS fit of log2(y) against log2(x); returns (slope, intercept, r2)."""
+    """OLS fit of log2(y) against log2(x); returns (slope, intercept, r2),
+    all NaN below three points."""
     lx = np.log2(np.asarray(xs, dtype=np.float64))
     ly = np.log2(np.asarray(ys, dtype=np.float64))
-    n = lx.size
-    if n < 2:
+    if lx.size < 3:
         return math.nan, math.nan, math.nan
     mx, my = lx.mean(), ly.mean()
     sxx = float(np.sum((lx - mx) ** 2))
@@ -151,8 +149,7 @@ def run_convergence(cfg: ExperimentConfig):
     every coarse run consume the same underlying paths and the same initial
     ensemble, and errors are root-mean-square particle gaps at T.
     """
-    cfg.validate_convergence()
-    model, schemes = _study(cfg, {"h_ref", "h_list", "n"}, cfg.h_list)
+    cfg, model, schemes = _study(cfg, "converge")
     root = (cfg.seed, exact_divide(cfg.T, cfg.h_ref, "T / h_ref"), cfg.N)
     h_list = sorted(cfg.h_list, reverse=True)  # rows by descending h
     cells = [
@@ -170,8 +167,8 @@ def run_convergence(cfg: ExperimentConfig):
             diverged = diverged or ref_diverged
             err = rmse(final, ref) if not diverged else math.nan
             rows.append(ConvergenceRow(h=h, rmse=err, diverged=diverged))
-        used = [r for r in rows if r.usable]  # a fit needs three usable rows
-        fit = fit_loglog([r.h for r in used], [r.rmse for r in used]) if len(used) >= 3 else (math.nan,) * 3
+        used = [r for r in rows if r.usable]
+        fit = fit_loglog([r.h for r in used], [r.rmse for r in used])
         reports.append(
             ConvergenceReport(model.name, scheme_label(scheme), cfg.h_ref, rows, *fit, n_fit=len(used))
         )
@@ -200,8 +197,7 @@ def _density_record_times(cfg, n):
 def run_density(cfg: ExperimentConfig) -> list:
     """Kernel density curves, a DensityEntry per (cell, record time), with an
     optional implicit reference run at its own (finer) step size."""
-    cfg.validate_run_steps()
-    model, schemes = _study(cfg, {"h", "n", "record_times", "reference_scheme", "reference_h"}, cfg.h_values)
+    cfg, model, schemes = _study(cfg, "density")
     if model.d != 1:
         raise ConfigError("density study needs a one-dimensional model")
     extra = []
@@ -253,16 +249,10 @@ def run_paths(cfg: ExperimentConfig) -> list:
     """Trace a particle subset per (scheme, h) cell and summarize stability:
     the largest |X| over the recorded ensembles and the first non-finite
     time, if any; a list of PathCell, in cell order."""
-    cfg.validate_run_steps()
-    model, schemes = _study(cfg, {"h", "n", "record_times", "trace_particles", "trace_stride"}, cfg.h_values)
+    cfg, model, schemes = _study(cfg, "paths")
     ids = cfg.trace_particles
     if ids is None:
         ids = list(range(min(10, cfg.N)))
-    bad = [i for i in ids if not 0 <= i < cfg.N]
-    if bad:
-        raise ConfigError(f"trace_particles {bad} outside 0..{cfg.N - 1}")
-    if cfg.trace_stride < 1:
-        raise ConfigError(f"trace_stride must be at least 1, got {cfg.trace_stride}")
 
     def reduce(cell, traj):
         max_abs = 0.0
@@ -312,8 +302,7 @@ def _moment_record_times(cfg, n):
 def run_moments(cfg: ExperimentConfig) -> list:
     """Empirical raw moments over time, a MomentCell per (scheme, h) cell,
     flagged when they leave the configured ceiling or stop being finite."""
-    cfg.validate_run_steps()
-    model, schemes = _study(cfg, {"h", "n", "record_times", "orders", "moment_ceiling"}, cfg.h_values)
+    cfg, model, schemes = _study(cfg, "moments")
 
     def reduce(cell, traj):
         rec_t = np.array([rt for rt, _ in traj.records])
@@ -351,6 +340,10 @@ class NScalingRow:
     sem_w2: float
     repetitions: int
 
+    @property
+    def usable(self):
+        return math.isfinite(self.mean_w2) and self.mean_w2 > 0
+
 
 @dataclass
 class NScalingReport:
@@ -375,12 +368,9 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
     child seed derive_seed(seed, r); the proxy uses derive_seed(seed, 0), so
     an N = proxy_n single-repetition study reproduces the proxy exactly.
     """
-    cfg.validate_run_steps()
+    cfg, model, schemes = _study(cfg, "nscaling")
     if len(cfg.h_values) != 1:
         raise ConfigError("N-scaling study needs exactly one h in [grid]")
-    if not cfg.n_list or min(cfg.n_list) < 1 or cfg.proxy_n < 1:
-        raise ConfigError("N-scaling study needs positive n_list and proxy_n in [experiment]")
-    model, schemes = _study(cfg, {"h", "n_list", "proxy_n", "repetitions"}, cfg.h_values)
     if model.d != 1:
         raise ConfigError("N-scaling study needs a one-dimensional model")
     if len(schemes) != 1:
@@ -418,7 +408,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
         rows=rows,
         diverged=any(diverged for _, diverged in results),
     )
-    usable = [r for r in rows if math.isfinite(r.mean_w2) and r.mean_w2 > 0]
+    usable = [r for r in rows if r.usable]
     report.slope, report.intercept, report.r2 = fit_loglog(
         [r.n_particles for r in usable], [r.mean_w2 for r in usable]
     )

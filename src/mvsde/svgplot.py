@@ -172,8 +172,14 @@ def series_svg(series, title="series", xlabel="x", ylabel="y", fingerprint=""):
     return _document(body, title, fingerprint)
 
 
-def _fit_svg(xs, ys, pad_y, report, axis_labels, title, fingerprint):
-    """log2-log2 scatter with the report's fitted line and its slope label."""
+def _fit_svg(pts, pad, report, axis_labels, title, fingerprint):
+    """log2-log2 scatter of the usable rows' (x, y) `pts` with the report's
+    fitted line and its slope label; y is padded by 0.5 + pad * its range."""
+    if not pts:
+        raise ValueError(f"{title}: no usable rows")
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    pad_y = 0.5 + pad * (max(ys) - min(ys))
     frame = _Frame((min(xs) - 0.5, max(xs) + 0.5), (min(ys) - pad_y, max(ys) + pad_y))
     body = _axes(frame, *axis_labels)
     color = _PALETTE[0]
@@ -193,13 +199,8 @@ def _fit_svg(xs, ys, pad_y, report, axis_labels, title, fingerprint):
 def convergence_svg(report, fingerprint=""):
     """log2-log2 RMSE scatter with the fitted line and its slope label."""
     pts = [(r.log2_h, r.log2_rmse) for r in report.rows if r.usable]
-    if not pts:
-        raise ValueError("convergence report has no usable rows")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    pad_y = 0.5 + 0.1 * (max(ys) - min(ys))
     title = f"strong error: {report.model} / {report.scheme}"
-    return _fit_svg(xs, ys, pad_y, report, ("log2 h", "log2 RMSE"), title, fingerprint)
+    return _fit_svg(pts, 0.1, report, ("log2 h", "log2 RMSE"), title, fingerprint)
 
 
 def density_svg(entries, time, fingerprint=""):
@@ -246,9 +247,7 @@ def moments_svg(cell, fingerprint=""):
 
 
 def nscaling_svg(report, fingerprint=""):
-    xs = [math.log2(r.n_particles) for r in report.rows]
-    ys = [math.log2(r.mean_w2) for r in report.rows if r.mean_w2 > 0]
-    if len(ys) != len(xs) or not xs:
-        raise ValueError("N-scaling report has unusable rows")
+    """log2-log2 W2 scatter of the usable rows with the fitted line."""
+    pts = [(math.log2(r.n_particles), math.log2(r.mean_w2)) for r in report.rows if r.usable]
     title = f"terminal-law error vs N: {report.model}"
-    return _fit_svg(xs, ys, 0.5, report, ("log2 N", "log2 W2"), title, fingerprint)
+    return _fit_svg(pts, 0.0, report, ("log2 N", "log2 W2"), title, fingerprint)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ class TestParsing:
         assert cfg.h_list == [2.0**-4, 2.0**-5, 2.0**-6]
         assert cfg.N == 16 and cfg.seed == 5
         assert cfg.formats == ["csv", "svg"]
-        cfg.validate_convergence()
+        assert cfg.for_study("converge") == cfg  # every key converge reads is set
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError):
@@ -141,6 +142,28 @@ class TestParsing:
             path.write_text(f"[experiment]\norders = {orders}\n")
             with pytest.raises(ConfigError):
                 load_config(str(path))
+
+    def test_library_config_checked_when_constructed(self):
+        for bad in (dict(N=0), dict(repetitions=0), dict(orders=[0]), dict(h_values=[0.3])):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad)
+        cfg = ExperimentConfig()
+        with pytest.raises(ConfigError, match="outside"):
+            replace(cfg, seed=2**64)
+        with pytest.raises(ConfigError, match="T / h_ref"):
+            paper_scale(replace(cfg, T=0.3))
+
+    def test_study_fills_defaults_and_needs_its_required_keys(self):
+        cfg = ExperimentConfig(h_values=[0.25]).for_study("moments")
+        assert (cfg.N, tuple(cfg.orders), cfg.moment_ceiling, cfg.record_times) == (100, (2, 4), 1e4, None)
+        for run, keys, missing in (
+            (experiments.run_convergence, dict(h_ref=2.0**-6), r"'h_list' in \[grid\]"),
+            (experiments.run_convergence, dict(h_ref=2.0**-6, h_list=[]), r"'h_list' in \[grid\]"),
+            (experiments.run_nscaling, dict(h_values=[0.25], n_list=[4]), r"'proxy_n' in \[experiment\]"),
+            (experiments.run_paths, dict(), r"'h' in \[grid\]"),
+        ):
+            with pytest.raises(ConfigError, match="this study needs " + missing):
+                run(ExperimentConfig(**keys))
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads_and_validates(self, path, monkeypatch):
@@ -170,7 +193,7 @@ class TestParsing:
         assert scaled.h_ref == 2.0**-17
         assert scaled.h_list == [2.0**-13, 2.0**-14, 2.0**-15, 2.0**-16]
         assert scaled.N == 100
-        scaled.validate_convergence()
+        assert scaled.for_study("converge") == scaled
 
 
 class TestCsv:
@@ -207,6 +230,17 @@ class TestSvg:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             series_svg([])
+
+    def test_nscaling_plots_its_usable_rows(self):
+        from mvsde.experiments import NScalingReport, NScalingRow, fit_loglog
+        from mvsde.svgplot import nscaling_svg
+
+        rows = [NScalingRow(n, w2, 0.0, 4) for n, w2 in ((50, 0.1), (100, 0.07), (200, math.nan), (400, 0.035))]
+        fit = fit_loglog([50, 100, 400], [0.1, 0.07, 0.035])  # the slope the summary reports
+        doc = nscaling_svg(NScalingReport("cubic", "me", 0.1, 800, rows, False, *fit))
+        assert doc.count("<circle") == 3 and f"slope {fit[0]:.3f}" in doc
+        with pytest.raises(ValueError):
+            nscaling_svg(NScalingReport("cubic", "me", 0.1, 800, rows[2:3]))
 
     def test_slope_label_three_decimals(self, tmp_path):
         from mvsde.experiments import run_convergence
@@ -400,8 +434,11 @@ class TestCli:
             ("moments", "seed = 11", "seed = 11\nrepetitions = 4", "repetitions"),
             # the base config's n = 40: nscaling reads n_list and proxy_n instead
             ("nscaling", "trace_particles = 0, 3, 5", "n_list = 10, 20\nproxy_n = 20", "n"),
+            # a key set to the value another study defaults it to is still set
+            ("paths", "trace_particles = 0, 3, 5", "trace_particles = 0, 3, 5\nrepetitions = 1\norders = 2, 4",
+             "repetitions"),
         ],
-        ids=["converge", "density", "paths", "moments", "nscaling"],
+        ids=["converge", "density", "paths", "moments", "nscaling", "paths_at_default"],
     )
     def test_key_the_study_does_not_read_is_config_error(
         self, tmp_path, capsys, monkeypatch, command, old, new, key
@@ -437,9 +474,9 @@ class TestCli:
         text = RUN_STUDY_CONFIGS["density"].replace("[experiment]\n", every_key)
         path = tmp_path / "all.ini"
         path.write_text(text + f"out_dir = {tmp_path / 'o'}\n")
-        cfg, default = load_config(str(path)), ExperimentConfig()
+        cfg = load_config(str(path))
         for (section, _), (name, _) in config._KEYS.items():
-            assert section not in ("grid", "experiment") or getattr(cfg, name) != getattr(default, name)
+            assert section not in ("grid", "experiment") or getattr(cfg, name) is not None
         assert main(["check", "--config", str(path)]) == 0
         assert (tmp_path / "o" / "check_report.csv").exists()
 
@@ -681,9 +718,9 @@ class TestSvgDispatch:
 
         ncfg = ExperimentConfig(
             model_name="cubic", schemes=["me"], T=1.0, seed=42,
-            h_values=[2.0**-5], n_list=[16, 32], proxy_n=64, repetitions=2,
+            h_values=[2.0**-5], n_list=[8, 16, 32], proxy_n=64, repetitions=2,
         )
-        nrep = run_nscaling(ncfg)
+        nrep = run_nscaling(ncfg)  # a slope needs three usable rows
         assert "slope" in nscaling_svg(nrep)
 
         assert "<polyline" in series_svg([("s", [0, 1], [0, 1])])

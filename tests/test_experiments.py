@@ -61,6 +61,8 @@ def test_fit_loglog_recovers_exact_power():
     assert slope == pytest.approx(0.5, abs=1e-12)
     assert intercept == pytest.approx(math.log2(5.0), abs=1e-12)
     assert r2 == pytest.approx(1.0)
+    # converge and nscaling fit only three or more usable rows
+    assert all(math.isnan(v) for v in fit_loglog(hs[:2], ys[:2]))
 
 
 class TestConvergence:
@@ -319,6 +321,10 @@ class TestNScaling:
     def test_error_zero_when_n_matches_proxy_with_shared_seed(self):
         rep = run_nscaling(self.cfg(n_list=[256], repetitions=1))
         assert rep.rows[0].mean_w2 == 0.0
+
+    def test_two_rows_leave_the_slope_undefined(self):
+        rep = run_nscaling(self.cfg(n_list=[16, 32]))
+        assert all(r.mean_w2 > 0 for r in rep.rows) and math.isnan(rep.slope)
 
     def test_error_decreases_with_n(self):
         rep = run_nscaling(self.cfg(repetitions=8))

@@ -64,8 +64,8 @@ def test_config_docstring_lists_exactly_the_scheme_table():
     assert listed == {**table, "ssm": None}
 
 
-# a value other than the default for every [grid] and [experiment] field but T and seed
-_NON_DEFAULT = dict(
+# a value for every [grid] and [experiment] field but T and seed
+_SET = dict(
     h_values=[0.25], h_ref=2.0**-6, h_list=[0.25], N=8, record_times=[0.5], repetitions=2,
     orders=[3], moment_ceiling=10.0, trace_particles=[0], trace_stride=2, n_list=[4],
     proxy_n=8, reference_scheme="ssm", reference_h=0.125,
@@ -82,8 +82,13 @@ _STUDY_RUNS = {
 def test_study_key_lists_are_the_keys_each_study_reads(monkeypatch):
     text = README.read_text(encoding="utf-8")
     section = text.split("### Config grammar", 1)[1].split("### Outputs", 1)[0]
-    listed = dict(re.findall(r"^\* `(\w+)`: (.*)$", section, re.M))
-    assert set(listed) == set(_STUDY_RUNS)
+    listed = {study: set(re.findall(r"`(\w+)`", keys))
+              for study, keys in re.findall(r"^\* `(\w+)`: (.*)$", section, re.M)}
+    key_of = {name: key for (section, key), (name, _) in config._KEYS.items()
+              if section in ("grid", "experiment") and key not in ("t", "seed")}
+    assert set(key_of) == set(_SET)
+    assert listed == {study: {key_of[name] for name in reads} for study, reads in config.STUDY_KEYS.items()}
+    assert set(_STUDY_RUNS) == set(listed)
 
     class Started(Exception):
         pass
@@ -91,21 +96,17 @@ def test_study_key_lists_are_the_keys_each_study_reads(monkeypatch):
     def started(*args, **kwargs):
         raise Started
 
+    # each study runs with any one key it reads set, and rejects every other key
     monkeypatch.setattr(experiments.brownian, "generate", started)
-    assert {name for (section, key), (name, _) in config._KEYS.items()
-            if section in ("grid", "experiment") and key not in ("t", "seed")} == set(_NON_DEFAULT)
     for study, (run, base) in _STUDY_RUNS.items():
-        reads = set(re.findall(r"`(\w+)`", listed[study]))
-        for (section, key), (name, _) in config._KEYS.items():
-            if name not in _NON_DEFAULT:
-                continue
+        for name, key in key_of.items():
             try:
-                run(ExperimentConfig(model_name="doublewell", **{**base, name: _NON_DEFAULT[name]}))
+                run(ExperimentConfig(model_name="doublewell", **{**base, name: _SET[name]}))
             except ConfigError as err:
                 unread = f"does not read '{key}'" in str(err)
             except Started:
                 unread = False
-            assert unread == (key not in reads), (study, key)
+            assert unread == (name not in config.STUDY_KEYS[study]), (study, key)
 
 
 # the five studies and check, each on a tiny config written as csv and svg
