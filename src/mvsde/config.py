@@ -147,6 +147,8 @@ class ExperimentConfig:
         bad = [i for i in self.trace_particles or () if self.N is not None and not 0 <= i < self.N]
         if bad:
             raise ConfigError(f"trace_particles {bad} outside 0..{self.N - 1}")
+        if self.record_times is not None and not self.record_times:
+            raise ConfigError("record_times lists no time")
         # the tolerance of stepper.simulate, which would reject them after set-up
         if any(t < 0 or t > self.T + 1e-12 for t in self.record_times or ()):
             raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
@@ -157,7 +159,9 @@ class ExperimentConfig:
             for h in self.h_list or ():
                 if n_ref % exact_divide(h, self.h_ref, "h / h_ref") != 0:
                     raise ConfigError(f"h = {h} does not divide the reference grid")
-        for h in [self.h_ref, *(self.h_list or ()), *(self.h_values or ())]:
+        if self.reference_h is not None:
+            exact_divide(self.T, self.reference_h, "T / reference_h")
+        for h in [self.h_ref, self.reference_h, *(self.h_list or ()), *(self.h_values or ())]:
             if h is not None and not 0.0 < h < 1.0:
                 raise ConfigError(f"step size {h} outside (0, 1)")
 

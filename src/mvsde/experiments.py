@@ -4,8 +4,9 @@ studies.
 Each study is a list of cells, and `_run_cells` is the one loop that draws
 their Brownian grids, simulates and reduces.  All studies are deterministic
 given (config, seed): Brownian paths and initial data come from
-counter-keyed streams, cells run one after another, and every reduction has
-a fixed order.
+counter-keyed streams, cells run one after another or as a batch whose
+systems each get the bits of their run alone, and every reduction has a
+fixed order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import brownian
 from .config import ExperimentConfig, build_scheme, exact_divide
 from .errors import ConfigError
 from .stats import kde, rmse, w2_1d_quantile
-from .stepper import scheme_label, simulate
+from .stepper import scheme_label, simulate, simulate_batch
 from .taming import TamingOperator
 
 
@@ -36,26 +37,65 @@ class _Cell(NamedTuple):
     times: list
 
 
-def _run_cells(model, T, cells, reduce, trace_ids=None):
-    """reduce(cell, trajectory) of every cell, in cell order.
+def _draw(model, T, root):
+    seed, n_root, n_particles = root
+    return brownian.generate(seed, n_root, T, n_particles, model.m)
 
-    Roots are drawn in order of first use; the cells on a root run on
-    `brownian.coarsen` views of one draw, which is released before the next
-    root is drawn.
+
+def _batches(model, cells, trace_ids):
+    """The batch of each cell: a list of the indices of the cells stepped
+    with it as one system, shared by its members.  A batch holds cells that
+    differ only in their root's seed, in cell order, with B * N no more than
+    the largest cell's N and its B * N * steps * m increments no more than
+    brownian keeps in memory for one root.  Traced runs are not batched."""
+    largest = max(cell.root[2] for cell in cells)
+    open_batches, batch_of = {}, []
+    for i, cell in enumerate(cells):
+        _, n_root, n = cell.root
+        values = n * (n_root // cell.factor) * model.m
+        cap = min(largest // n, brownian._MATERIALIZE_LIMIT // values)
+        key = (cell.scheme, cell.h, n_root, n, cell.factor, tuple(cell.times))
+        batch = open_batches.get(key)
+        if batch is None or len(batch) >= cap or trace_ids is not None:
+            batch = open_batches[key] = []
+        batch.append(i)
+        batch_of.append(batch)
+    return batch_of
+
+
+def _run_cells(model, T, cells, reduce, trace_ids=None):
+    """reduce(cell, trajectory) of every cell, in the order the cells run.
+
+    Roots are drawn in order of first use, and the cells on one root run in
+    cell order on `brownian.coarsen` views of one draw, which is released
+    before the next root is drawn.  A cell of a batch of B > 1 runs with its
+    whole batch (`stepper.simulate_batch`) when it is reached; the batch's
+    roots are drawn one at a time as its block of increments is filled, and
+    each is released once copied in.
     """
-    results = [None] * len(cells)
-    for root in dict.fromkeys(cell.root for cell in cells):
-        seed, n_root, n_particles = root
-        grid = brownian.generate(seed, n_root, T, n_particles, model.m)
-        for i, cell in enumerate(cells):
-            if cell.root == root:
-                # the view stays a temporary: a name bound to it would keep the root alive
-                traj = simulate(
-                    model, cell.scheme, brownian.coarsen(grid, cell.factor), cell.times, trace_ids=trace_ids
-                )
-                results[i] = reduce(cell, traj)
-                del traj  # released before the next run starts
-        del grid  # released before the next root is drawn
+    batch_of = _batches(model, cells, trace_ids)
+    roots = dict.fromkeys(cell.root for cell in cells)
+    results, done = [None] * len(cells), set()
+    live = grid = None  # the root drawn last, while a run still needs it
+    for i in [i for root in roots for i, cell in enumerate(cells) if cell.root == root]:
+        if i in done:
+            continue
+        cell, batch = cells[i], batch_of[i]
+        needs = [cells[j].root for j in batch]
+        if live not in needs:
+            live = grid = None  # released before the next root is drawn
+        if len(batch) == 1:
+            if grid is None:
+                live, grid = cell.root, _draw(model, T, cell.root)
+            # the view stays a temporary: a name bound to it would keep the root alive
+            trajs = [simulate(model, cell.scheme, brownian.coarsen(grid, cell.factor), cell.times, trace_ids)]
+        else:
+            grids = (brownian.coarsen(grid if r == live else _draw(model, T, r), cell.factor) for r in needs)
+            trajs = simulate_batch(model, cell.scheme, grids, len(batch), cell.times)
+        for j, traj in zip(batch, trajs):
+            results[j] = reduce(cells[j], traj)
+            done.add(j)
+        del trajs, traj  # released before the next run starts
     return results
 
 
@@ -367,6 +407,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
     the gap isolates the particle-sampling error).  Repetition r uses the
     child seed derive_seed(seed, r); the proxy uses derive_seed(seed, 0), so
     an N = proxy_n single-repetition study reproduces the proxy exactly.
+    The repetitions at one N run as batches (see `_run_cells`).
     """
     cfg, model, schemes = _study(cfg, "nscaling")
     if len(cfg.h_values) != 1:

@@ -4,12 +4,14 @@ A model bundles a drift ``b(t, x, mu)``, diffusion columns
 ``sigma_r(t, x, mu)``, a growth exponent ``rho`` (the drift-increment bound
 is polynomial of degree ``2*rho + 1``) and a sampler for the initial law.
 Coefficient callables are vectorized over particles: ``x`` has shape
-``(N, d)`` and the return value must match.  The measure argument ``mu`` is
-a MeasureView of the current empirical measure; during a run it is the
-stepper's input Ensemble itself, frozen for the whole step.  All built-in
-models consume only its cached raw moments, but the read-only particle block
-``mu.states`` stays reachable for user models that need general measure
-functionals.
+``(..., N, d)``, one (N, d) block per independent particle system, and the
+return value must match.  The measure argument ``mu`` is a MeasureView of
+the current empirical measures, one per system; during a run it is the
+stepper's input Ensemble itself, frozen for the whole step.  A measure
+functional reduces axis -2 (the particles of one system) and keeps that axis
+for a batch, so it broadcasts against ``x``.  All built-in models consume
+only the cached raw moments, but the read-only particle block ``mu.states``
+stays reachable for user models that need general measure functionals.
 
 Coefficients must be deterministic, pure functions of their arguments.
 """
@@ -24,49 +26,55 @@ import numpy as np
 
 class MeasureView:
     """Empirical measure of N particles: the read-only (N, d) block `states`
-    and its moments, cached on first use.  A C-contiguous float64 input is
-    used in place, so that array becomes read-only too.
+    and its moments, cached on first use; or of a batch of such systems, with
+    states of shape (..., N, d).  A C-contiguous float64 input is used in
+    place, so that array becomes read-only too.
 
     The stepper builds one per time step, as its Ensemble subclass.  Moments
-    are accumulated with single full-array numpy reductions, giving one fixed
-    summation order per ensemble shape.
+    are accumulated with single numpy reductions over the particle axis,
+    giving one fixed summation order per system size: a system's moments
+    have the same bits alone and in a batch.
     """
 
     __slots__ = ("states", "_moments")
 
     def __init__(self, states):
         states = np.ascontiguousarray(states, dtype=np.float64)
-        if states.ndim != 2:
-            raise ValueError("states must have shape (N, d)")
+        if states.ndim < 2:
+            raise ValueError("states must have shape (..., N, d)")
         states.flags.writeable = False  # the cached moments rely on it
         self.states = states
         self._moments = {}
 
     @property
     def n_particles(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
     @property
     def mean(self) -> np.ndarray:
-        """First raw moment, shape (d,)."""
+        """First raw moment, shape (d,), or (..., 1, d) for a batch."""
         return self.raw_moment(1)
 
     def raw_moment(self, k: int):
-        """Per-coordinate k-th raw moment, a read-only (d,) vector."""
+        """Per-coordinate k-th raw moment, read-only: a (d,) vector, or
+        (..., 1, d) for a batch, one row per system."""
         mom = self._moments.get(k)  # only valid orders are cached
         if mom is None:
             if k < 1 or k != int(k):
                 raise ValueError("moment order must be a positive integer")
             # np.mean's own reduction and division, without its wrapper
-            mom = np.add.reduce(int_power(self.states, int(k)), axis=0) / self.states.shape[0]
+            states = self.states
+            power = int_power(states, int(k))
+            mom = np.add.reduce(power, axis=-2, keepdims=states.ndim > 2) / states.shape[-2]
             mom.flags.writeable = False
             self._moments[int(k)] = mom
         return mom
 
     @property
     def w2sq_to_dirac0(self) -> float:
-        """Squared 2-Wasserstein distance to the Dirac at the origin,
-        (1/N) * sum_i |x_i|^2, the coordinate sum of the second raw moment."""
+        """Squared 2-Wasserstein distance to the Dirac at the origin of one
+        (N, d) system, (1/N) * sum_i |x_i|^2, the coordinate sum of the
+        second raw moment."""
         return float(np.sum(self.raw_moment(2)))
 
 
@@ -96,12 +104,14 @@ def dirac(point: float, d: int = 1) -> MeasureView:
 class ModelSpec:
     """Immutable description of one mean-field SDE.
 
-    drift(t, x, mu) and diffusion_col(t, x, mu, r) take x of shape (N, d)
-    and return (N, d); r is 1-based and at most m.  initial_sampler(stream)
-    returns the (N, d) initial states from the deterministic draw source.
-    The optional drift_dx(t, x, mu) returns the Jacobian d b / d x with mu
-    frozen, shape (N, d, d); the split-step Newton uses it, and falls back to
-    a forward-difference Jacobian when it is None.
+    drift(t, x, mu) and diffusion_col(t, x, mu, r) take x of shape
+    (..., N, d), one (N, d) block per particle system, and return the same
+    shape; r is 1-based and at most m.  A functional of the measure mu
+    reduces axis -2, as MeasureView.raw_moment does.  initial_sampler(stream)
+    returns the (N, d) initial states of one system from the deterministic
+    draw source.  The optional drift_dx(t, x, mu) returns the Jacobian
+    d b / d x with mu frozen, shape (..., N, d, d); the split-step Newton
+    uses it, and falls back to a forward-difference Jacobian when it is None.
     """
 
     name: str
@@ -141,7 +151,7 @@ def cubic_interaction_model() -> ModelSpec:
         return x - x * x * x + c * mu.mean
 
     def drift_dx(t, x, mu):
-        return (1.0 - 3.0 * (x * x))[:, :, None]
+        return (1.0 - 3.0 * (x * x))[..., None]
 
     def diffusion(t, x, mu, r):
         return gamma * (1.0 - x * x)
@@ -172,7 +182,7 @@ def quintic_interaction_model() -> ModelSpec:
 
     def drift_dx(t, x, mu):
         x2 = x * x
-        return (-5.0 * (x2 * x2) + 3.0 * x2)[:, :, None]
+        return (-5.0 * (x2 * x2) + 3.0 * x2)[..., None]
 
     def diffusion(t, x, mu, r):
         return gamma * (x * x) + 1.0
@@ -212,7 +222,7 @@ def double_well_model(mu0: float = 0.0, sigma0sq: float = 1.0) -> ModelSpec:
     def drift_dx(t, x, mu):
         m1 = mu.raw_moment(1)
         m2 = mu.raw_moment(2)
-        return (-3.75 * (x * x) + 6.0 * x * m1 - 3.0 * m2)[:, :, None]
+        return (-3.75 * (x * x) + 6.0 * x * m1 - 3.0 * m2)[..., None]
 
     def diffusion(t, x, mu, r):
         return x.copy()

@@ -68,7 +68,11 @@ def w2_1d_quantile(x, y) -> float:
     # nxt the quantiles are xs[i] and ys[j], i and j counting breakpoints below
     bx = np.arange(1, n + 1, dtype=np.int64) * m
     by = np.arange(1, m + 1, dtype=np.int64) * n
-    nxt = np.union1d(bx, by)
+    # np.union1d of two sorted runs: a stable sort merges them, then equal
+    # neighbours are dropped, with no hash table
+    nxt = np.concatenate((bx, by))
+    nxt.sort(kind="stable")
+    nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
     i = np.searchsorted(bx, nxt)
     j = np.searchsorted(by, nxt)
     # float_power with a scalar exponent is libm pow, the same as a scalar

@@ -17,6 +17,10 @@ the split-step stage stays a per-particle (not coupled) solve.
 Non-finite states do not abort a run: the offending entries are replaced by
 NaN sentinels and the ensemble is flagged, so divergence experiments can
 report the time of explosion.
+
+B independent systems of N particles step together as one (B, N, d)
+Ensemble (simulate_batch).  Each keeps its own measure, non-finite flag and
+Newton solve, so its bits are those of its run alone (simulate, B = 1).
 """
 
 from __future__ import annotations
@@ -44,35 +48,66 @@ def scheme_label(op: TamingOperator | None) -> str:
 
 class Ensemble(MeasureView):
     """N particle states at one time, which are also their own empirical
-    measure: the read-only (N, d) block `states` and its cached moments."""
+    measure: the read-only (N, d) block `states` and its cached moments; or B
+    such systems stepped together, with (B, N, d) states and moments per
+    system.
 
-    __slots__ = ("t", "step_index", "diverged", "first_nonfinite")
+    first_nonfinite is (particle, step) of the first non-finite state, or
+    None; for a batch it is None or a tuple with one such entry per system.
+    """
 
-    def __init__(self, states, t=0.0, step_index=0, diverged=False, first_nonfinite=None):
+    __slots__ = ("t", "step_index", "first_nonfinite")
+
+    def __init__(self, states, t=0.0, step_index=0, first_nonfinite=None):
         super().__init__(states)
         self.t = float(t)
         self.step_index = int(step_index)
-        self.diverged = bool(diverged)
-        self.first_nonfinite = first_nonfinite  # (particle, step) or None
+        self.first_nonfinite = first_nonfinite
+
+    @property
+    def diverged(self) -> bool:
+        """Some particle (of some system, for a batch) became non-finite."""
+        return self.first_nonfinite is not None
+
+    def replica(self, i) -> Ensemble:
+        """System i of a batch, as an (N, d) ensemble."""
+        first = None if self.first_nonfinite is None else self.first_nonfinite[i]
+        return Ensemble(self.states[i], self.t, self.step_index, first)
+
+    def take(self, keep) -> Ensemble:
+        """The batch of the systems at positions keep, in that order."""
+        first = self.first_nonfinite
+        if first is not None:
+            first = tuple(first[i] for i in keep)
+            if all(f is None for f in first):
+                first = None
+        return Ensemble(self.states[keep], self.t, self.step_index, first)
 
 
 def _next_ensemble(new_states, ens, h):
-    """Ensemble one step after ens; non-finite entries become NaN and flag it."""
+    """Ensemble one step after ens; non-finite entries become NaN and flag
+    their system."""
     k = ens.step_index + 1
     finite = np.isfinite(new_states)
-    if finite.all():
-        return Ensemble(new_states, ens.t + h, k, ens.diverged, ens.first_nonfinite)
     first = ens.first_nonfinite
-    if first is None:
-        particle = int(np.argmin(finite.all(axis=1)))
-        first = (particle, k)
-    return Ensemble(np.where(finite, new_states, np.nan), ens.t + h, k, True, first)
+    if not finite.all():
+        bad = ~finite.all(axis=-1)  # particles with a non-finite coordinate
+        if bad.ndim == 1:
+            first = first or (int(np.argmax(bad)), k)
+        else:
+            first = [None] * len(bad) if first is None else list(first)
+            for i in np.flatnonzero(bad.any(axis=-1)):
+                first[i] = first[i] or (int(np.argmax(bad[i])), k)
+            first = tuple(first)
+        new_states = np.where(finite, new_states, np.nan)
+    return Ensemble(new_states, ens.t + h, k, first)
 
 
 def _increments(ens, model, dW):
     dW = np.asarray(dW, dtype=np.float64)
-    if dW.shape != (ens.n_particles, model.m):
-        raise ValueError(f"dW shape {dW.shape}, expected {(ens.n_particles, model.m)}")
+    want = ens.states.shape[:-1] + (model.m,)
+    if dW.shape != want:
+        raise ValueError(f"dW shape {dW.shape}, expected {want}")
     return dW
 
 
@@ -81,12 +116,12 @@ def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
     with no op; the caller holds np.errstate."""
     for r in range(1, model.m + 1):
         s = np.asarray(model.diffusion_col(t, z, mu, r), dtype=np.float64)
-        new = new + (s if op is None else _t2_raw(op, s, z, h)) * dW[:, r - 1 : r]
+        new = new + (s if op is None else _t2_raw(op, s, z, h)) * dW[..., r - 1 : r]
     return new
 
 
 def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> Ensemble:
-    """Advance one explicit step tamed by op; dW has shape (N, m)."""
+    """Advance one explicit step tamed by op; dW has shape (..., N, m)."""
     if op is None:
         raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
@@ -99,44 +134,53 @@ def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> En
 
 
 def _implicit_matrix(model, t, y, mu, h, b0):
-    """I - h * d b / d y at y, shape (N, d, d): from the model's drift_dx, or
-    else from forward differences bumped by NEWTON_FD_EPS (1 + |y|)."""
-    n, d = y.shape
+    """I - h * d b / d y at y, shape (..., N, d, d): from the model's
+    drift_dx, or else from forward differences bumped by NEWTON_FD_EPS (1 + |y|)."""
+    d = y.shape[-1]
     eye = np.eye(d)
     if model.drift_dx is not None:
         return eye - h * np.asarray(model.drift_dx(t, y, mu), dtype=np.float64)
     eps = NEWTON_FD_EPS * (1.0 + np.abs(y))
-    a = np.empty((n, d, d))
+    a = np.empty(y.shape + (d,))
     for c, e in enumerate(eye):
         bump = y.copy()
-        bump[:, c] += eps[:, c]
+        bump[..., c] += eps[..., c]
         bc = np.asarray(model.drift(t, bump, mu), dtype=np.float64)
-        a[:, :, c] = e - h * (bc - b0) / eps[:, c : c + 1]
+        a[..., c] = e - h * (bc - b0) / eps[..., c : c + 1]
     return a
 
 
 def _newton_implicit_drift(model, t, x, mu, h):
-    """Solve Y = x + h*b(t, Y, mu) for all particles; returns Y of shape (N, d).
+    """Solve Y = x + h*b(t, Y, mu) for all particles; returns Y, shaped as x.
 
     Each iteration evaluates b and its Jacobian once at y and takes the
-    Newton update y - (I - h J)^-1 (y - x - h b)."""
+    Newton update y - (I - h J)^-1 (y - x - h b).  A system stops when its
+    own largest residual passes and is not updated again, so each system of
+    a batch gets the Y it gets alone.  On failure the error names the first
+    system still iterating (its `replica`, for a batch) and its worst particle."""
     y = x.copy()
-    d = x.shape[1]
+    d = x.shape[-1]
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             b0 = np.asarray(model.drift(t, y, mu), dtype=np.float64)
             f = y - x - h * b0
-            resid = np.abs(f).max(axis=1)
-            if resid.max() <= NEWTON_TOL:  # false while any residual is NaN
+            resid = np.abs(f).max(axis=-1)
+            done = resid.max(axis=-1) <= NEWTON_TOL  # false while any residual is NaN
+            settled = np.count_nonzero(done)
+            if settled == done.size:
                 return y
             a = _implicit_matrix(model, t, y, mu, h, b0)
             if d == 1:
-                y = y - f / a[:, :, 0]
+                new = y - f / a[..., 0]
             else:
-                y = y - np.linalg.solve(a, f[:, :, None])[:, :, 0]
-    resid = np.where(np.isfinite(resid), resid, np.inf)
-    particle = int(np.argmax(resid))
-    raise NewtonNonConvergence(particle, float(resid[particle]), NEWTON_MAX_ITER)
+                new = y - np.linalg.solve(a, f[..., None])[..., 0]
+            y = np.where(done[..., None, None], y, new) if settled else new
+    resid = np.where(np.isfinite(resid), resid, np.inf).reshape(-1, resid.shape[-1])
+    replica = int(np.argmin(np.reshape(done, -1)))
+    particle = int(np.argmax(resid[replica]))
+    raise NewtonNonConvergence(
+        particle, float(resid[replica, particle]), NEWTON_MAX_ITER, replica if x.ndim > 2 else None
+    )
 
 
 def split_step(ens: Ensemble, model: ModelSpec, h, dW) -> Ensemble:
@@ -193,6 +237,10 @@ def grid_floor_step(t, T, n):
     return min(int(np.floor(v * (1.0 + 1e-12) + 1e-9)), n)
 
 
+def _shape(grid):
+    return grid.n_steps, grid.h, grid.T, grid.N
+
+
 def simulate(
     model: ModelSpec,
     op: TamingOperator | None,
@@ -207,11 +255,46 @@ def simulate(
     record time is mapped to the nearest grid point below it.  A Newton
     failure truncates the run (partial records, complete=False); explicit
     divergence only flags the trajectory and stepping continues on NaN
-    sentinels.
+    sentinels.  This is simulate_batch of one grid, with particle traces.
     """
-    n = grid.n_steps
-    h = grid.h
-    T = grid.T
+    def increments(k0, k1):
+        return grid.increments_block(k0, k1)[None]
+
+    (traj,) = _run(model, op, [grid.seed], _shape(grid), increments, record_times, trace_ids)
+    return traj
+
+
+def simulate_batch(model: ModelSpec, op: TamingOperator | None, grids, count, record_times) -> list:
+    """simulate over `count` grids of one shape (step count and size, T and
+    N) stepped as one (B, N, d) system: a Trajectory per grid, each bit for
+    bit its own simulate run.  A system that goes non-finite flags only
+    itself; one whose Newton solve fails is cut there and leaves the batch.
+
+    `grids` is iterated once: each grid's increments are copied into one
+    (B, N, n_steps, m) block and the grid is let go before the next is read,
+    so a generator that draws each grid holds one root at a time.
+    """
+    block, seeds = None, []
+    for grid in grids:  # not enumerate: its reused tuple would hold the last grid
+        if block is None:
+            shape = _shape(grid)
+            block = np.empty((count, grid.N, grid.n_steps, grid.m))
+        elif _shape(grid) != shape:
+            raise ValueError(f"grid {len(seeds)} has shape {_shape(grid)}, expected {shape}")
+        block[len(seeds)] = grid.increments_block(0, grid.n_steps)
+        seeds.append(grid.seed)
+        del grid  # release its root before the next grid is drawn
+    if not seeds or len(seeds) != count:
+        raise ValueError(f"{len(seeds)} grids, expected {count}")
+    return _run(model, op, seeds, shape, lambda k0, k1: block[:, :, k0:k1], record_times)
+
+
+def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> list:
+    """The one step loop: B = len(seeds) systems on grids of one shape
+    (n steps of size h on [0, T], N particles) as a (B, N, d) Ensemble, with
+    increments(k0, k1) of shape (B, N, k1 - k0, m); a Trajectory per system.
+    Particle traces (trace_ids) are taken of the first system, for B = 1."""
+    n, h, T, N = shape
     record_times = list(record_times)
     if any(t < 0 or t > T + 1e-12 for t in record_times):
         raise ValueError(f"record times must lie in [0, {T}]")
@@ -219,45 +302,69 @@ def simulate(
     for rt in record_times:
         by_step.setdefault(grid_floor_step(rt, T, n), []).append(rt)
 
-    stream = InitStream(grid.seed, grid.N, model.d)
-    x0 = np.asarray(model.initial_sampler(stream), dtype=np.float64)
-    if x0.shape != (grid.N, model.d):
-        raise ValueError(f"initial sampler returned {x0.shape}, expected {(grid.N, model.d)}")
-    ens = Ensemble(x0)
+    x0 = []
+    for seed in seeds:
+        x = np.asarray(model.initial_sampler(InitStream(seed, N, model.d)), dtype=np.float64)
+        if x.shape != (N, model.d):
+            raise ValueError(f"initial sampler returned {x.shape}, expected {(N, model.d)}")
+        x0.append(x)
+    # one system steps on the sampler's own array, with no copy
+    ens = Ensemble(x0[0][None] if len(x0) == 1 else np.stack(x0))
+    del x0, x
 
     trace_times = trace_values = None
     if trace_ids is not None:
         trace_ids = [int(i) for i in trace_ids]
         for pid in trace_ids:
-            if not 0 <= pid < grid.N:
-                raise ValueError(f"trace particle {pid} outside 0..{grid.N - 1}")
+            if not 0 <= pid < N:
+                raise ValueError(f"trace particle {pid} outside 0..{N - 1}")
         trace_times = np.arange(n + 1) * (T / n)
         trace_values = np.full((n + 1, len(trace_ids), model.d), np.nan)
-        trace_values[0] = ens.states[trace_ids, :]
+        trace_values[0] = ens.states[0, trace_ids, :]
 
-    records = [(rt, ens) for rt in by_step.get(0, ())]
-    newton_failure = None
+    alive = list(range(len(seeds)))  # the system at each position of the batch
+    records = [[] for _ in seeds]
+    finals = [None] * len(seeds)
+    failures = [None] * len(seeds)
+
+    def record(rt):
+        for i, b in enumerate(alive):
+            records[b].append((rt, ens.replica(i)))
+
+    for rt in by_step.get(0, ()):
+        record(rt)
     dw = None
-    try:
-        for k in range(n):
-            j = k % _BLOCK
-            if j == 0:
-                dw = None  # release the previous block before drawing the next
-                dw = grid.increments_block(k, min(k + _BLOCK, n))
-            ens = step(ens, model, op, h, dw[:, j, :])
-            if trace_values is not None:
-                trace_values[k + 1] = ens.states[trace_ids, :]
-            for rt in by_step.get(k + 1, ()):
-                records.append((rt, ens))
-    except NewtonNonConvergence as err:
-        newton_failure = (k + 1, err.particle, err.residual)
+    for k in range(n):
+        j = k % _BLOCK
+        if j == 0:
+            dw = None  # release the previous block before drawing the next
+            dw = increments(k, min(k + _BLOCK, n))
+            if len(alive) < len(seeds):
+                dw = dw[alive]
+        while True:
+            try:
+                ens = step(ens, model, op, h, dw[:, :, j, :])
+                break
+            except NewtonNonConvergence as err:
+                # cut that system here, as its own run would be; step the rest again
+                b = alive.pop(err.replica)
+                failures[b] = (k + 1, err.particle, err.residual)
+                finals[b] = ens.replica(err.replica)
+                if not alive:
+                    break
+                keep = [i for i in range(len(alive) + 1) if i != err.replica]
+                ens, dw = ens.take(keep), dw[keep]
+        if not alive:
+            break
+        if trace_values is not None:
+            trace_values[k + 1] = ens.states[0, trace_ids, :]
+        for rt in by_step.get(k + 1, ()):
+            record(rt)
+    for i, b in enumerate(alive):
+        finals[b] = ens.replica(i)
 
-    records.sort(key=lambda item: item[0])  # stable: equal times keep step order
-    return Trajectory(
-        h=h,
-        records=records,
-        final=ens,
-        trace_times=trace_times,
-        trace_values=trace_values,
-        newton_failure=newton_failure,
-    )
+    # sorted is stable: equal record times keep step order
+    return [
+        Trajectory(h, sorted(rec, key=lambda item: item[0]), final, trace_times, trace_values, failure)
+        for rec, final, failure in zip(records, finals, failures)
+    ]

@@ -92,8 +92,9 @@ class TamingOperator:
 
 
 def _vec_norm(v):
-    # Euclidean norm along the coordinate axis, kept broadcastable
-    return np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    # Euclidean norm along the coordinate axis, kept broadcastable; np.sum's
+    # own reduction, without its wrapper
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def _t1_raw(op: TamingOperator, v, x, h):
@@ -104,7 +105,7 @@ def _t1_raw(op: TamingOperator, v, x, h):
     if kind == "drift_tamed":
         return v / (1.0 + h**op.param * _vec_norm(v))
     if kind == "modified":
-        return v / (1.0 + h * np.sum(v * v, axis=-1, keepdims=True))
+        return v / (1.0 + h * np.add.reduce(v * v, axis=-1, keepdims=True))
     if kind == "tanh":
         ha = h**op.param
         return np.tanh(ha * v) / ha

@@ -88,7 +88,8 @@ formats = csv, svg
 
 
 # the proxy and 2 repetitions at each N, 8 steps each; repetition 0 at N = 8
-# has the proxy's seed and N, so 4 distinct roots serve the 5 runs
+# has the proxy's seed and N, so 4 distinct roots serve the 5 runs; the two
+# N = 4 runs step as one batch (2 * 4 <= proxy_n), those at N = 8 alone
 TINY_NSCALING = """
 [model]
 name = cubic
@@ -155,4 +156,4 @@ def test_traced_converge_draws_one_root(tmp_path):
 def test_traced_nscaling_draws_each_root_once(tmp_path):
     layers = traced_layers(tmp_path, "nscaling", TINY_NSCALING)
     assert layers["experiments.grids_generated"] == 4
-    assert layers["stepper.steps"] == 5 * 8
+    assert layers["stepper.steps"] == 8 + 8 + 8 + 8

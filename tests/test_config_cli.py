@@ -144,7 +144,10 @@ class TestParsing:
                 load_config(str(path))
 
     def test_library_config_checked_when_constructed(self):
-        for bad in (dict(N=0), dict(repetitions=0), dict(orders=[0]), dict(h_values=[0.3])):
+        for bad in (
+            dict(N=0), dict(repetitions=0), dict(orders=[0]), dict(h_values=[0.3]),
+            dict(record_times=[]), dict(reference_h=1.0),
+        ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
         cfg = ExperimentConfig()
@@ -380,6 +383,8 @@ class TestCli:
             ("moments", "me, te(1)", "identity(5)"),
             ("moments", orders, "record_times = 0.25, 0.75"),
             ("moments", orders, "record_times = -0.25"),
+            ("moments", orders, "record_times ="),  # an empty list records nothing
+            ("density", "T = 0.5", "T = 1", "reference_h = 2^-6", "reference_h = 1"),  # one step
             ("paths", orders, "trace_stride = 0"),
             ("paths", orders, "trace_particles = 0, 40"),
             ("paths", orders, "trace_particles = -1"),

@@ -337,6 +337,22 @@ class TestNScaling:
         sems16 = run_nscaling(self.cfg(n_list=[32], repetitions=16)).rows[0].sem_w2
         assert 0.2 <= sems16 / sems4 <= 0.9
 
+    @pytest.mark.parametrize("scheme", ["me", "ssm"])
+    def test_batched_repetitions_match_serial_runs(self, scheme, monkeypatch):
+        # n_list includes proxy_n: 256 // 16 = 16, so each smaller N runs its
+        # repetitions as one batch and the proxy and N = 256 run alone
+        cfg = self.cfg(schemes=[scheme], n_list=[16, 64, 256], repetitions=4)
+        batched = run_nscaling(cfg)
+        counts = []
+
+        def serial(model, op, grids, count, times):
+            counts.append(count)
+            return [simulate(model, op, grid, times) for grid in grids]
+
+        monkeypatch.setattr(experiments, "simulate_batch", serial)
+        assert run_nscaling(cfg) == batched
+        assert counts == [4, 4]
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             run_nscaling(self.cfg(h_values=[0.25, 0.125]))
@@ -396,7 +412,10 @@ class TestRunner:
             assert row.sem_w2 == float(vals.std(ddof=1) / np.sqrt(3))
         assert rep.rows[1].mean_w2 > 0 and not rep.diverged
 
-    def test_each_root_released_before_the_next_draw(self, monkeypatch):
+    @pytest.fixture
+    def released_roots(self, monkeypatch):
+        """Weak references to every root drawn; a draw fails while an
+        earlier root is still alive."""
         generate = brownian.generate
         roots = []
 
@@ -407,9 +426,22 @@ class TestRunner:
             return grid
 
         monkeypatch.setattr(experiments.brownian, "generate", tracked)
+        return roots
+
+    def test_each_root_released_before_the_next_draw(self, released_roots):
         cfg = ExperimentConfig(
             model_name="doublewell", schemes=["me", "te(1)"], T=1.0, N=16, seed=9,
             h_values=[0.05], reference_scheme="ssm", reference_h=0.01,
         )
         run_density(cfg)
-        assert len(roots) == 2
+        assert len(released_roots) == 2
+
+    def test_each_batch_root_released_before_the_next_draw(self, released_roots):
+        # batches of 4 repetitions at N = 8 and of 2 at N = 16, each root
+        # copied into its batch's block and released before the next draw
+        cfg = ExperimentConfig(
+            model_name="cubic", schemes=["me"], T=1.0, seed=9, h_values=[0.25],
+            n_list=[8, 16], proxy_n=32, repetitions=4,
+        )
+        run_nscaling(cfg)
+        assert len(released_roots) == 9

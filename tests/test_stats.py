@@ -186,6 +186,24 @@ class TestW2Quantile:
         xs = np.array([0.5, -2.0, 0.5])
         assert w2_1d_quantile(xs, xs[::-1]) == 0.0
 
+    @pytest.mark.parametrize(
+        "n, m",
+        [(1, 1), (800, 800), (1, 9), (50, 10_000), (400, 800), (13, 17), (799, 10_000), (127, 128)],
+        ids=lambda v: str(v),
+    )
+    def test_merged_breakpoints_match_union1d(self, n, m):
+        # equal sizes, sizes dividing one another, and coprime sizes
+        rng = np.random.default_rng(n * 7 + m)
+        x, y = rng.standard_normal(n), 3.0 * rng.standard_normal(m)
+        xs, ys = np.sort(x), np.sort(y)
+        bx = np.arange(1, n + 1, dtype=np.int64) * m
+        by = np.arange(1, m + 1, dtype=np.int64) * n
+        nxt = np.union1d(bx, by)
+        widths = np.diff(nxt, prepend=0).astype(np.float64)
+        terms = widths * np.float_power(xs[np.searchsorted(bx, nxt)] - ys[np.searchsorted(by, nxt)], 2.0)
+        want = float(np.sqrt(np.cumsum(terms)[-1] / (n * m)))
+        assert w2_1d_quantile(x, y) == want
+
 
 @settings(deadline=None, max_examples=100)
 @given(

@@ -16,6 +16,7 @@ from mvsde.stepper import (
     Ensemble,
     euler_step,
     grid_floor_step,
+    simulate_batch,
     split_step,
 )
 from mvsde.taming import TamingOperator
@@ -311,3 +312,81 @@ class TestSimulate:
         assert not traj.complete and traj.diverged
         assert traj.newton_failure is not None and traj.newton_failure[0] == 1
         assert traj.records == []
+
+
+# d = 2 with coupled coordinates and no drift_dx: the split step solves
+# (N, 2, 2) systems from forward-difference Jacobians
+COUPLED_D2 = make_model(
+    lambda t, x, mu: 0.5 * x[..., ::-1] - x * x * x + mu.mean, unit_diffusion, init=0.5, d=2
+)
+
+
+def assert_same_run(batched, alone):
+    """One system of a batch against its own simulate run, bit for bit."""
+    assert batched.newton_failure == alone.newton_failure
+    assert batched.first_nonfinite == alone.first_nonfinite
+    assert batched.final.step_index == alone.final.step_index
+    assert np.array_equal(batched.final.states, alone.final.states, equal_nan=True)
+    assert [rt for rt, _ in batched.records] == [rt for rt, _ in alone.records]
+    for (_, a), (_, b) in zip(batched.records, alone.records):
+        assert a.step_index == b.step_index
+        assert np.array_equal(a.states, b.states, equal_nan=True)
+
+
+def run_both(model, op, seeds, n, N, times=(0.5, 1.0)):
+    """simulate_batch over the seeds' grids and simulate of each grid alone."""
+    batched = simulate_batch(model, op, (generate(s, n, 1.0, N, 1) for s in seeds), len(seeds), times)
+    alone = [simulate(model, op, generate(s, n, 1.0, N, 1), times) for s in seeds]
+    assert len(batched) == len(seeds)
+    for a, b in zip(batched, alone):
+        assert_same_run(a, b)
+    return alone
+
+
+class TestBatch:
+    @pytest.mark.parametrize("B", [1, 2, 16])
+    @pytest.mark.parametrize("N", [1, 7, 100, 127, 128, 129, 1000, 4097])
+    def test_raw_moment_per_system_bitwise(self, N, B):
+        # axis -2 of a batch reduces each system as it is reduced alone
+        rng = np.random.default_rng(N * 31 + B)
+        states = rng.standard_normal((B, N, 1)) * 10.0 ** rng.uniform(-3, 3, (B, N, 1))
+        batch = Ensemble(states)
+        for k in (1, 2, 3, 4):
+            mom = batch.raw_moment(k)
+            assert mom.shape == (B, 1, 1)
+            for b in range(B):
+                assert np.array_equal(mom[b, 0], Ensemble(states[b].copy()).raw_moment(k))
+
+    @pytest.mark.parametrize(
+        "model, op",
+        [(cubic_interaction_model(), ME), (cubic_interaction_model(), SSM),
+         (double_well_model(3.0, 9.0), TamingOperator("tanh", 1.0)), (double_well_model(), SSM),
+         (COUPLED_D2, ME), (COUPLED_D2, SSM)],
+        ids=["cubic-me", "cubic-ssm", "doublewell-te", "doublewell-ssm", "d2-me", "d2-ssm-fd"],
+    )
+    def test_each_system_as_its_own_run(self, model, op):
+        run_both(model, op, seeds=[4, 9, 4, 1], n=16, N=32)
+
+    def test_newton_cut_system_leaves_the_batch(self):
+        # doublewell, mu0 = 30: the first implicit stage fails to reach the
+        # tolerance for most but not all initial draws
+        model = double_well_model(30.0, 900.0)
+        alone = run_both(model, SSM, seeds=range(12), n=4, N=4)
+        cut = [traj.newton_failure is not None for traj in alone]
+        assert any(cut) and not all(cut)
+        assert all(traj.newton_failure[0] == 1 for traj in alone if traj.newton_failure)
+
+    def test_nonfinite_system_flags_only_itself(self):
+        # explicit Euler on the double well explodes for some initial draws
+        alone = run_both(double_well_model(0.0, 4.0), EM, seeds=range(12), n=8, N=4)
+        flagged = [traj.first_nonfinite is not None for traj in alone]
+        assert any(flagged) and not all(flagged)
+
+    def test_batch_error_names_the_failed_system(self):
+        # at h = 0.1, Y = x + 0.1 (2 + 2 Y^2) has a root from x = -0.1 and
+        # none from x = 3, so only the second system is still iterating
+        model = make_model(lambda t, x, mu: 2.0 + 2.0 * x**2, zero_diffusion)
+        states = np.stack([np.full((2, 1), -0.1), np.full((2, 1), 3.0)])
+        with pytest.raises(NewtonNonConvergence) as err:
+            split_step(Ensemble(states), model, 0.1, np.zeros((2, 2, 1)))
+        assert err.value.replica == 1 and err.value.particle in (0, 1)
