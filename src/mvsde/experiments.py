@@ -42,59 +42,53 @@ def _draw(model, T, root):
     return brownian.generate(seed, n_root, T, n_particles, model.m)
 
 
-def _batches(model, cells, trace_ids):
-    """The batch of each cell: a list of the indices of the cells stepped
-    with it as one system, shared by its members.  A batch holds cells that
-    differ only in their root's seed, in cell order, with B * N no more than
-    the largest cell's N and its B * N * steps * m increments no more than
-    brownian keeps in memory for one root.  Traced runs are not batched."""
+def _runs(model, cells, trace_ids):
+    """The runs of a study in the order they execute, each a list of the
+    indices of the cells it steps as one system.  Cells are grouped by root,
+    roots in order of first use; consecutive cells that differ only in their
+    root's seed form one run, with B * N no more than the largest cell's N
+    and its B * N * steps * m increments no more than brownian keeps in
+    memory for one root.  A traced run holds one cell."""
     largest = max(cell.root[2] for cell in cells)
-    open_batches, batch_of = {}, []
-    for i, cell in enumerate(cells):
+    roots = dict.fromkeys(cell.root for cell in cells)
+    runs, last = [], None
+    for i in [i for root in roots for i, cell in enumerate(cells) if cell.root == root]:
+        cell = cells[i]
         _, n_root, n = cell.root
         values = n * (n_root // cell.factor) * model.m
         cap = min(largest // n, brownian._MATERIALIZE_LIMIT // values)
         key = (cell.scheme, cell.h, n_root, n, cell.factor, tuple(cell.times))
-        batch = open_batches.get(key)
-        if batch is None or len(batch) >= cap or trace_ids is not None:
-            batch = open_batches[key] = []
-        batch.append(i)
-        batch_of.append(batch)
-    return batch_of
+        if key != last or len(runs[-1]) >= cap or trace_ids is not None:
+            runs.append([])
+        runs[-1].append(i)
+        last = key
+    return runs
 
 
 def _run_cells(model, T, cells, reduce, trace_ids=None):
-    """reduce(cell, trajectory) of every cell, in the order the cells run.
+    """reduce(cell, trajectory) of every cell, run by run (`_runs`).
 
-    Roots are drawn in order of first use, and the cells on one root run in
-    cell order on `brownian.coarsen` views of one draw, which is released
-    before the next root is drawn.  A cell of a batch of B > 1 runs with its
-    whole batch (`stepper.simulate_batch`) when it is reached; the batch's
-    roots are drawn one at a time as its block of increments is filled, and
-    each is released once copied in.
+    The cells on one root run on `brownian.coarsen` views of one draw, which
+    is released before the next root is drawn.  A run of B > 1 cells steps as
+    one system (`stepper.simulate_batch`); its roots are drawn one at a time
+    as its block of increments is filled, and each is released once copied in.
     """
-    batch_of = _batches(model, cells, trace_ids)
-    roots = dict.fromkeys(cell.root for cell in cells)
-    results, done = [None] * len(cells), set()
+    results = [None] * len(cells)
     live = grid = None  # the root drawn last, while a run still needs it
-    for i in [i for root in roots for i, cell in enumerate(cells) if cell.root == root]:
-        if i in done:
-            continue
-        cell, batch = cells[i], batch_of[i]
-        needs = [cells[j].root for j in batch]
+    for run in _runs(model, cells, trace_ids):
+        cell, needs = cells[run[0]], [cells[j].root for j in run]
         if live not in needs:
             live = grid = None  # released before the next root is drawn
-        if len(batch) == 1:
+        if len(run) == 1:
             if grid is None:
                 live, grid = cell.root, _draw(model, T, cell.root)
             # the view stays a temporary: a name bound to it would keep the root alive
             trajs = [simulate(model, cell.scheme, brownian.coarsen(grid, cell.factor), cell.times, trace_ids)]
         else:
             grids = (brownian.coarsen(grid if r == live else _draw(model, T, r), cell.factor) for r in needs)
-            trajs = simulate_batch(model, cell.scheme, grids, len(batch), cell.times)
-        for j, traj in zip(batch, trajs):
+            trajs = simulate_batch(model, cell.scheme, grids, len(run), cell.times)
+        for j, traj in zip(run, trajs):
             results[j] = reduce(cells[j], traj)
-            done.add(j)
         del trajs, traj  # released before the next run starts
     return results
 
@@ -407,7 +401,7 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
     the gap isolates the particle-sampling error).  Repetition r uses the
     child seed derive_seed(seed, r); the proxy uses derive_seed(seed, 0), so
     an N = proxy_n single-repetition study reproduces the proxy exactly.
-    The repetitions at one N run as batches (see `_run_cells`).
+    The repetitions at one N run as batches (see `_runs`).
     """
     cfg, model, schemes = _study(cfg, "nscaling")
     if len(cfg.h_values) != 1:

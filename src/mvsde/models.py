@@ -4,7 +4,7 @@ A model bundles a drift ``b(t, x, mu)``, diffusion columns
 ``sigma_r(t, x, mu)``, a growth exponent ``rho`` (the drift-increment bound
 is polynomial of degree ``2*rho + 1``) and a sampler for the initial law.
 Coefficient callables are vectorized over particles: ``x`` has shape
-``(..., N, d)``, one (N, d) block per independent particle system, and the
+``(N, d)``, or ``(B, N, d)`` for B independent particle systems, and the
 return value must match.  The measure argument ``mu`` is a MeasureView of
 the current empirical measures, one per system; during a run it is the
 stepper's input Ensemble itself, frozen for the whole step.  A measure
@@ -26,8 +26,8 @@ import numpy as np
 
 class MeasureView:
     """Empirical measure of N particles: the read-only (N, d) block `states`
-    and its moments, cached on first use; or of a batch of such systems, with
-    states of shape (..., N, d).  A C-contiguous float64 input is used in
+    and its moments, cached on first use; or of B such systems, with states
+    of shape (B, N, d).  A C-contiguous float64 input is used in
     place, so that array becomes read-only too.
 
     The stepper builds one per time step, as its Ensemble subclass.  Moments
@@ -40,8 +40,8 @@ class MeasureView:
 
     def __init__(self, states):
         states = np.ascontiguousarray(states, dtype=np.float64)
-        if states.ndim < 2:
-            raise ValueError("states must have shape (..., N, d)")
+        if states.ndim not in (2, 3):
+            raise ValueError(f"states have shape {states.shape}, expected (N, d) or (B, N, d)")
         states.flags.writeable = False  # the cached moments rely on it
         self.states = states
         self._moments = {}
@@ -52,12 +52,12 @@ class MeasureView:
 
     @property
     def mean(self) -> np.ndarray:
-        """First raw moment, shape (d,), or (..., 1, d) for a batch."""
+        """First raw moment, shape (d,), or (B, 1, d) for a batch."""
         return self.raw_moment(1)
 
     def raw_moment(self, k: int):
         """Per-coordinate k-th raw moment, read-only: a (d,) vector, or
-        (..., 1, d) for a batch, one row per system."""
+        (B, 1, d) for a batch, one row per system."""
         mom = self._moments.get(k)  # only valid orders are cached
         if mom is None:
             if k < 1 or k != int(k):
@@ -104,14 +104,14 @@ def dirac(point: float, d: int = 1) -> MeasureView:
 class ModelSpec:
     """Immutable description of one mean-field SDE.
 
-    drift(t, x, mu) and diffusion_col(t, x, mu, r) take x of shape
-    (..., N, d), one (N, d) block per particle system, and return the same
-    shape; r is 1-based and at most m.  A functional of the measure mu
-    reduces axis -2, as MeasureView.raw_moment does.  initial_sampler(stream)
-    returns the (N, d) initial states of one system from the deterministic
-    draw source.  The optional drift_dx(t, x, mu) returns the Jacobian
-    d b / d x with mu frozen, shape (..., N, d, d); the split-step Newton
-    uses it, and falls back to a forward-difference Jacobian when it is None.
+    drift(t, x, mu) and diffusion_col(t, x, mu, r) take x of shape (N, d),
+    or (B, N, d) for B particle systems, and return the same shape; r is
+    1-based and at most m.  A functional of the measure mu reduces axis -2,
+    as MeasureView.raw_moment does.  initial_sampler(stream) returns the
+    (N, d) initial states of one system from the deterministic draw source.
+    The optional drift_dx(t, x, mu) returns the Jacobian d b / d x with mu
+    frozen, shape (N, d, d) or (B, N, d, d); the split-step Newton uses it,
+    and falls back to a forward-difference Jacobian when it is None.
     """
 
     name: str

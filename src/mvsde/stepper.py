@@ -121,7 +121,7 @@ def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
 
 
 def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> Ensemble:
-    """Advance one explicit step tamed by op; dW has shape (..., N, m)."""
+    """Advance one explicit step tamed by op; dW has shape (N, m) or (B, N, m)."""
     if op is None:
         raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
@@ -134,7 +134,7 @@ def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> En
 
 
 def _implicit_matrix(model, t, y, mu, h, b0):
-    """I - h * d b / d y at y, shape (..., N, d, d): from the model's
+    """I - h * d b / d y at y, shape (N, d, d) or (B, N, d, d): from the model's
     drift_dx, or else from forward differences bumped by NEWTON_FD_EPS (1 + |y|)."""
     d = y.shape[-1]
     eye = np.eye(d)
@@ -151,7 +151,7 @@ def _implicit_matrix(model, t, y, mu, h, b0):
 
 
 def _newton_implicit_drift(model, t, x, mu, h):
-    """Solve Y = x + h*b(t, Y, mu) for all particles; returns Y, shaped as x.
+    """Solve Y = x + h*b(t, Y, mu) for every particle of x, (N, d) or (B, N, d); returns Y.
 
     Each iteration evaluates b and its Jacobian once at y and takes the
     Newton update y - (I - h J)^-1 (y - x - h b).  A system stops when its
@@ -295,7 +295,7 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
     increments(k0, k1) of shape (B, N, k1 - k0, m); a Trajectory per system.
     Particle traces (trace_ids) are taken of the first system, for B = 1."""
     n, h, T, N = shape
-    record_times = list(record_times)
+    record_times = sorted(record_times)  # stable: equal times keep their order
     if any(t < 0 or t > T + 1e-12 for t in record_times):
         raise ValueError(f"record times must lie in [0, {T}]")
     by_step = {}
@@ -322,14 +322,12 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
         trace_values = np.full((n + 1, len(trace_ids), model.d), np.nan)
         trace_values[0] = ens.states[0, trace_ids, :]
 
+    trajs = [Trajectory(h, [], None, trace_times, trace_values) for _ in seeds]
     alive = list(range(len(seeds)))  # the system at each position of the batch
-    records = [[] for _ in seeds]
-    finals = [None] * len(seeds)
-    failures = [None] * len(seeds)
 
     def record(rt):
         for i, b in enumerate(alive):
-            records[b].append((rt, ens.replica(i)))
+            trajs[b].records.append((rt, ens.replica(i)))
 
     for rt in by_step.get(0, ()):
         record(rt)
@@ -347,9 +345,9 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
                 break
             except NewtonNonConvergence as err:
                 # cut that system here, as its own run would be; step the rest again
-                b = alive.pop(err.replica)
-                failures[b] = (k + 1, err.particle, err.residual)
-                finals[b] = ens.replica(err.replica)
+                traj = trajs[alive.pop(err.replica)]
+                traj.newton_failure = (k + 1, err.particle, err.residual)
+                traj.final = ens.replica(err.replica)
                 if not alive:
                     break
                 keep = [i for i in range(len(alive) + 1) if i != err.replica]
@@ -361,10 +359,5 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
         for rt in by_step.get(k + 1, ()):
             record(rt)
     for i, b in enumerate(alive):
-        finals[b] = ens.replica(i)
-
-    # sorted is stable: equal record times keep step order
-    return [
-        Trajectory(h, sorted(rec, key=lambda item: item[0]), final, trace_times, trace_values, failure)
-        for rec, final, failure in zip(records, finals, failures)
-    ]
+        trajs[b].final = ens.replica(i)
+    return trajs

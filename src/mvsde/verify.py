@@ -359,36 +359,29 @@ def doublewell_equilibria_oracle():
 
     Scans c -> b(0, c, delta_c) on [SCAN_LO, SCAN_HI] with a dense grid and
     refines each sign change by bisection; no analytic simplification of the
-    implemented drift is assumed.  Use compare_equilibria to report the root
-    set against externally expected stable states.
+    implemented drift is assumed.  Each point is one system of one particle,
+    so one drift call evaluates the whole scan, and one each bisection step.
+    Use compare_equilibria to report the root set against externally
+    expected stable states.
     """
     from .models import double_well_model
 
     model = double_well_model()
 
     def g(c):
-        return float(model.drift(0.0, np.array([[c]]), dirac(c))[0, 0])
+        x = c.reshape(-1, 1, 1)
+        return model.drift(0.0, x, MeasureView(x))[:, 0, 0]
 
     grid = np.arange(SCAN_LO, SCAN_HI + SCAN_STEP / 2, SCAN_STEP)
-    vals = np.array([g(c) for c in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            g_lo = a  # g(lo), kept until lo moves
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                g_mid = g(mid)
-                if g_lo * g_mid <= 0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-            roots.append(0.5 * (lo + hi))
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    vals = g(grid)
+    bracket = vals[:-1] * vals[1:] < 0
+    lo, hi, g_lo = grid[:-1][bracket], grid[1:][bracket], vals[:-1][bracket]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        left = g_lo * g_mid <= 0  # g(lo) is kept until lo moves
+        lo, hi, g_lo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, g_lo, g_mid)
+    roots = grid[vals == 0.0].tolist() + (0.5 * (lo + hi)).tolist()
     # collapse near-duplicates from adjacent brackets
     merged = []
     for r in sorted(roots):

@@ -1,11 +1,12 @@
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvsde import brownian, experiments, models
-from mvsde.config import ExperimentConfig, build_scheme
+from mvsde.config import ExperimentConfig, build_scheme, load_config
 from mvsde.errors import ConfigError
 from mvsde.experiments import (
     fit_loglog,
@@ -17,6 +18,12 @@ from mvsde.experiments import (
 )
 from mvsde.stats import w2_1d_quantile
 from mvsde.stepper import simulate
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class _Planned(Exception):
+    """Carries a study's planned runs out of `_run_cells`."""
 
 
 @pytest.fixture
@@ -427,6 +434,43 @@ class TestRunner:
 
         monkeypatch.setattr(experiments.brownian, "generate", tracked)
         return roots
+
+    @pytest.fixture
+    def plan(self, monkeypatch):
+        """plan(run, cfg): the runs `_runs` plans for run(cfg), each a list
+        of cells; run stops there, before anything is drawn."""
+        runs = experiments._runs
+
+        def planned(model, cells, trace_ids):
+            raise _Planned([[cells[i] for i in run] for run in runs(model, cells, trace_ids)])
+
+        monkeypatch.setattr(experiments, "_runs", planned)
+
+        def plan(run, cfg):
+            with pytest.raises(_Planned) as stop:
+                run(cfg)
+            return stop.value.args[0]
+
+        return plan
+
+    def test_nscaling_runs_batch_repetitions_under_the_caps(self, plan):
+        # B N <= proxy_n = 10^4: the proxy alone, 16 repetitions each at
+        # N = 50..400, then 12 + 4 at N = 800
+        runs = plan(run_nscaling, load_config(str(ROOT / "configs" / "nscaling_cubic.ini")))
+        sizes = [n for n in (50, 100, 200, 400) for _ in range(16)] + [800] * 16
+        assert [len(run) for run in runs] == [1, 16, 16, 16, 16, 12, 4]
+        assert runs[0][0].root == (brownian.derive_seed(42, 0), 64, 10000)
+        roots = [cell.root for run in runs[1:] for cell in run]
+        assert roots == [(brownian.derive_seed(42, i % 16), 64, n) for i, n in enumerate(sizes)]
+
+    def test_density_runs_one_cell_each_grouped_by_root(self, plan):
+        cfg = ExperimentConfig(
+            model_name="cubic", schemes=["me", "te(1)"], T=1.0, N=8, seed=9, h_values=[0.25, 0.125],
+        )
+        runs = plan(run_density, cfg)
+        assert [[(cell.label, cell.h) for cell in run] for run in runs] == [
+            [("me", 0.25)], [("te_a1", 0.25)], [("me", 0.125)], [("te_a1", 0.125)],
+        ]
 
     def test_each_root_released_before_the_next_draw(self, released_roots):
         cfg = ExperimentConfig(

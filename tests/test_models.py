@@ -148,6 +148,13 @@ class TestMeasureView:
         with pytest.raises(ValueError):
             mu.states[0, 0] = 1.0
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4, 1), (1, 1, 1, 1, 1)])
+    def test_states_are_one_system_or_one_batch(self, shape):
+        # (N, d) or (B, N, d); a second leading axis is refused when built,
+        # not met later as an IndexError inside a step
+        with pytest.raises(ValueError, match=r"expected \(N, d\) or \(B, N, d\)"):
+            MeasureView(np.zeros(shape))
+
 
 def test_one_sided_condition_admits_finite_sampled_constant():
     # (A3)-style report: the sampled ratio lhs / (|x-y|^2 + W2^2) is finite

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,7 +344,39 @@ def run_both(model, op, seeds, n, N, times=(0.5, 1.0)):
     return alone
 
 
+class TestRecordOrder:
+    # unsorted, repeated and off-grid times, 0.3 and 0.26 on one grid step;
+    # equal times are told apart by type
+    TIMES = [0.8, np.float64(0.3), 1, 0.0, 0.26, Fraction(1, 2), 1.0, 0.3, 0.5]
+    ORDER = [3, 4, 1, 7, 5, 8, 0, 2, 6]  # ascending, equal times in input order
+
+    def assert_ordered(self, traj, model, grid):
+        got = [rt for rt, _ in traj.records]
+        assert [type(rt) for rt in got] == [type(self.TIMES[i]) for i in self.ORDER]
+        assert got == [self.TIMES[i] for i in self.ORDER]
+        for rt, ens in traj.records:
+            assert ens.step_index == grid_floor_step(rt, 1.0, 8)
+            (_, alone), = simulate(model, ME, grid, [rt]).records
+            assert np.array_equal(ens.states, alone.states)
+
+    def test_simulate(self):
+        model, grid = cubic_interaction_model(), generate(3, 8, 1.0, 8, 1)
+        self.assert_ordered(simulate(model, ME, grid, self.TIMES), model, grid)
+
+    def test_simulate_batch(self):
+        model = cubic_interaction_model()
+        grids = [generate(s, 8, 1.0, 8, 1) for s in (3, 5)]
+        for traj, grid in zip(simulate_batch(model, ME, iter(grids), 2, self.TIMES), grids):
+            self.assert_ordered(traj, model, grid)
+
+
 class TestBatch:
+    def test_ensemble_is_one_system_or_one_batch(self):
+        # a second leading axis is refused when built, not met as an
+        # IndexError once a state goes non-finite
+        with pytest.raises(ValueError, match="expected"):
+            Ensemble(np.zeros((2, 3, 4, 1)))
+
     @pytest.mark.parametrize("B", [1, 2, 16])
     @pytest.mark.parametrize("N", [1, 7, 100, 127, 128, 129, 1000, 4097])
     def test_raw_moment_per_system_bitwise(self, N, B):
