@@ -26,19 +26,21 @@ module's contract.
 
 Coarsening never re-sums previously coarsened values: every grid keeps a
 handle on the root fine stream and derives its increments by one grouped
-ascending-order sum over root increments.  ``coarsen(coarsen(g, a), b)``
-therefore runs the exact same floating-point reduction as
+ascending-order sum over root increments, ``coarse_block``, which also
+serves callers that read a root block by block.  ``coarsen(coarsen(g, a),
+b)`` therefore runs the exact same floating-point reduction as
 ``coarsen(g, a * b)`` and the results are bitwise identical.
 
-Grids whose root stream holds at most ``2**26`` values are materialized in
-memory; larger grids regenerate chunks from the counter stream on demand.
-Either way a chunk is generated in particle slabs of doubles, which hold the
-uniforms and then their normal values in place, and a coarsened view sums
-each slab into its coarse steps as it is drawn, so temporaries grow neither
-with N nor with the factor.  A call with enough work splits the particles
-into contiguous bands (``bands.band_count``); each band draws its own rows
-into a slab of ``_SLAB_WORDS // bands`` doubles, and a call has no more
-bands than such slabs that hold a particle's row, so its slabs hold
+A grid is drawn on demand: ``increments_block`` generates the steps it is
+asked for from the counter stream.  ``generate(..., materialize=True)``
+draws the whole root at once and keeps it, as a reference for tests and
+benchmarks.  A chunk is generated in particle slabs of doubles, which hold
+the uniforms and then their normal values in place, and a coarsened view
+sums each slab into its coarse steps as it is drawn, so temporaries grow
+neither with N nor with the factor.  A call with enough work splits the
+particles into contiguous bands (``bands.band_count``); each band draws its
+own rows into a slab of ``_SLAB_WORDS // bands`` doubles, and a call has no
+more bands than such slabs that hold a particle's row, so its slabs hold
 ``_SLAB_WORDS`` doubles in all (one row, if a row is wider).  Every value
 is a function of its counter alone, so the bits do not depend on the
 number of bands.
@@ -54,7 +56,6 @@ from .bands import band_count, run_bands
 _MASK64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
 CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
-_MATERIALIZE_LIMIT = 1 << 26  # max root values kept in memory
 _SLAB_WORDS = 1 << 20  # max doubles in the slabs of one generation call (8 MiB)
 
 # purpose tags keep the increment, initial-normal and initial-uniform
@@ -117,19 +118,30 @@ class _Streams:
 def _add_terms(out, root, first, f):
     """Sum root increments into out's coarse steps of f root steps each.
 
-    root[:, i] is root step first + i, counted from out's first root step.
-    A coarse step's first term is assigned and the rest added, so calls must
-    arrive in ascending root-step order."""
+    root[..., i, :] is root step first + i, counted from out's first root
+    step.  A coarse step's first term is assigned and the rest added, so calls
+    must arrive in ascending root-step order."""
     for j in range(f):
         i = (j - first) % f  # first column of root that is term j
-        if i >= root.shape[1]:
+        if i >= root.shape[-2]:
             continue
-        terms = root[:, i::f, :]
+        terms = root[..., i::f, :]
         q = (first + i) // f
         if j == 0:
-            out[:, q : q + terms.shape[1], :] = terms
+            out[..., q : q + terms.shape[-2], :] = terms
         else:
-            out[:, q : q + terms.shape[1], :] += terms
+            out[..., q : q + terms.shape[-2], :] += terms
+
+
+def coarse_block(fine, f):
+    """Root increments `fine`, shape (..., steps, m) from a root step that is
+    a multiple of f, summed into coarse steps of f root steps each: the
+    increments of a `coarsen` view by f, bit for bit.  f = 1 returns fine."""
+    if f == 1:
+        return fine
+    out = np.empty(fine.shape[:-2] + (fine.shape[-2] // f, fine.shape[-1]))
+    _add_terms(out, fine, 0, f)
+    return out
 
 
 class PathGrid:
@@ -205,20 +217,12 @@ class PathGrid:
         if self._root is None:
             return self._generate(k0, k1)
         f = self.factor
-        fine = self._root[:, k0 * f : k1 * f, :]
-        if f == 1:
-            return fine
-        out = np.empty((self.N, k1 - k0, self.m))
-        _add_terms(out, fine, 0, f)
-        return out
+        return coarse_block(self._root[:, k0 * f : k1 * f, :], f)
 
 
-def generate(seed, n_fine, T, N, m, materialize=None) -> PathGrid:
-    """Create a new root path grid of Normal(0, T/n_fine) increments.
-
-    ``materialize`` overrides the default memory policy (root streams up to
-    2**26 values are kept in memory, larger ones are regenerated on demand).
-    """
+def generate(seed, n_fine, T, N, m, materialize=False) -> PathGrid:
+    """Create a new root path grid of Normal(0, T/n_fine) increments, drawn
+    on demand; with ``materialize`` the whole root is drawn now and kept."""
     if int(n_fine) < 1:
         raise ValueError("n_fine must be a positive integer")
     if not T > 0:
@@ -226,8 +230,6 @@ def generate(seed, n_fine, T, N, m, materialize=None) -> PathGrid:
     if int(N) < 1 or int(m) < 1:
         raise ValueError("N and m must be positive integers")
     grid = PathGrid(seed, n_fine, T, N, m)
-    if materialize is None:
-        materialize = int(N) * int(n_fine) * int(m) <= _MATERIALIZE_LIMIT
     if materialize:
         root = grid._generate(0, grid.n_fine)
         root.flags.writeable = False

@@ -149,7 +149,7 @@ class ExperimentConfig:
             raise ConfigError(f"trace_particles {bad} outside 0..{self.N - 1}")
         if self.record_times is not None and not self.record_times:
             raise ConfigError("record_times lists no time")
-        # the tolerance of stepper.simulate, which would reject them after set-up
+        # the tolerance of stepper.run, which would reject them after set-up
         if any(t < 0 or t > self.T + 1e-12 for t in self.record_times or ()):
             raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
         for h in self.h_values or ():

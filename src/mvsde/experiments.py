@@ -2,11 +2,12 @@
 studies.
 
 Each study is a list of cells, and `_run_cells` is the one loop that draws
-their Brownian grids, simulates and reduces.  All studies are deterministic
-given (config, seed): Brownian paths and initial data come from
-counter-keyed streams, cells run one after another or as a batch whose
-systems each get the bits of their run alone, and every reduction has a
-fixed order.
+their Brownian grids, simulates and reduces.  Every root is drawn once, in
+blocks, and the runs on it step in lockstep over that one pass, so no root
+is ever held whole.  All studies are deterministic given (config, seed):
+Brownian paths and initial data come from counter-keyed streams, a run of
+several cells is a batch whose systems each get the bits of their run alone,
+and every reduction has a fixed order.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import brownian
+from . import brownian, stepper
 from .config import ExperimentConfig, build_scheme, exact_divide
 from .errors import ConfigError
 from .stats import kde, rmse, w2_1d_quantile
-from .stepper import scheme_label, simulate, simulate_batch
+from .stepper import scheme_label
 from .taming import TamingOperator
 
 
@@ -37,28 +38,19 @@ class _Cell(NamedTuple):
     times: list
 
 
-def _draw(model, T, root):
-    seed, n_root, n_particles = root
-    return brownian.generate(seed, n_root, T, n_particles, model.m)
-
-
-def _runs(model, cells, trace_ids):
-    """The runs of a study in the order they execute, each a list of the
-    indices of the cells it steps as one system.  Cells are grouped by root,
+def _runs(cells, trace_ids):
+    """The runs of a study, each a list of the indices of the cells it
+    steps as one system, in plan order.  Cells are grouped by root,
     roots in order of first use; consecutive cells that differ only in their
-    root's seed form one run, with B * N no more than the largest cell's N
-    and its B * N * steps * m increments no more than brownian keeps in
-    memory for one root.  A traced run holds one cell."""
+    root's seed form one run, with B * N no more than the largest cell's N.
+    A traced run holds one cell."""
     largest = max(cell.root[2] for cell in cells)
     roots = dict.fromkeys(cell.root for cell in cells)
     runs, last = [], None
     for i in [i for root in roots for i, cell in enumerate(cells) if cell.root == root]:
         cell = cells[i]
-        _, n_root, n = cell.root
-        values = n * (n_root // cell.factor) * model.m
-        cap = min(largest // n, brownian._MATERIALIZE_LIMIT // values)
-        key = (cell.scheme, cell.h, n_root, n, cell.factor, tuple(cell.times))
-        if key != last or len(runs[-1]) >= cap or trace_ids is not None:
+        key = (cell.scheme, cell.h, cell.root[1:], cell.factor, tuple(cell.times))
+        if key != last or len(runs[-1]) >= largest // cell.root[2] or trace_ids is not None:
             runs.append([])
         runs[-1].append(i)
         last = key
@@ -66,30 +58,49 @@ def _runs(model, cells, trace_ids):
 
 
 def _run_cells(model, T, cells, reduce, trace_ids=None):
-    """reduce(cell, trajectory) of every cell, run by run (`_runs`).
+    """reduce(cell, trajectory) of every cell, as soon as its run (`_runs`)
+    ends.
 
-    The cells on one root run on `brownian.coarsen` views of one draw, which
-    is released before the next root is drawn.  A run of B > 1 cells steps as
-    one system (`stepper.simulate_batch`); its roots are drawn one at a time
-    as its block of increments is filled, and each is released once copied in.
+    The runs on one tuple of roots step in lockstep over one pass of them:
+    each root is drawn once (`brownian.generate`, on demand) and read in
+    blocks of BLOCK_STEPS root steps, rounded down to a whole multiple of
+    the lcm of the runs' factors (one lcm at least).  Each block is summed
+    into each run's own coarse steps (`brownian.coarse_block`) and sent to
+    its step loop (`stepper.run`).  So memory holds one block of
+    B * N * width * m increments, plus each live run's states, records and
+    traces.
     """
+    groups = {}
+    for run in _runs(cells, trace_ids):
+        groups.setdefault(tuple(cells[i].root for i in run), []).append(run)
     results = [None] * len(cells)
-    live = grid = None  # the root drawn last, while a run still needs it
-    for run in _runs(model, cells, trace_ids):
-        cell, needs = cells[run[0]], [cells[j].root for j in run]
-        if live not in needs:
-            live = grid = None  # released before the next root is drawn
-        if len(run) == 1:
-            if grid is None:
-                live, grid = cell.root, _draw(model, T, cell.root)
-            # the view stays a temporary: a name bound to it would keep the root alive
-            trajs = [simulate(model, cell.scheme, brownian.coarsen(grid, cell.factor), cell.times, trace_ids)]
-        else:
-            grids = (brownian.coarsen(grid if r == live else _draw(model, T, r), cell.factor) for r in needs)
-            trajs = simulate_batch(model, cell.scheme, grids, len(run), cell.times)
-        for j, traj in zip(run, trajs):
-            results[j] = reduce(cells[j], traj)
-        del trajs, traj  # released before the next run starts
+    for roots, runs in groups.items():
+        grids = [brownian.generate(seed, n_root, T, n, model.m) for seed, n_root, n in roots]
+        live = {}  # the step loop of each run not yet ended: (run, factor)
+        for run in runs:
+            cell = cells[run[0]]
+            views = [brownian.coarsen(grid, cell.factor) for grid in grids]
+            steps = stepper.run(model, cell.scheme, views, cell.times, trace_ids)
+            next(steps)
+            live[steps] = (run, cell.factor)
+        lcm = math.lcm(*(f for _, f in live.values()))
+        width = max(stepper.BLOCK_STEPS, lcm) // lcm * lcm
+        for r0 in range(0, grids[0].n_fine, width):
+            r1 = min(r0 + width, grids[0].n_fine)
+            if len(grids) == 1:  # no copy of the one root's block
+                block = grids[0].increments_block(r0, r1)[None]
+            else:
+                block = np.stack([grid.increments_block(r0, r1) for grid in grids])
+            for steps, (run, f) in list(live.items()):
+                try:
+                    steps.send(brownian.coarse_block(block, f))
+                except StopIteration as stop:
+                    del live[steps]
+                    for j, traj in zip(run, stop.value):
+                        results[j] = reduce(cells[j], traj)
+            del block  # released before the next block is drawn
+            if not live:
+                break
     return results
 
 
@@ -419,18 +430,10 @@ def run_nscaling(cfg: ExperimentConfig) -> NScalingReport:
         _Cell(scheme_label(scheme), h, scheme, (brownian.derive_seed(cfg.seed, r), n_steps, n), 1, [cfg.T])
         for r, n in runs
     ]
-    proxy = None
-
-    def reduce(cell, traj):
-        nonlocal proxy
-        terminal = traj.final.states[:, 0]
-        if proxy is None:  # the proxy is the first cell run
-            proxy = terminal
-            return math.nan, traj.diverged
-        return w2_1d_quantile(terminal, proxy), traj.diverged
-
-    results = _run_cells(model, cfg.T, cells, reduce)
-    w2 = np.array([w2 for w2, _ in results[1:]]).reshape(len(cfg.n_list), cfg.repetitions)
+    results = _run_cells(model, cfg.T, cells, lambda cell, traj: (traj.final.states[:, 0], traj.diverged))
+    proxy = results[0][0]
+    w2 = np.array([w2_1d_quantile(terminal, proxy) for terminal, _ in results[1:]])
+    w2 = w2.reshape(len(cfg.n_list), cfg.repetitions)
     rows = []
     for n_particles, vals in zip(cfg.n_list, w2):
         sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0

@@ -18,9 +18,11 @@ Non-finite states do not abort a run: the offending entries are replaced by
 NaN sentinels and the ensemble is flagged, so divergence experiments can
 report the time of explosion.
 
-B independent systems of N particles step together as one (B, N, d)
-Ensemble (simulate_batch).  Each keeps its own measure, non-finite flag and
-Newton solve, so its bits are those of its run alone (simulate, B = 1).
+The one step loop, `run`, is a generator that is sent its increments block
+by block, so a caller that reads one Brownian root for several runs can feed
+them all from one pass over it.  B independent systems of N particles step
+together as one (B, N, d) Ensemble.  Each keeps its own measure, non-finite
+flag and Newton solve, so its bits are those of its run alone (B = 1).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
 NEWTON_FD_EPS = 1e-7  # relative forward-difference bump of the Jacobian
 
-_BLOCK = 1024  # steps of increments drawn at once by simulate
+BLOCK_STEPS = 1024  # steps of increments drawn at once by simulate and the study runner
 
 
 def scheme_label(op: TamingOperator | None) -> str:
@@ -237,10 +239,6 @@ def grid_floor_step(t, T, n):
     return min(int(np.floor(v * (1.0 + 1e-12) + 1e-9)), n)
 
 
-def _shape(grid):
-    return grid.n_steps, grid.h, grid.T, grid.N
-
-
 def simulate(
     model: ModelSpec,
     op: TamingOperator | None,
@@ -255,46 +253,26 @@ def simulate(
     record time is mapped to the nearest grid point below it.  A Newton
     failure truncates the run (partial records, complete=False); explicit
     divergence only flags the trajectory and stepping continues on NaN
-    sentinels.  This is simulate_batch of one grid, with particle traces.
+    sentinels.  This is `run` of one grid, with particle traces, sent
+    BLOCK_STEPS steps of increments at a time.
     """
-    def increments(k0, k1):
-        return grid.increments_block(k0, k1)[None]
-
-    (traj,) = _run(model, op, [grid.seed], _shape(grid), increments, record_times, trace_ids)
-    return traj
-
-
-def simulate_batch(model: ModelSpec, op: TamingOperator | None, grids, count, record_times) -> list:
-    """simulate over `count` grids of one shape (step count and size, T and
-    N) stepped as one (B, N, d) system: a Trajectory per grid, each bit for
-    bit its own simulate run.  A system that goes non-finite flags only
-    itself; one whose Newton solve fails is cut there and leaves the batch.
-
-    `grids` is iterated once: each grid's increments are copied into one
-    (B, N, n_steps, m) block and the grid is let go before the next is read,
-    so a generator that draws each grid holds one root at a time.
-    """
-    block, seeds = None, []
-    for grid in grids:  # not enumerate: its reused tuple would hold the last grid
-        if block is None:
-            shape = _shape(grid)
-            block = np.empty((count, grid.N, grid.n_steps, grid.m))
-        elif _shape(grid) != shape:
-            raise ValueError(f"grid {len(seeds)} has shape {_shape(grid)}, expected {shape}")
-        block[len(seeds)] = grid.increments_block(0, grid.n_steps)
-        seeds.append(grid.seed)
-        del grid  # release its root before the next grid is drawn
-    if not seeds or len(seeds) != count:
-        raise ValueError(f"{len(seeds)} grids, expected {count}")
-    return _run(model, op, seeds, shape, lambda k0, k1: block[:, :, k0:k1], record_times)
+    steps = run(model, op, [grid], record_times, trace_ids)
+    next(steps)
+    try:
+        for k0 in range(0, grid.n_steps, BLOCK_STEPS):
+            steps.send(grid.increments_block(k0, min(k0 + BLOCK_STEPS, grid.n_steps))[None])
+    except StopIteration as stop:
+        return stop.value[0]
 
 
-def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> list:
-    """The one step loop: B = len(seeds) systems on grids of one shape
-    (n steps of size h on [0, T], N particles) as a (B, N, d) Ensemble, with
-    increments(k0, k1) of shape (B, N, k1 - k0, m); a Trajectory per system.
-    Particle traces (trace_ids) are taken of the first system, for B = 1."""
-    n, h, T, N = shape
+def run(model, op, grids, record_times, trace_ids=None):
+    """The one step loop, a generator: the B = len(grids) systems on grids of
+    one shape (n steps of size h on [0, T], N particles, each its own seed)
+    as a (B, N, d) Ensemble.  Start it with next(), then send it increment
+    blocks of shape (B, N, steps, m), in step order; it returns a Trajectory
+    per system once the last step is taken or every system is cut.  Particle
+    traces (trace_ids) are taken of the first system, for B = 1."""
+    n, h, T, N = grids[0].n_steps, grids[0].h, grids[0].T, grids[0].N
     record_times = sorted(record_times)  # stable: equal times keep their order
     if any(t < 0 or t > T + 1e-12 for t in record_times):
         raise ValueError(f"record times must lie in [0, {T}]")
@@ -303,8 +281,8 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
         by_step.setdefault(grid_floor_step(rt, T, n), []).append(rt)
 
     x0 = []
-    for seed in seeds:
-        x = np.asarray(model.initial_sampler(InitStream(seed, N, model.d)), dtype=np.float64)
+    for grid in grids:
+        x = np.asarray(model.initial_sampler(InitStream(grid.seed, N, model.d)), dtype=np.float64)
         if x.shape != (N, model.d):
             raise ValueError(f"initial sampler returned {x.shape}, expected {(N, model.d)}")
         x0.append(x)
@@ -322,8 +300,8 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
         trace_values = np.full((n + 1, len(trace_ids), model.d), np.nan)
         trace_values[0] = ens.states[0, trace_ids, :]
 
-    trajs = [Trajectory(h, [], None, trace_times, trace_values) for _ in seeds]
-    alive = list(range(len(seeds)))  # the system at each position of the batch
+    trajs = [Trajectory(h, [], None, trace_times, trace_values) for _ in grids]
+    alive = list(range(len(grids)))  # the system at each position of the batch
 
     def record(rt):
         for i, b in enumerate(alive):
@@ -331,33 +309,31 @@ def _run(model, op, seeds, shape, increments, record_times, trace_ids=None) -> l
 
     for rt in by_step.get(0, ()):
         record(rt)
-    dw = None
-    for k in range(n):
-        j = k % _BLOCK
-        if j == 0:
-            dw = None  # release the previous block before drawing the next
-            dw = increments(k, min(k + _BLOCK, n))
-            if len(alive) < len(seeds):
-                dw = dw[alive]
-        while True:
-            try:
-                ens = step(ens, model, op, h, dw[:, :, j, :])
-                break
-            except NewtonNonConvergence as err:
-                # cut that system here, as its own run would be; step the rest again
-                traj = trajs[alive.pop(err.replica)]
-                traj.newton_failure = (k + 1, err.particle, err.residual)
-                traj.final = ens.replica(err.replica)
-                if not alive:
+    k = 0
+    while k < n:
+        dw = yield
+        if len(alive) < len(grids):
+            dw = dw[alive]
+        for j in range(dw.shape[2]):
+            while True:
+                try:
+                    ens = step(ens, model, op, h, dw[:, :, j, :])
                     break
-                keep = [i for i in range(len(alive) + 1) if i != err.replica]
-                ens, dw = ens.take(keep), dw[keep]
-        if not alive:
-            break
-        if trace_values is not None:
-            trace_values[k + 1] = ens.states[0, trace_ids, :]
-        for rt in by_step.get(k + 1, ()):
-            record(rt)
+                except NewtonNonConvergence as err:
+                    # cut that system here, as its own run would be; step the rest again
+                    traj = trajs[alive.pop(err.replica)]
+                    traj.newton_failure = (k + 1, err.particle, err.residual)
+                    traj.final = ens.replica(err.replica)
+                    if not alive:
+                        return trajs
+                    keep = [i for i in range(len(alive) + 1) if i != err.replica]
+                    ens, dw = ens.take(keep), dw[keep]
+            k += 1
+            if trace_values is not None:
+                trace_values[k] = ens.states[0, trace_ids, :]
+            for rt in by_step.get(k, ()):
+                record(rt)
+        del dw  # released before the sender draws the next block
     for i, b in enumerate(alive):
         trajs[b].final = ens.replica(i)
     return trajs

@@ -56,19 +56,22 @@ SCAN_HI = 5.0
 SCAN_STEP = 1e-3
 
 
+# the fixed part of every check's sampling grid
+SAMPLE_SEED = 20240801  # each check draws from its own generator of this seed
+N_DIRECTIONS = 3  # random unit directions per magnitude, for dim > 1
+N_PAIRS = 48  # (x, y) pairs per scale for model checks
+PAIR_SCALES = (0.3, 1.0, 3.0, 30.0, 300.0)
+MEASURE_SIZE = 8  # particles per synthetic empirical measure
+MEASURE_SCALES = (0.5, 2.0)
+
+
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic sampling grid for assumption checks."""
+    """The parts of the assumption checks' sampling grid a caller may vary."""
 
-    seed: int = 20240801
     h_exponents: tuple = tuple(range(1, 21))  # h = 2^-e
     n_magnitudes: int = 19  # log-spaced |v| decades per h
-    n_directions: int = 3  # random unit directions per magnitude
     dim: int = 1  # coefficient-space dimension for operator checks
-    n_pairs: int = 48  # (x, y) pairs per scale for model checks
-    pair_scales: tuple = (0.3, 1.0, 3.0, 30.0, 300.0)
-    measure_size: int = 8  # particles per synthetic empirical measure
-    measure_scales: tuple = (0.5, 2.0)
 
     def h_values(self):
         return [2.0 ** (-e) for e in self.h_exponents]
@@ -76,7 +79,7 @@ class SampleSpec:
     def directions(self, rng):
         if self.dim == 1:
             return np.array([[1.0], [-1.0]])
-        dirs = rng.standard_normal((self.n_directions, self.dim))
+        dirs = rng.standard_normal((N_DIRECTIONS, self.dim))
         return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
@@ -99,7 +102,7 @@ class AssumptionReport:
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return (
-            f"[{status}] {self.subject} / {self.assumption_id}: "
+            f"[{status}] {self.subject} / {self.assumption_id}: L={self.tested_constants['L']:g} "
             f"max_violation={self.max_violation:.3e} over {self.samples} samples"
         )
 
@@ -167,10 +170,10 @@ def _magnitude_grid(spec: SampleSpec, h: float) -> np.ndarray:
     return np.geomspace(1e-3, top, spec.n_magnitudes)
 
 
-def _synthetic_measures(spec: SampleSpec, rng, d=1):
+def _synthetic_measures(rng, d=1):
     out = []
-    for scale in spec.measure_scales:
-        pts = scale * rng.standard_normal((spec.measure_size, d))
+    for scale in MEASURE_SCALES:
+        pts = scale * rng.standard_normal((MEASURE_SIZE, d))
         out.append(MeasureView(pts))
     out.append(dirac(0.0, d))
     return out
@@ -193,7 +196,7 @@ def check_taming(
         raise ValueError(f"unknown operator assumption '{assumption}'")
     spec = sample_spec or SampleSpec()
     constants = dict(constants or {})
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     dirs = spec.directions(rng)
 
     if assumption == "EX35_BOUND":
@@ -245,7 +248,7 @@ def check_taming(
 def _check_ex35(op, constants, spec, model, rng):
     if model is None:
         raise ValueError("EX35_BOUND needs a model supplying the drift")
-    measures = _synthetic_measures(spec, rng, model.d)
+    measures = _synthetic_measures(rng, model.d)
     w2 = np.array([np.sqrt(mu.w2sq_to_dirac0) for mu in measures])
     # samples in sweep order: (h, magnitude, sign, measure); the drift does
     # not depend on L, so it is evaluated once and L sweeps the bound only
@@ -273,7 +276,6 @@ def check_model(
     model: ModelSpec,
     assumption: str,
     constants: dict | None = None,
-    sample_spec: SampleSpec | None = None,
 ) -> AssumptionReport:
     """Sweep one coefficient assumption over sampled states and measures.
 
@@ -285,9 +287,8 @@ def check_model(
     """
     if assumption not in MODEL_ASSUMPTIONS:
         raise ValueError(f"unknown model assumption '{assumption}'")
-    spec = sample_spec or SampleSpec()
     constants = dict(constants or {})
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     p0 = float(constants.get("p0", 2.0))
     p1 = float(constants.get("p1", 2.0))
     rho = float(constants.get("rho", model.rho))
@@ -297,10 +298,10 @@ def check_model(
         caveat = "W2 between measures is the coupled upper bound (d > 1)"
 
     xy = np.concatenate(
-        [scale * rng.standard_normal((spec.n_pairs, 2, model.d)) for scale in spec.pair_scales]
+        [scale * rng.standard_normal((N_PAIRS, 2, model.d)) for scale in PAIR_SCALES]
     )
     x, y = xy[:, 0], xy[:, 1]
-    measures = _synthetic_measures(spec, rng, model.d)
+    measures = _synthetic_measures(rng, model.d)
     mpairs = [(i, j) for i in range(len(measures)) for j in range(len(measures))]
 
     def w2_measures(mu, nu):

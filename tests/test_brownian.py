@@ -139,6 +139,17 @@ def test_coarsen_telescopes_bitwise(a, b, seed):
     assert np.array_equal(nested, direct)
 
 
+@pytest.mark.parametrize("factor", [1, 3])
+def test_coarse_block_of_a_batch_matches_each_view(factor):
+    # root blocks of two systems, read from an aligned root step, give each
+    # system's coarsened-view increments bit for bit
+    grids = [generate(s, 24, 1.0, 3, 2, materialize=s == 5) for s in (5, 6)]
+    block = np.stack([grid.increments_block(6, 18) for grid in grids])
+    got = brownian.coarse_block(block, factor)
+    want = [coarsen(grid, factor).increments_block(6 // factor, 18 // factor) for grid in grids]
+    assert np.array_equal(got, np.stack(want))
+
+
 def test_derive_seed_distinct_and_stable():
     seeds = {derive_seed(100, k) for k in range(1000)}
     assert len(seeds) == 1000

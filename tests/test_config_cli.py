@@ -324,9 +324,8 @@ class TestCli:
             assert outputs[0] == outputs[1] == outputs[2], command
 
     def test_outputs_independent_of_band_count(self, tmp_path, monkeypatch):
-        # on-demand grids and a 16-value minimum band: the grid and kde calls
-        # of these small studies split into `cores` bands
-        monkeypatch.setattr("mvsde.brownian._MATERIALIZE_LIMIT", 0)
+        # a 16-value minimum band: the grid and kde calls of these small
+        # studies split into `cores` bands
         monkeypatch.setattr("mvsde.bands.MIN_WORK", 16)
         for command in ("paths", "density"):
             path = tmp_path / f"{command}.ini"
@@ -351,7 +350,7 @@ class TestCli:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a run started despite a config error")
 
-        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", no_simulation)
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 2
         bad = tmp_path / "bad.ini"
         bad.write_text("[grid]\nT = 1\nh_ref = 0.3\nh_list = 0.3\n")
@@ -419,7 +418,7 @@ class TestCli:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a run started despite a config error")
 
-        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", no_simulation)
         text = RUN_STUDY_CONFIGS["paths"]
         assert old in text
         path = tmp_path / "typo.ini"
@@ -451,7 +450,7 @@ class TestCli:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a run started despite a config error")
 
-        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", no_simulation)
         out = tmp_path / "out"
         if command == "converge":
             text = CONV_TEMPLATE.format(out=out, formats="csv")
@@ -499,7 +498,7 @@ class TestCli:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a run started despite a config error")
 
-        monkeypatch.setattr("mvsde.experiments.simulate", no_simulation)
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", no_simulation)
         out = tmp_path / "out"
         if command == "converge":
             text = CONV_TEMPLATE.format(out=out, formats="csv")
@@ -664,6 +663,11 @@ class TestCli:
         assert any(line.startswith("identity,H1,false") for line in lines)
         assert any(line.startswith("modified,H1,true") for line in lines)
         assert any("fully_tamed" in line and ",H1,false" in line for line in lines)
+        # each printed line names the L its row tested: H1 at its given 1,
+        # A3 the smallest of the sweep that passes on the cubic
+        out = capsys.readouterr().out
+        assert "[FAIL] identity / H1: L=1 max_violation=" in out
+        assert "[pass] cubic / A3: L=2 max_violation=" in out
 
     def test_check_battery_order(self, monkeypatch):
         # the rows of check_report.csv, in order: H1-H3 per operator, then

@@ -1,11 +1,11 @@
 import math
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvsde import brownian, experiments, models
+from mvsde import brownian, experiments, models, stepper
 from mvsde.config import ExperimentConfig, build_scheme, load_config
 from mvsde.errors import ConfigError
 from mvsde.experiments import (
@@ -350,15 +350,16 @@ class TestNScaling:
         # repetitions as one batch and the proxy and N = 256 run alone
         cfg = self.cfg(schemes=[scheme], n_list=[16, 64, 256], repetitions=4)
         batched = run_nscaling(cfg)
-        counts = []
+        plan, sizes = experiments._runs, []
 
-        def serial(model, op, grids, count, times):
-            counts.append(count)
-            return [simulate(model, op, grid, times) for grid in grids]
+        def one_cell_runs(cells, trace_ids):
+            runs = plan(cells, trace_ids)
+            sizes.extend(len(run) for run in runs)
+            return [[i] for run in runs for i in run]
 
-        monkeypatch.setattr(experiments, "simulate_batch", serial)
+        monkeypatch.setattr(experiments, "_runs", one_cell_runs)
         assert run_nscaling(cfg) == batched
-        assert counts == [4, 4]
+        assert sizes == [1, 1, 4, 4, 1, 1, 1]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -420,29 +421,13 @@ class TestRunner:
         assert rep.rows[1].mean_w2 > 0 and not rep.diverged
 
     @pytest.fixture
-    def released_roots(self, monkeypatch):
-        """Weak references to every root drawn; a draw fails while an
-        earlier root is still alive."""
-        generate = brownian.generate
-        roots = []
-
-        def tracked(*args, **kwargs):
-            assert all(root() is None for root in roots), "a previous root is still alive"
-            grid = generate(*args, **kwargs)
-            roots.append(weakref.ref(grid._root))
-            return grid
-
-        monkeypatch.setattr(experiments.brownian, "generate", tracked)
-        return roots
-
-    @pytest.fixture
     def plan(self, monkeypatch):
         """plan(run, cfg): the runs `_runs` plans for run(cfg), each a list
         of cells; run stops there, before anything is drawn."""
         runs = experiments._runs
 
-        def planned(model, cells, trace_ids):
-            raise _Planned([[cells[i] for i in run] for run in runs(model, cells, trace_ids)])
+        def planned(cells, trace_ids):
+            raise _Planned([[cells[i] for i in run] for run in runs(cells, trace_ids)])
 
         monkeypatch.setattr(experiments, "_runs", planned)
 
@@ -454,8 +439,8 @@ class TestRunner:
         return plan
 
     def test_nscaling_runs_batch_repetitions_under_the_caps(self, plan):
-        # B N <= proxy_n = 10^4: the proxy alone, 16 repetitions each at
-        # N = 50..400, then 12 + 4 at N = 800
+        # the one cap, B N <= proxy_n = 10^4: the proxy alone, 16 repetitions
+        # each at N = 50..400, then 12 + 4 at N = 800
         runs = plan(run_nscaling, load_config(str(ROOT / "configs" / "nscaling_cubic.ini")))
         sizes = [n for n in (50, 100, 200, 400) for _ in range(16)] + [800] * 16
         assert [len(run) for run in runs] == [1, 16, 16, 16, 16, 12, 4]
@@ -472,20 +457,59 @@ class TestRunner:
             [("me", 0.25)], [("te_a1", 0.25)], [("me", 0.125)], [("te_a1", 0.125)],
         ]
 
-    def test_each_root_released_before_the_next_draw(self, released_roots):
-        cfg = ExperimentConfig(
-            model_name="doublewell", schemes=["me", "te(1)"], T=1.0, N=16, seed=9,
-            h_values=[0.05], reference_scheme="ssm", reference_h=0.01,
-        )
-        run_density(cfg)
-        assert len(released_roots) == 2
+    @pytest.fixture
+    def root_reads(self, monkeypatch):
+        """The root steps [r0, r1) each increments_block call reads, listed
+        per root grid (seed, steps, N); a coarsened view reads f root steps
+        per step of its own."""
+        reads = {}
+        increments_block = brownian.PathGrid.increments_block
 
-    def test_each_batch_root_released_before_the_next_draw(self, released_roots):
-        # batches of 4 repetitions at N = 8 and of 2 at N = 16, each root
-        # copied into its batch's block and released before the next draw
+        def counted(grid, k0, k1):
+            f = grid.factor
+            reads.setdefault((grid.seed, grid.n_fine, grid.N), []).append((k0 * f, k1 * f))
+            return increments_block(grid, k0, k1)
+
+        monkeypatch.setattr(brownian.PathGrid, "increments_block", counted)
+        return reads
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (run_convergence, ExperimentConfig(
+                model_name="cubic", schemes=["me", "ssm"], N=8, seed=5, T=1.0,
+                h_ref=2.0**-12, h_list=[2.0**-3, 2.0**-4, 2.0**-6])),
+            (run_density, ExperimentConfig(
+                model_name="doublewell", schemes=["me", "te(1)"], T=1.0, N=16, seed=9,
+                h_values=[0.05, 2.0**-11], reference_scheme="ssm", reference_h=0.01)),
+            (run_nscaling, ExperimentConfig(
+                model_name="cubic", schemes=["me"], T=1.0, seed=9, h_values=[0.25],
+                n_list=[8, 16, 32], proxy_n=32, repetitions=4)),
+        ],
+        ids=["converge", "density", "nscaling"],
+    )
+    def test_each_root_read_once_in_blocks(self, root_reads, grid_calls, run, cfg):
+        # every root step is read exactly once, in ascending blocks of at most
+        # BLOCK_STEPS steps (converge's lcm of factors, 512, divides it)
+        run(cfg)
+        assert sorted(root_reads) == sorted((seed, n, N) for seed, n, _, N, _ in grid_calls)
+        for (_, n_root, _), ranges in root_reads.items():
+            assert [r0 for r0, _ in ranges] == [r1 for _, r1 in [(0, 0)] + ranges[:-1]]
+            assert ranges[-1][1] == n_root
+            assert all(r1 - r0 <= stepper.BLOCK_STEPS for r0, r1 in ranges)
+
+    def test_converge_never_holds_its_root(self):
+        # a root of 64 particles and 8 blocks of steps is 4 MiB, one block of
+        # it 512 KiB: the run's peak allocation stays under half the root
         cfg = ExperimentConfig(
-            model_name="cubic", schemes=["me"], T=1.0, seed=9, h_values=[0.25],
-            n_list=[8, 16], proxy_n=32, repetitions=4,
+            model_name="cubic", schemes=["me"], N=64, seed=5, T=1.0,
+            h_ref=2.0**-13, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
         )
-        run_nscaling(cfg)
-        assert len(released_roots) == 9
+        assert 2**13 == 8 * stepper.BLOCK_STEPS
+        tracemalloc.start()
+        try:
+            run_convergence(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**13 * 8 // 2

@@ -17,7 +17,7 @@ from mvsde.stepper import (
     Ensemble,
     euler_step,
     grid_floor_step,
-    simulate_batch,
+    run,
     split_step,
 )
 from mvsde.taming import TamingOperator
@@ -334,9 +334,24 @@ def assert_same_run(batched, alone):
         assert np.array_equal(a.states, b.states, equal_nan=True)
 
 
+def run_batch(model, op, grids, times, width=3):
+    """stepper.run over grids of one shape as one batch, sent their
+    increments in blocks of `width` steps (the last one shorter), so a
+    Newton cut can leave the batch before a later block arrives."""
+    steps = run(model, op, grids, times)
+    next(steps)
+    n = grids[0].n_steps
+    try:
+        for k0 in range(0, n, width):
+            steps.send(np.stack([grid.increments_block(k0, min(k0 + width, n)) for grid in grids]))
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("the step loop went on past its last step")
+
+
 def run_both(model, op, seeds, n, N, times=(0.5, 1.0)):
-    """simulate_batch over the seeds' grids and simulate of each grid alone."""
-    batched = simulate_batch(model, op, (generate(s, n, 1.0, N, 1) for s in seeds), len(seeds), times)
+    """stepper.run over the seeds' grids and simulate of each grid alone."""
+    batched = run_batch(model, op, [generate(s, n, 1.0, N, 1) for s in seeds], times)
     alone = [simulate(model, op, generate(s, n, 1.0, N, 1), times) for s in seeds]
     assert len(batched) == len(seeds)
     for a, b in zip(batched, alone):
@@ -363,10 +378,10 @@ class TestRecordOrder:
         model, grid = cubic_interaction_model(), generate(3, 8, 1.0, 8, 1)
         self.assert_ordered(simulate(model, ME, grid, self.TIMES), model, grid)
 
-    def test_simulate_batch(self):
+    def test_batch_run(self):
         model = cubic_interaction_model()
         grids = [generate(s, 8, 1.0, 8, 1) for s in (3, 5)]
-        for traj, grid in zip(simulate_batch(model, ME, iter(grids), 2, self.TIMES), grids):
+        for traj, grid in zip(run_batch(model, ME, grids, self.TIMES), grids):
             self.assert_ordered(traj, model, grid)
 
 

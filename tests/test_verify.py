@@ -20,6 +20,9 @@ from mvsde.models import dirac
 from mvsde.stats import rmse, w2_1d_quantile
 from mvsde.taming import TamingOperator, _t1_raw, _t2_raw, parse_taming
 from mvsde.verify import (
+    N_PAIRS,
+    PAIR_SCALES,
+    SAMPLE_SEED,
     _L_SWEEP,
     _magnitude_grid,
     _synthetic_measures,
@@ -84,7 +87,7 @@ class _Worst:
 
 
 def _loop_check_taming(op, assumption, constants, spec, model=None):
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     dirs = spec.directions(rng)
     if assumption == "EX35_BOUND":
         return _loop_check_ex35(op, constants, spec, model, rng)
@@ -119,7 +122,7 @@ def _loop_check_taming(op, assumption, constants, spec, model=None):
 
 
 def _loop_check_ex35(op, constants, spec, model, rng):
-    measures = _synthetic_measures(spec, rng, model.d)
+    measures = _synthetic_measures(rng, model.d)
     sweep = [float(constants["L"])] if "L" in constants else _L_SWEEP
     for L in sweep:
         worst = _Worst()
@@ -142,16 +145,16 @@ def _loop_check_ex35(op, constants, spec, model, rng):
     return worst.value, worst.witness, worst.count, L
 
 
-def _loop_check_model(model, assumption, constants, spec):
-    rng = np.random.default_rng(spec.seed)
+def _loop_check_model(model, assumption, constants):
+    rng = np.random.default_rng(SAMPLE_SEED)
     p0 = float(constants.get("p0", 2.0))
     p1 = float(constants.get("p1", 2.0))
     rho = float(constants.get("rho", model.rho))
     pairs = []
-    for scale in spec.pair_scales:
-        block = scale * rng.standard_normal((spec.n_pairs, 2, model.d))
-        pairs.extend((block[i, 0], block[i, 1]) for i in range(spec.n_pairs))
-    measures = _synthetic_measures(spec, rng, model.d)
+    for scale in PAIR_SCALES:
+        block = scale * rng.standard_normal((N_PAIRS, 2, model.d))
+        pairs.extend((block[i, 0], block[i, 1]) for i in range(N_PAIRS))
+    measures = _synthetic_measures(rng, model.d)
     mpairs = [(mu, nu) for mu in measures for nu in measures]
 
     def w2_measures(mu, nu):
@@ -247,8 +250,8 @@ _MODEL_ROWS = [
 @pytest.mark.parametrize("factory,assumption,constants", _MODEL_ROWS)
 def test_model_checks_match_loop_reference(factory, assumption, constants):
     model = factory()
-    rep = check_model(model, assumption, constants, FAST)
-    _assert_same(rep, _loop_check_model(model, assumption, constants, FAST))
+    rep = check_model(model, assumption, constants)
+    _assert_same(rep, _loop_check_model(model, assumption, constants))
     assert (model.d > 1) == ("coupled upper bound" in rep.caveat)
 
 
@@ -370,33 +373,33 @@ class TestCheckTaming:
 
 class TestCheckModel:
     def test_a6_cubic_passes_with_swept_constant(self):
-        rep = check_model(cubic_interaction_model(), "A6", None, FAST)
+        rep = check_model(cubic_interaction_model(), "A6")
         assert rep.passed
         assert rep.tested_constants["L"] <= 2.0**10
 
     def test_a6_quintic_fails_with_undersized_rho(self):
-        rep = check_model(quintic_interaction_model(), "A6", {"rho": 1.0}, FAST)
+        rep = check_model(quintic_interaction_model(), "A6", {"rho": 1.0})
         assert not rep.passed
         assert max(rep.witness["x"], rep.witness["y"]) > 10.0
 
     def test_a6_quintic_passes_with_its_rho(self):
-        rep = check_model(quintic_interaction_model(), "A6", None, FAST)
+        rep = check_model(quintic_interaction_model(), "A6")
         assert rep.passed, rep
 
     def test_a3_degenerate_pair_no_violation(self):
         # x = y and mu = nu: both sides vanish
         model = cubic_interaction_model()
-        rep = check_model(model, "A3", None, FAST)
+        rep = check_model(model, "A3")
         assert rep.passed
 
     def test_a2_passes_for_builtins(self):
         for model in (cubic_interaction_model(), quintic_interaction_model()):
-            rep = check_model(model, "A2", None, FAST)
+            rep = check_model(model, "A2")
             assert rep.passed, rep
 
     def test_a5_passes_for_builtins(self):
         for model in (cubic_interaction_model(), quintic_interaction_model()):
-            rep = check_model(model, "A5", None, FAST)
+            rep = check_model(model, "A5")
             assert rep.passed, rep
 
 
