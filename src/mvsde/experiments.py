@@ -1,10 +1,10 @@
 """The experiment harness: convergence, density, path, moment and N-scaling
 studies.
 
-Each study is a list of cells, and `_run_cells` is the one loop that draws
-their Brownian grids, simulates and reduces.  Every root is drawn once, in
-blocks, and the runs on it step in lockstep over that one pass, so no root
-is ever held whole.  All studies are deterministic given (config, seed):
+Each study is a list of cells, and `_run_cells` plans their runs, draws
+each root once and reduces each run as it ends; `stepper.lockstep` reads
+the roots block by block and steps the runs on them, so no root is ever
+held whole.  All studies are deterministic given (config, seed):
 Brownian paths and initial data come from counter-keyed streams, a run of
 several cells is a batch whose systems each get the bits of their run alone,
 and every reduction has a fixed order.
@@ -59,48 +59,19 @@ def _runs(cells, trace_ids):
 
 def _run_cells(model, T, cells, reduce, trace_ids=None):
     """reduce(cell, trajectory) of every cell, as soon as its run (`_runs`)
-    ends.
-
-    The runs on one tuple of roots step in lockstep over one pass of them:
-    each root is drawn once (`brownian.generate`, on demand) and read in
-    blocks of BLOCK_STEPS root steps, rounded down to a whole multiple of
-    the lcm of the runs' factors (one lcm at least).  Each block is summed
-    into each run's own coarse steps (`brownian.coarse_block`) and sent to
-    its step loop (`stepper.run`).  So memory holds one block of
-    B * N * width * m increments, plus each live run's states, records and
-    traces.
-    """
+    ends.  The runs on one tuple of roots share one draw of each root
+    (`brownian.generate`, on demand) and step over it in lockstep
+    (`stepper.lockstep`)."""
     groups = {}
     for run in _runs(cells, trace_ids):
         groups.setdefault(tuple(cells[i].root for i in run), []).append(run)
     results = [None] * len(cells)
     for roots, runs in groups.items():
         grids = [brownian.generate(seed, n_root, T, n, model.m) for seed, n_root, n in roots]
-        live = {}  # the step loop of each run not yet ended: (run, factor)
-        for run in runs:
-            cell = cells[run[0]]
-            views = [brownian.coarsen(grid, cell.factor) for grid in grids]
-            steps = stepper.run(model, cell.scheme, views, cell.times, trace_ids)
-            next(steps)
-            live[steps] = (run, cell.factor)
-        lcm = math.lcm(*(f for _, f in live.values()))
-        width = max(stepper.BLOCK_STEPS, lcm) // lcm * lcm
-        for r0 in range(0, grids[0].n_fine, width):
-            r1 = min(r0 + width, grids[0].n_fine)
-            if len(grids) == 1:  # no copy of the one root's block
-                block = grids[0].increments_block(r0, r1)[None]
-            else:
-                block = np.stack([grid.increments_block(r0, r1) for grid in grids])
-            for steps, (run, f) in list(live.items()):
-                try:
-                    steps.send(brownian.coarse_block(block, f))
-                except StopIteration as stop:
-                    del live[steps]
-                    for j, traj in zip(run, stop.value):
-                        results[j] = reduce(cells[j], traj)
-            del block  # released before the next block is drawn
-            if not live:
-                break
+        plan = [(cell.scheme, cell.factor, cell.times, trace_ids) for cell in (cells[run[0]] for run in runs)]
+        for r, trajs in stepper.lockstep(model, grids, plan):
+            for j, traj in zip(runs[r], trajs):
+                results[j] = reduce(cells[j], traj)
     return results
 
 

@@ -18,20 +18,21 @@ Non-finite states do not abort a run: the offending entries are replaced by
 NaN sentinels and the ensemble is flagged, so divergence experiments can
 report the time of explosion.
 
-The one step loop, `run`, is a generator that is sent its increments block
-by block, so a caller that reads one Brownian root for several runs can feed
-them all from one pass over it.  B independent systems of N particles step
+`lockstep` is the one reader of Brownian roots, for `simulate` and every
+study: the runs on one root step in lockstep over one pass of it, each
+through the step loop `run`.  B independent systems of N particles step
 together as one (B, N, d) Ensemble.  Each keeps its own measure, non-finite
 flag and Newton solve, so its bits are those of its run alone (B = 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import InitStream, PathGrid
+from .brownian import InitStream, PathGrid, coarse_block, coarsen
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
 from .taming import TamingOperator, _t1_raw, _t2_raw
@@ -40,7 +41,7 @@ NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
 NEWTON_FD_EPS = 1e-7  # relative forward-difference bump of the Jacobian
 
-BLOCK_STEPS = 1024  # steps of increments drawn at once by simulate and the study runner
+BLOCK_STEPS = 1024  # root steps of increments drawn at once by lockstep
 
 
 def scheme_label(op: TamingOperator | None) -> str:
@@ -253,25 +254,53 @@ def simulate(
     record time is mapped to the nearest grid point below it.  A Newton
     failure truncates the run (partial records, complete=False); explicit
     divergence only flags the trajectory and stepping continues on NaN
-    sentinels.  This is `run` of one grid, with particle traces, sent
-    BLOCK_STEPS steps of increments at a time.
+    sentinels.  This is `lockstep` of one run on the grid's root.
     """
-    steps = run(model, op, [grid], record_times, trace_ids)
-    next(steps)
-    try:
-        for k0 in range(0, grid.n_steps, BLOCK_STEPS):
-            steps.send(grid.increments_block(k0, min(k0 + BLOCK_STEPS, grid.n_steps))[None])
-    except StopIteration as stop:
-        return stop.value[0]
+    root = PathGrid(grid.seed, grid.n_fine, grid.T, grid.N, grid.m, root=grid._root)
+    ((_, (traj,)),) = lockstep(model, [root], [(op, grid.factor, record_times, trace_ids)])
+    return traj
+
+
+def lockstep(model, roots, runs):
+    """Step each run (op, factor, record_times, trace_ids), the scheme op on
+    the B root grids of one shape coarsened by factor, as one (B, N, d)
+    batch; yield (run index, a Trajectory per root) as each run ends.  Every
+    run takes each block of BLOCK_STEPS root steps, rounded down to a whole
+    multiple of the factors' lcm (one lcm at least) and summed into its own
+    coarse steps (`coarse_block`), before the next block is drawn.  So memory
+    holds one block and its sums, plus each live run's states and records."""
+    live = {}  # the step loop of each run not yet ended: (steps, factor)
+    for i, (op, factor, record_times, trace_ids) in enumerate(runs):
+        steps = run(model, op, [coarsen(root, factor) for root in roots], record_times, trace_ids)
+        next(steps)
+        live[i] = (steps, factor)
+    lcm = math.lcm(*(f for _, f in live.values()))
+    width = max(BLOCK_STEPS, lcm) // lcm * lcm
+    n = roots[0].n_fine
+    for r0 in range(0, n, width):
+        r1 = min(r0 + width, n)
+        if len(roots) == 1:  # no copy of the one root's block
+            block = roots[0].increments_block(r0, r1)[None]
+        else:
+            block = np.stack([root.increments_block(r0, r1) for root in roots])
+        for i, (steps, f) in list(live.items()):
+            try:
+                steps.send(coarse_block(block, f))
+            except StopIteration as stop:
+                del live[i]
+                yield i, stop.value
+        del block  # released before the next block is drawn
+        if not live:
+            break
 
 
 def run(model, op, grids, record_times, trace_ids=None):
-    """The one step loop, a generator: the B = len(grids) systems on grids of
-    one shape (n steps of size h on [0, T], N particles, each its own seed)
-    as a (B, N, d) Ensemble.  Start it with next(), then send it increment
-    blocks of shape (B, N, steps, m), in step order; it returns a Trajectory
-    per system once the last step is taken or every system is cut.  Particle
-    traces (trace_ids) are taken of the first system, for B = 1."""
+    """The one step loop, a generator that `lockstep` drives: the B systems on
+    grids of one shape (n steps of size h on [0, T], N particles, each its
+    own seed) as a (B, N, d) Ensemble.  Primed with next(), it is sent
+    increment blocks of shape (B, N, steps, m), in step order, and returns a
+    Trajectory per system once the last step is taken or every system is
+    cut.  Particle traces (trace_ids) are taken of the first system."""
     n, h, T, N = grids[0].n_steps, grids[0].h, grids[0].T, grids[0].N
     record_times = sorted(record_times)  # stable: equal times keep their order
     if any(t < 0 or t > T + 1e-12 for t in record_times):
@@ -286,8 +315,7 @@ def run(model, op, grids, record_times, trace_ids=None):
         if x.shape != (N, model.d):
             raise ValueError(f"initial sampler returned {x.shape}, expected {(N, model.d)}")
         x0.append(x)
-    # one system steps on the sampler's own array, with no copy
-    ens = Ensemble(x0[0][None] if len(x0) == 1 else np.stack(x0))
+    ens = Ensemble(np.stack(x0))
     del x0, x
 
     trace_times = trace_values = None

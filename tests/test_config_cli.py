@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -647,6 +650,27 @@ class TestCli:
         assert main(["list-models"]) == 0
         out = capsys.readouterr().out
         assert "cubic" in out and "quintic" in out and "doublewell" in out
+
+    @staticmethod
+    def python_m_mvsde(*args):
+        """python -m mvsde args, in a fresh interpreter with src on PYTHONPATH."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "mvsde", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_python_m_list_models(self):
+        proc = self.python_m_mvsde("list-models")
+        assert proc.returncode == 0, proc.stderr
+        names = [line.split(":")[0] for line in proc.stdout.splitlines()]
+        assert names == ["cubic", "doublewell", "quintic"]
+
+    def test_python_m_study_without_config_exits_2(self):
+        proc = self.python_m_mvsde("density")
+        assert proc.returncode == 2 and "--config" in proc.stderr
 
     def test_check_subcommand_writes_report(self, tmp_path, capsys, monkeypatch):
         # narrow the battery to one model via config and a light sample spec

@@ -6,18 +6,24 @@ import pytest
 
 from mvsde import (
     NewtonNonConvergence,
+    coarsen,
     cubic_interaction_model,
     double_well_model,
     generate,
     quintic_interaction_model,
     simulate,
+    stepper,
 )
+from mvsde.brownian import InitStream
+from mvsde.config import ExperimentConfig
+from mvsde.experiments import run_convergence
 from mvsde.models import ModelSpec
+from mvsde.stats import rmse
 from mvsde.stepper import (
     Ensemble,
+    Trajectory,
     euler_step,
     grid_floor_step,
-    run,
     split_step,
 )
 from mvsde.taming import TamingOperator
@@ -334,23 +340,37 @@ def assert_same_run(batched, alone):
         assert np.array_equal(a.states, b.states, equal_nan=True)
 
 
-def run_batch(model, op, grids, times, width=3):
-    """stepper.run over grids of one shape as one batch, sent their
-    increments in blocks of `width` steps (the last one shorter), so a
+def run_batch(model, op, grids, times):
+    """stepper.lockstep of one run over root grids of one shape, as one
+    batch, read in blocks of 3 root steps (the last one shorter), so a
     Newton cut can leave the batch before a later block arrives."""
-    steps = run(model, op, grids, times)
-    next(steps)
-    n = grids[0].n_steps
-    try:
-        for k0 in range(0, n, width):
-            steps.send(np.stack([grid.increments_block(k0, min(k0 + width, n)) for grid in grids]))
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("the step loop went on past its last step")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepper, "BLOCK_STEPS", 3)
+        ((_, trajs),) = stepper.lockstep(model, grids, [(op, 1, times, None)])
+    return trajs
+
+
+def reference_run(model, op, grid, times):
+    """The run of op on grid by a plain loop, independent of lockstep's
+    blocks: stepper.step one step at a time over the grid's increments,
+    drawn whole, recording each time at its grid_floor_step."""
+    n = grid.n_steps
+    ens = Ensemble(np.asarray(model.initial_sampler(InitStream(grid.seed, grid.N, model.d)), dtype=float))
+    traj = Trajectory(grid.h, [], ens)
+    for k in range(n + 1):
+        if k:
+            try:
+                ens = stepper.step(ens, model, op, grid.h, grid.increments_block(k - 1, k)[:, 0, :])
+            except NewtonNonConvergence as err:
+                traj.newton_failure = (k, err.particle, err.residual)
+                break
+        traj.records += [(rt, ens) for rt in sorted(times) if grid_floor_step(rt, grid.T, n) == k]
+        traj.final = ens
+    return traj
 
 
 def run_both(model, op, seeds, n, N, times=(0.5, 1.0)):
-    """stepper.run over the seeds' grids and simulate of each grid alone."""
+    """stepper.lockstep over the seeds' grids and simulate of each grid alone."""
     batched = run_batch(model, op, [generate(s, n, 1.0, N, 1) for s in seeds], times)
     alone = [simulate(model, op, generate(s, n, 1.0, N, 1), times) for s in seeds]
     assert len(batched) == len(seeds)
@@ -438,3 +458,59 @@ class TestBatch:
         with pytest.raises(NewtonNonConvergence) as err:
             split_step(Ensemble(states), model, 0.1, np.zeros((2, 2, 1)))
         assert err.value.replica == 1 and err.value.particle in (0, 1)
+
+
+def _per_seed_start(stream):
+    """X0 near 0.5, except seed 2 (20: the first implicit stage has no root)
+    and seed 3 (-1000: the diffusion overflows at the first step)."""
+    return {2: 20.0, 3: -1000.0}.get(stream.seed, 0.5) + 0.1 * stream.normals()
+
+
+# b = -x + mean/10 below 5 and 2 + 2 x^2 above it, sigma = exp(-x)
+CUT_OR_OVERFLOW = ModelSpec(
+    name="cutoroverflow",
+    d=1,
+    m=1,
+    drift=lambda t, x, mu: np.where(x > 5.0, 2.0 + 2.0 * x * x, 0.1 * mu.mean - x),
+    diffusion_col=lambda t, x, mu, r: np.exp(-x),
+    rho=1.0,
+    initial_sampler=_per_seed_start,
+)
+
+
+class TestLockstep:
+    def test_runs_match_the_reference_loop_system_by_system(self):
+        # four systems and two runs (factors 1 and 2) on one pass of the
+        # roots; the system of seed 2 is cut by Newton at step 1, that of
+        # seed 3 goes non-finite at step 1 and Newton cuts its NaN states
+        # at step 2
+        seeds, times = [1, 2, 3, 4], [0.0, 0.5, 1.0]
+        roots = [generate(s, 8, 1.0, 4, 1) for s in seeds]
+        runs = [(SSM, 1, times, None), (SSM, 2, times, None)]
+        ended = dict(stepper.lockstep(CUT_OR_OVERFLOW, roots, runs))
+        assert sorted(ended) == [0, 1]
+        for r, (_, f, _, _) in enumerate(runs):
+            views = [coarsen(generate(s, 8, 1.0, 4, 1, materialize=True), f) for s in seeds]
+            alone = [reference_run(CUT_OR_OVERFLOW, SSM, view, times) for view in views]
+            for batched, ref in zip(ended[r], alone):
+                assert_same_run(batched, ref)
+            assert [traj.newton_failure is not None for traj in alone] == [False, True, True, False]
+            assert alone[1].newton_failure[0] == 1 and alone[1].first_nonfinite is None
+            assert alone[2].first_nonfinite == (0, 1) and alone[2].newton_failure[0] == 2
+            assert np.all(np.isfinite(alone[0].final.states)) and alone[0].final.step_index == 8 // f
+
+    def test_convergence_matches_the_reference_loop_on_odd_factors(self):
+        # factors 9 and 3: lockstep reads blocks of 1017 root steps, so they
+        # start at Philox words that are not a multiple of 4, and the block
+        # at 4068 crosses the 4096-step counter chunk
+        cfg = ExperimentConfig(
+            model_name="cubic", schemes=["me", "ssm"], N=8, seed=5, T=1.125,
+            h_ref=2.0**-12, h_list=[9 * 2.0**-12, 3 * 2.0**-12],
+        )
+        model = cubic_interaction_model()
+        root = generate(5, 4608, 1.125, 8, 1, materialize=True)
+        for rep, op in zip(run_convergence(cfg), (ME, SSM)):
+            ref = reference_run(model, op, root, [1.125]).final
+            for row, f in zip(rep.rows, (9, 3)):
+                coarse = reference_run(model, op, coarsen(root, f), [1.125]).final
+                assert not row.diverged and row.rmse == rmse(coarse, ref) > 0
