@@ -31,19 +31,16 @@ serves callers that read a root block by block.  ``coarsen(coarsen(g, a),
 b)`` therefore runs the exact same floating-point reduction as
 ``coarsen(g, a * b)`` and the results are bitwise identical.
 
-A grid is drawn on demand: ``increments_block`` generates the steps it is
-asked for from the counter stream.  ``generate(..., materialize=True)``
-draws the whole root at once and keeps it, as a reference for tests and
-benchmarks.  A chunk is generated in particle slabs of doubles, which hold
-the uniforms and then their normal values in place, and a coarsened view
-sums each slab into its coarse steps as it is drawn, so temporaries grow
-neither with N nor with the factor.  A call with enough work splits the
-particles into contiguous bands (``bands.band_count``); each band draws its
-own rows into a slab of ``_SLAB_WORDS // bands`` doubles, and a call has no
-more bands than such slabs that hold a particle's row, so its slabs hold
-``_SLAB_WORDS`` doubles in all (one row, if a row is wider).  Every value
-is a function of its counter alone, so the bits do not depend on the
-number of bands.
+A grid is drawn on demand: ``increments_block`` generates the root steps it
+is asked for from the counter stream, and sums them with ``coarse_block``.
+``generate(..., materialize=True)`` draws the whole root at once and keeps
+it, as a reference for tests and benchmarks.  A call with enough work
+splits the particles into contiguous bands (``bands.band_count``), never
+more bands than particles; each band writes the uniforms of its own rows
+straight into the returned block and maps them there in place, so a root
+read holds nothing beyond its block, and a coarsened read holds its root
+block while it sums it.  Every value is a function of its counter alone,
+so the bits do not depend on the number of bands.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from .bands import band_count, run_bands
 _MASK64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
 CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
-_SLAB_WORDS = 1 << 20  # max doubles in the slabs of one generation call (8 MiB)
 
 # purpose tags keep the increment, initial-normal and initial-uniform
 # streams of one seed disjoint in counter space
@@ -99,7 +95,7 @@ class _Streams:
 
     def uniforms(self, particles, chunk, w0, out):
         """Fill out (float64, one C-contiguous row per particle) with the
-        uniforms of words [w0, w0 + out.shape[1]) of the (particle, chunk)
+        uniforms of words [w0, w0 + row size) of the (particle, chunk)
         streams."""
         # numpy increments the counter before it computes a block, so
         # counter b yields the block holding stream words [4b, 4b + 4)
@@ -115,32 +111,15 @@ class _Streams:
         return out
 
 
-def _add_terms(out, root, first, f):
-    """Sum root increments into out's coarse steps of f root steps each.
-
-    root[..., i, :] is root step first + i, counted from out's first root
-    step.  A coarse step's first term is assigned and the rest added, so calls
-    must arrive in ascending root-step order."""
-    for j in range(f):
-        i = (j - first) % f  # first column of root that is term j
-        if i >= root.shape[-2]:
-            continue
-        terms = root[..., i::f, :]
-        q = (first + i) // f
-        if j == 0:
-            out[..., q : q + terms.shape[-2], :] = terms
-        else:
-            out[..., q : q + terms.shape[-2], :] += terms
-
-
 def coarse_block(fine, f):
     """Root increments `fine`, shape (..., steps, m) from a root step that is
-    a multiple of f, summed into coarse steps of f root steps each: the
-    increments of a `coarsen` view by f, bit for bit.  f = 1 returns fine."""
+    a multiple of f, summed into coarse steps of f root steps each: the first
+    term copied and the rest added in ascending order.  f = 1 returns fine."""
     if f == 1:
         return fine
-    out = np.empty(fine.shape[:-2] + (fine.shape[-2] // f, fine.shape[-1]))
-    _add_terms(out, fine, 0, f)
+    out = fine[..., ::f, :].copy()
+    for j in range(1, f):
+        out += fine[..., j::f, :]
     return out
 
 
@@ -172,52 +151,37 @@ class PathGrid:
         """Step size of this grid."""
         return self.T * self.factor / self.n_fine
 
-    def _generate(self, k0, k1):
-        """Increments for steps [k0, k1) drawn from the counter stream; each
-        slab of root values is summed into its coarse steps as it is drawn."""
-        f, m = self.factor, self.m
-        r0, r1 = k0 * f, k1 * f  # root steps
+    def _generate(self, r0, r1):
+        """Root increments for root steps [r0, r1), drawn from the counter
+        stream; each band maps the uniforms of its rows in place."""
+        m = self.m
         scale = np.sqrt(self.T / self.n_fine)
-        out = np.empty((self.N, k1 - k0, m))
+        out = np.empty((self.N, r1 - r0, m))
         first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
-        width = min(r1 - r0, CHUNK_STEPS) * m
-        bands = band_count(self.N * (r1 - r0) * m, min(self.N, _SLAB_WORDS // width))
-        slab_len = _SLAB_WORDS // bands
 
         def band(p0, p1):
             streams = _Streams(self.seed, _TAG_INCREMENTS)
-            # one slab buffer serves the band, sized for its widest chunk
-            # span, so the allocator keeps no freed slabs resident
-            slab = np.empty(min((p1 - p0) * width, max(width, slab_len)))
             for c in range(first, last + 1):
                 lo = max(r0, c * CHUNK_STEPS)
                 hi = min(r1, (c + 1) * CHUNK_STEPS)
-                w0 = (lo - c * CHUNK_STEPS) * m
-                w1 = (hi - c * CHUNK_STEPS) * m
-                rows = max(1, slab_len // (w1 - w0))
-                for s0 in range(p0, p1, rows):
-                    s1 = min(p1, s0 + rows)
-                    z = slab[: (s1 - s0) * (w1 - w0)].reshape(s1 - s0, w1 - w0)
-                    streams.uniforms(range(s0, s1), c, w0, z)
-                    ndtri(z, out=z)
-                    z *= scale
-                    _add_terms(out[s0:s1], z.reshape(s1 - s0, hi - lo, m), lo - r0, f)
+                z = out[p0:p1, lo - r0 : hi - r0, :]
+                streams.uniforms(range(p0, p1), c, (lo - c * CHUNK_STEPS) * m, z)
+                ndtri(z, out=z)
+                z *= scale
 
-        run_bands(self.N, bands, band)
+        run_bands(self.N, band_count(out.size, self.N), band)
         return out
 
     def increments_block(self, k0, k1):
-        """Increments of THIS grid for its steps [k0, k1), shape (N, k1-k0, m).
-
-        Coarse increments are grouped sums of root increments, accumulated in
-        ascending root-step order.
-        """
+        """Increments of THIS grid for its steps [k0, k1), shape (N, k1-k0, m):
+        the root steps [k0 f, k1 f), drawn or read from the materialized
+        root, summed by `coarse_block`."""
         if not 0 <= k0 <= k1 <= self.n_steps:
             raise ValueError(f"step range [{k0}, {k1}) outside [0, {self.n_steps}]")
-        if self._root is None:
-            return self._generate(k0, k1)
         f = self.factor
-        return coarse_block(self._root[:, k0 * f : k1 * f, :], f)
+        r0, r1 = k0 * f, k1 * f
+        fine = self._generate(r0, r1) if self._root is None else self._root[:, r0:r1, :]
+        return coarse_block(fine, f)
 
 
 def generate(seed, n_fine, T, N, m, materialize=False) -> PathGrid:

@@ -38,19 +38,18 @@ class _Cell(NamedTuple):
     times: list
 
 
-def _runs(cells, trace_ids):
+def _runs(cells):
     """The runs of a study, each a list of the indices of the cells it
     steps as one system, in plan order.  Cells are grouped by root,
     roots in order of first use; consecutive cells that differ only in their
-    root's seed form one run, with B * N no more than the largest cell's N.
-    A traced run holds one cell."""
+    root's seed form one run, with B * N no more than the largest cell's N."""
     largest = max(cell.root[2] for cell in cells)
     roots = dict.fromkeys(cell.root for cell in cells)
     runs, last = [], None
     for i in [i for root in roots for i, cell in enumerate(cells) if cell.root == root]:
         cell = cells[i]
         key = (cell.scheme, cell.h, cell.root[1:], cell.factor, tuple(cell.times))
-        if key != last or len(runs[-1]) >= largest // cell.root[2] or trace_ids is not None:
+        if key != last or len(runs[-1]) >= largest // cell.root[2]:
             runs.append([])
         runs[-1].append(i)
         last = key
@@ -63,7 +62,7 @@ def _run_cells(model, T, cells, reduce, trace_ids=None):
     (`brownian.generate`, on demand) and step over it in lockstep
     (`stepper.lockstep`)."""
     groups = {}
-    for run in _runs(cells, trace_ids):
+    for run in _runs(cells):
         groups.setdefault(tuple(cells[i].root for i in run), []).append(run)
     results = [None] * len(cells)
     for roots, runs in groups.items():

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import InitStream, PathGrid, coarse_block, coarsen
+from .brownian import InitStream, PathGrid, coarse_block
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
 from .taming import TamingOperator, _t1_raw, _t2_raw
@@ -271,7 +271,7 @@ def lockstep(model, roots, runs):
     holds one block and its sums, plus each live run's states and records."""
     live = {}  # the step loop of each run not yet ended: (steps, factor)
     for i, (op, factor, record_times, trace_ids) in enumerate(runs):
-        steps = run(model, op, [coarsen(root, factor) for root in roots], record_times, trace_ids)
+        steps = run(model, op, roots, factor, record_times, trace_ids)
         next(steps)
         live[i] = (steps, factor)
     lcm = math.lcm(*(f for _, f in live.values()))
@@ -294,14 +294,16 @@ def lockstep(model, roots, runs):
             break
 
 
-def run(model, op, grids, record_times, trace_ids=None):
+def run(model, op, roots, factor, record_times, trace_ids=None):
     """The one step loop, a generator that `lockstep` drives: the B systems on
-    grids of one shape (n steps of size h on [0, T], N particles, each its
-    own seed) as a (B, N, d) Ensemble.  Primed with next(), it is sent
-    increment blocks of shape (B, N, steps, m), in step order, and returns a
-    Trajectory per system once the last step is taken or every system is
-    cut.  Particle traces (trace_ids) are taken of the first system."""
-    n, h, T, N = grids[0].n_steps, grids[0].h, grids[0].T, grids[0].N
+    root grids of one shape coarsened by factor (n steps of size h on [0, T],
+    N particles, each its own seed) as a (B, N, d) Ensemble.  Primed with
+    next(), it is sent increment blocks of shape (B, N, steps, m), in step
+    order, and returns a Trajectory per system once the last step is taken or
+    every system is cut.  Each system's particle traces (trace_ids) are its
+    own, NaN after a cut."""
+    T, N = roots[0].T, roots[0].N
+    n, h = roots[0].n_fine // factor, T * factor / roots[0].n_fine  # as PathGrid computes them
     record_times = sorted(record_times)  # stable: equal times keep their order
     if any(t < 0 or t > T + 1e-12 for t in record_times):
         raise ValueError(f"record times must lie in [0, {T}]")
@@ -310,26 +312,29 @@ def run(model, op, grids, record_times, trace_ids=None):
         by_step.setdefault(grid_floor_step(rt, T, n), []).append(rt)
 
     x0 = []
-    for grid in grids:
-        x = np.asarray(model.initial_sampler(InitStream(grid.seed, N, model.d)), dtype=np.float64)
+    for root in roots:
+        x = np.asarray(model.initial_sampler(InitStream(root.seed, N, model.d)), dtype=np.float64)
         if x.shape != (N, model.d):
             raise ValueError(f"initial sampler returned {x.shape}, expected {(N, model.d)}")
         x0.append(x)
     ens = Ensemble(np.stack(x0))
     del x0, x
 
-    trace_times = trace_values = None
+    trace_times = traces = None
     if trace_ids is not None:
         trace_ids = [int(i) for i in trace_ids]
         for pid in trace_ids:
             if not 0 <= pid < N:
                 raise ValueError(f"trace particle {pid} outside 0..{N - 1}")
         trace_times = np.arange(n + 1) * (T / n)
-        trace_values = np.full((n + 1, len(trace_ids), model.d), np.nan)
-        trace_values[0] = ens.states[0, trace_ids, :]
+        traces = np.full((len(roots), n + 1, len(trace_ids), model.d), np.nan)
+        traces[:, 0] = ens.states[:, trace_ids, :]
 
-    trajs = [Trajectory(h, [], None, trace_times, trace_values) for _ in grids]
-    alive = list(range(len(grids)))  # the system at each position of the batch
+    trajs = [
+        Trajectory(h, [], None, trace_times, None if traces is None else traces[b])
+        for b in range(len(roots))
+    ]
+    alive = list(range(len(roots)))  # the system at each position of the batch
 
     def record(rt):
         for i, b in enumerate(alive):
@@ -340,7 +345,7 @@ def run(model, op, grids, record_times, trace_ids=None):
     k = 0
     while k < n:
         dw = yield
-        if len(alive) < len(grids):
+        if len(alive) < len(roots):
             dw = dw[alive]
         for j in range(dw.shape[2]):
             while True:
@@ -357,8 +362,8 @@ def run(model, op, grids, record_times, trace_ids=None):
                     keep = [i for i in range(len(alive) + 1) if i != err.replica]
                     ens, dw = ens.take(keep), dw[keep]
             k += 1
-            if trace_values is not None:
-                trace_values[k] = ens.states[0, trace_ids, :]
+            if traces is not None:
+                traces[alive, k] = ens.states[:, trace_ids, :]
             for rt in by_step.get(k, ()):
                 record(rt)
         del dw  # released before the sender draws the next block

@@ -73,6 +73,9 @@ def test_materialized_matches_streamed():
     assert np.array_equal(a, b)
     c = generate(5, 24, 1.0, 3, 2, materialize=False).increments_block(7, 13)
     assert np.array_equal(a[:, 7:13], c)
+    # an empty range is an empty block on both paths
+    d = generate(5, 24, 1.0, 3, 2, materialize=False).increments_block(7, 7)
+    assert d.shape == a[:, 7:7].shape == (3, 0, 2)
 
 
 def test_streamed_crossing_chunk_boundary():
@@ -265,16 +268,16 @@ def _block_excess(N, factor):
 
 
 def test_on_demand_block_memory_bounded_in_n():
-    # peak allocation beyond the returned block is set by the slab size,
-    # not by the particle count
+    # peak allocation beyond the returned block does not grow with the
+    # particle count
     small, large = _block_excess(2048, 1), _block_excess(8192, 1)
     assert large <= small + (1 << 20)
 
 
 @pytest.mark.parametrize("factor", [3, 8])
 def test_coarsened_on_demand_matches_materialized(factor):
-    # on-demand views sum root values while generating them; the sums must be
-    # the materialized grid's, also for groups that straddle a chunk boundary
+    # on-demand views sum the root block they draw; the sums must be the
+    # materialized grid's, also for groups that straddle a chunk boundary
     n = factor * (brownian.CHUNK_STEPS // factor + 3)
     lazy = coarsen(generate(19, n, 1.0, 3, 2, materialize=False), factor)
     eager = coarsen(generate(19, n, 1.0, 3, 2, materialize=True), factor)
@@ -283,27 +286,22 @@ def test_coarsened_on_demand_matches_materialized(factor):
         assert np.array_equal(lazy.increments_block(k0, k1), eager.increments_block(k0, k1))
 
 
-def test_coarsened_on_demand_memory_bounded_in_factor():
-    # no fine block is held, so coarsening costs no memory beyond the slabs
-    assert _block_excess(2048, 8) <= _block_excess(2048, 1) + (1 << 20)
-
-
-def test_on_demand_block_memory_within_one_slab():
-    # the bands' slab buffers hold _SLAB_WORDS doubles in all: the uniforms,
-    # then their normal values in place
-    assert _block_excess(8192, 1) <= 9 * (1 << 20)
+def test_coarsened_on_demand_memory_within_its_root_block():
+    # a coarsened view draws its root block whole and then sums it, so it
+    # holds that block beyond its output, and no more
+    root_block = 256 * 1024 * 8 * 8  # N steps f doubles
+    assert _block_excess(256, 8) <= root_block + (1 << 20)
 
 
 # -- particle bands across cores -----------------------------------------------
 
 
-def _banded(monkeypatch, cores, slab):
-    """Give the process `cores` cores, a 16-value minimum band and a slab of
-    `slab` doubles, so that small grids draw in several bands; returns the
-    list the band counts used go to."""
+def _banded(monkeypatch, cores):
+    """Give the process `cores` cores and a 16-value minimum band, so that
+    small grids draw in several bands; returns the list the band counts used
+    go to."""
     monkeypatch.setattr(bands, "CORES", cores)
     monkeypatch.setattr(bands, "MIN_WORK", 16)
-    monkeypatch.setattr(brownian, "_SLAB_WORDS", slab)
     used = []
 
     def counting(n, count, task):
@@ -315,7 +313,7 @@ def _banded(monkeypatch, cores, slab):
 
 
 def _band_cases():
-    """Case name -> (particles, draw); no call draws rows wider than 96."""
+    """Case name -> (particles, draw)."""
     n = 3 * (brownian.CHUNK_STEPS // 3 + 4)  # past one chunk, divisible by 3
     eager = generate(29, 48, 1.0, 7, 2, materialize=True)
     lazy = generate(29, 48, 1.0, 7, 2, materialize=False)
@@ -346,19 +344,19 @@ def test_increments_independent_of_core_count(monkeypatch, case, cores):
     # cases are built inside the test: a materialized grid draws its root
     # block when it is generated
     expected = _band_cases()[case][1]()
-    used = _banded(monkeypatch, cores, 16 * 96)
+    used = _banded(monkeypatch, cores)
     particles, draw = _band_cases()[case]
     assert np.array_equal(draw(), expected)
     if case != "init":  # N x d initial values are drawn in one call
         assert used[-1] == min(cores, particles)
 
 
-@pytest.mark.parametrize("cores", [4, 16])
-def test_wide_hosts_keep_bits_and_one_slab(monkeypatch, cores):
-    # a band per core on hosts wider than any measured: the slabs of one
-    # call still hold _SLAB_WORDS doubles in all
+@pytest.mark.parametrize("cores", [1, 4, 16])
+def test_band_counts_keep_bits_and_block_memory(monkeypatch, cores):
+    # a band per core, also on hosts wider than any measured: each band maps
+    # its rows in place in the returned block, so a call holds little more
     digest = hashlib.sha256(_block(8192).tobytes()).digest()
-    used = _banded(monkeypatch, cores, brownian._SLAB_WORDS)
+    used = _banded(monkeypatch, cores)
     tracemalloc.start()
     try:
         block = _block(8192)
@@ -366,15 +364,15 @@ def test_wide_hosts_keep_bits_and_one_slab(monkeypatch, cores):
     finally:
         tracemalloc.stop()
     assert used == [cores]
-    assert peak - block.nbytes <= 9 * (1 << 20)
+    assert peak - block.nbytes <= 1 << 20
     assert hashlib.sha256(block.tobytes()).digest() == digest
 
 
 def test_bands_never_narrower_than_a_row(monkeypatch):
-    # 64 cores but a slab that holds 3 rows of 4096 words: 3 bands
-    grid = generate(43, 4096, 1.0, 64, 1, materialize=False)
+    # bands never outnumber rows: 64 cores but 3 particles give 3 bands
+    grid = generate(43, 4096, 1.0, 3, 1, materialize=False)
     expected = grid.increments_block(0, 4096)
-    used = _banded(monkeypatch, 64, 3 * 4096 + 5)
+    used = _banded(monkeypatch, 64)
     assert np.array_equal(grid.increments_block(0, 4096), expected)
     assert used == [3]
 
@@ -398,13 +396,12 @@ def _call_with_timeout(fn, seconds=30):
 
 
 def test_many_bands_under_frequent_switches(monkeypatch):
-    # more bands than cores and a thread switch every microsecond; a coarse
-    # step is assigned and then added to, so a row two bands drew at once
-    # would get terms twice
+    # more bands than cores and a thread switch every microsecond; each band
+    # maps its uniforms in place, so a row two bands drew at once, or a sum
+    # taken before every band was done, would change the bits
     grid = coarsen(generate(41, 3 * 4096, 1.0, 64, 1, materialize=False), 3)
     expected = grid.increments_block(0, 4096)
-    # one row per slab, so each band draws 8 slabs per chunk
-    used = _banded(monkeypatch, 8, 8 * 4096)
+    used = _banded(monkeypatch, 8)
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -440,7 +437,7 @@ def test_failing_band_raises_after_joining():
 
 
 def test_failing_worker_makes_generation_raise(monkeypatch):
-    _banded(monkeypatch, 2, brownian._SLAB_WORDS)
+    _banded(monkeypatch, 2)
     grid = generate(5, 64, 1.0, 6, 1, materialize=False)
     caller = []
 

@@ -352,8 +352,8 @@ class TestNScaling:
         batched = run_nscaling(cfg)
         plan, sizes = experiments._runs, []
 
-        def one_cell_runs(cells, trace_ids):
-            runs = plan(cells, trace_ids)
+        def one_cell_runs(cells):
+            runs = plan(cells)
             sizes.extend(len(run) for run in runs)
             return [[i] for run in runs for i in run]
 
@@ -426,8 +426,8 @@ class TestRunner:
         of cells; run stops there, before anything is drawn."""
         runs = experiments._runs
 
-        def planned(cells, trace_ids):
-            raise _Planned([[cells[i] for i in run] for run in runs(cells, trace_ids)])
+        def planned(cells):
+            raise _Planned([[cells[i] for i in run] for run in runs(cells)])
 
         monkeypatch.setattr(experiments, "_runs", planned)
 
@@ -452,10 +452,11 @@ class TestRunner:
         cfg = ExperimentConfig(
             model_name="cubic", schemes=["me", "te(1)"], T=1.0, N=8, seed=9, h_values=[0.25, 0.125],
         )
-        runs = plan(run_density, cfg)
-        assert [[(cell.label, cell.h) for cell in run] for run in runs] == [
-            [("me", 0.25)], [("te_a1", 0.25)], [("me", 0.125)], [("te_a1", 0.125)],
-        ]
+        expected = [[("me", 0.25)], [("te_a1", 0.25)], [("me", 0.125)], [("te_a1", 0.125)]]
+        # a traced study too: its cells share one N, so a run holds one cell
+        for study in (run_density, run_paths):
+            runs = plan(study, cfg)
+            assert [[(cell.label, cell.h) for cell in run] for run in runs] == expected
 
     @pytest.fixture
     def root_reads(self, monkeypatch):

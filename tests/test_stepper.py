@@ -499,6 +499,18 @@ class TestLockstep:
             assert alone[2].first_nonfinite == (0, 1) and alone[2].newton_failure[0] == 2
             assert np.all(np.isfinite(alone[0].final.states)) and alone[0].final.step_index == 8 // f
 
+    def test_each_system_traces_its_own_particles(self):
+        # the system of seed 2 is cut by Newton at step 1: its trace rows
+        # stay NaN from there, and seed 1's are those of its run alone
+        seeds, runs = (2, 1), [(SSM, 1, [1.0], [0, 1])]
+        ((_, batched),) = stepper.lockstep(CUT_OR_OVERFLOW, [generate(s, 8, 1.0, 4, 1) for s in seeds], runs)
+        for s, traj in zip(seeds, batched):
+            ((_, (alone,)),) = stepper.lockstep(CUT_OR_OVERFLOW, [generate(s, 8, 1.0, 4, 1)], runs)
+            assert np.array_equal(traj.trace_times, alone.trace_times)
+            assert np.array_equal(traj.trace_values, alone.trace_values, equal_nan=True)
+        assert np.isnan(batched[0].trace_values[1:]).all()
+        assert not np.isnan(batched[1].trace_values).any()
+
     def test_convergence_matches_the_reference_loop_on_odd_factors(self):
         # factors 9 and 3: lockstep reads blocks of 1017 root steps, so they
         # start at Philox words that are not a multiple of 4, and the block
