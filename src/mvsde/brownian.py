@@ -21,8 +21,10 @@ and scaled by ``sqrt(T / n_fine)``.  The map is computed as numpy's
 and a power-of-two scale commutes with the rounding of the added half, so
 the bits are those of the formula.  No rejection sampling is involved, so a
 value never depends on generation order, chunking, or on how many particles
-or steps the surrounding grid has.  Bitwise reproducibility is per build (fixed numpy/scipy versions); the mapping above is part of this
-module's contract.
+or steps the surrounding grid has.  Bitwise reproducibility is per build
+(fixed numpy/scipy versions); the mapping above is part of this module's
+contract.  scipy is imported at the first normal draw, not with this
+module, so a process that draws no normal never loads it.
 
 Coarsening never re-sums previously coarsened values: every grid keeps a
 handle on the root fine stream and derives its increments by one grouped
@@ -46,9 +48,10 @@ so the bits do not depend on the number of bands.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bands import band_count, run_bands
+
+ndtri = None  # scipy.special.ndtri once _bind_ndtri has run; bands read it when they run
 
 _MASK64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
@@ -59,6 +62,14 @@ CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
 _TAG_INCREMENTS = 0
 _TAG_INIT_NORMAL = 1
 _TAG_INIT_UNIFORM = 2
+
+
+def _bind_ndtri():
+    """Import scipy's ndtri into the module global on the calling thread,
+    once, before the first normal is drawn."""
+    global ndtri
+    if ndtri is None:
+        from scipy.special import ndtri
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -158,6 +169,7 @@ class PathGrid:
         scale = np.sqrt(self.T / self.n_fine)
         out = np.empty((self.N, r1 - r0, m))
         first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
+        _bind_ndtri()
 
         def band(p0, p1):
             streams = _Streams(self.seed, _TAG_INCREMENTS)
@@ -247,6 +259,7 @@ class InitStream:
 
     def normals(self):
         """Standard normal block of shape (N, d)."""
+        _bind_ndtri()
         u = self._block(_TAG_INIT_NORMAL)
         return ndtri(u, out=u)
 

@@ -268,12 +268,22 @@ def lockstep(model, roots, runs):
     run takes each block of BLOCK_STEPS root steps, rounded down to a whole
     multiple of the factors' lcm (one lcm at least) and summed into its own
     coarse steps (`coarse_block`), before the next block is drawn.  So memory
-    holds one block and its sums, plus each live run's states and records."""
+    holds one block and its sums, plus each live run's states and records.
+    Each root's start states are drawn once, and the runs share them: the
+    first Ensemble makes them read-only."""
+    N, d = roots[0].N, model.d
+    x0 = np.empty((len(roots), N, d))
+    for b, root in enumerate(roots):
+        x = np.asarray(model.initial_sampler(InitStream(root.seed, N, d)), dtype=np.float64)
+        if x.shape != (N, d):
+            raise ValueError(f"initial sampler returned {x.shape}, expected {(N, d)}")
+        x0[b] = x
     live = {}  # the step loop of each run not yet ended: (steps, factor)
     for i, (op, factor, record_times, trace_ids) in enumerate(runs):
-        steps = run(model, op, roots, factor, record_times, trace_ids)
+        steps = run(model, op, roots, x0, factor, record_times, trace_ids)
         next(steps)
         live[i] = (steps, factor)
+    del x0, x  # held by the runs until their first step
     lcm = math.lcm(*(f for _, f in live.values()))
     width = max(BLOCK_STEPS, lcm) // lcm * lcm
     n = roots[0].n_fine
@@ -294,10 +304,11 @@ def lockstep(model, roots, runs):
             break
 
 
-def run(model, op, roots, factor, record_times, trace_ids=None):
+def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     """The one step loop, a generator that `lockstep` drives: the B systems on
     root grids of one shape coarsened by factor (n steps of size h on [0, T],
-    N particles, each its own seed) as a (B, N, d) Ensemble.  Primed with
+    N particles, each its own seed) as a (B, N, d) Ensemble started at x0,
+    the block `lockstep` draws.  Primed with
     next(), it is sent increment blocks of shape (B, N, steps, m), in step
     order, and returns a Trajectory per system once the last step is taken or
     every system is cut.  Each system's particle traces (trace_ids) are its
@@ -311,14 +322,7 @@ def run(model, op, roots, factor, record_times, trace_ids=None):
     for rt in record_times:
         by_step.setdefault(grid_floor_step(rt, T, n), []).append(rt)
 
-    x0 = []
-    for root in roots:
-        x = np.asarray(model.initial_sampler(InitStream(root.seed, N, model.d)), dtype=np.float64)
-        if x.shape != (N, model.d):
-            raise ValueError(f"initial sampler returned {x.shape}, expected {(N, model.d)}")
-        x0.append(x)
-    ens = Ensemble(np.stack(x0))
-    del x0, x
+    ens = Ensemble(x0)
 
     trace_times = traces = None
     if trace_ids is not None:

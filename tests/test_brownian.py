@@ -1,7 +1,11 @@
 import hashlib
+import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,3 +457,82 @@ def test_failing_worker_makes_generation_raise(monkeypatch):
         grid.increments_block(0, 64)
 
     assert isinstance(_call_with_timeout(call), FloatingPointError)
+
+
+# -- scipy is imported at the first normal draw ---------------------------------
+#
+# This module imports scipy itself, so the lazy import runs only in a fresh
+# interpreter.
+
+
+def _fresh(code, *args):
+    """Run code in a fresh interpreter, with src on its path and args in
+    sys.argv[1:]; return the JSON object it prints last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_STARTS = {
+    "import": ("", 0),
+    "list-models": ("code = cli.main(['list-models'])", 0),
+    "check": ("code = cli.main(['check', '--out-dir', sys.argv[1]])", 0),
+    "config error": ("code = cli.main(['converge', '--config', sys.argv[1] + '/none.ini'])", 2),
+    "first normal": ("InitStream(0, 4, 1).normals()", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STARTS))
+def test_scipy_loaded_at_the_first_normal_draw(tmp_path, case):
+    statement, code = _STARTS[case]
+    got = _fresh(
+        "import json, sys\n"
+        "import mvsde, mvsde.cli as cli\n"
+        "from mvsde.brownian import InitStream\n"
+        "code = 0\n"
+        f"{statement}\n"
+        "print(json.dumps({'code': code, 'scipy': 'scipy.special' in sys.modules}))",
+        str(tmp_path),
+    )
+    assert got == {"code": code, "scipy": case == "first normal"}
+
+
+_COLD_DRAWS = {
+    "increments": "brownian.generate(2**63 + 5, 24, 1.0, 6, 2).increments_block(7, 13)",
+    "init": "brownian.InitStream(2**63 + 5, 5, 3).normals()",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLD_DRAWS))
+def test_first_draw_of_a_process_matches_reference(case):
+    # the draw that imports scipy runs on two bands; ndtri is bound on the
+    # calling thread before any band starts
+    got = _fresh(
+        "import json, sys\n"
+        "from mvsde import bands, brownian\n"
+        "bands.CORES, bands.MIN_WORK = 2, 16\n"
+        "used = []\n"
+        "def counting(n, count, task):\n"
+        "    used.append((count, brownian.ndtri is not None))\n"
+        "    bands.run_bands(n, count, task)\n"
+        "brownian.run_bands = counting\n"
+        "cold = 'scipy.special' not in sys.modules\n"
+        f"z = {_COLD_DRAWS[case]}\n"
+        "print(json.dumps({'cold': cold, 'used': used, 'z': z.tolist()}))"
+    )
+    seed = 2**63 + 5
+    if case == "increments":
+        assert got["used"] == [[2, True]]
+        want = _reference_increments(seed, 24, 1.0, 6, 2, 7, 13)
+    else:
+        assert got["used"] == []  # N x d initial values are drawn in one call
+        words = np.array([_reference_words(seed, 1, i, 0, 3) for i in range(5)])
+        want = ndtri(_reference_uniforms(words))
+    assert got["cold"]
+    assert np.array_equal(np.array(got["z"]), want)

@@ -511,6 +511,25 @@ class TestLockstep:
         assert np.isnan(batched[0].trace_values[1:]).all()
         assert not np.isnan(batched[1].trace_values).any()
 
+    def test_initial_data_drawn_once_per_root(self):
+        # three runs on two roots draw two start blocks, and each run is the
+        # run it would be alone
+        seeds, times = (2, 4), [0.0, 1.0]
+        drawn = []
+
+        def counting(stream):
+            drawn.append(stream.seed)
+            return _per_seed_start(stream)
+
+        model = dataclasses.replace(CUT_OR_OVERFLOW, initial_sampler=counting)
+        runs = [(ME, 1, times, None), (ME, 2, times, None), (SSM, 1, times, None)]
+        ended = dict(stepper.lockstep(model, [generate(s, 8, 1.0, 4, 1) for s in seeds], runs))
+        assert drawn == list(seeds)
+        for r, one in enumerate(runs):
+            for s, batched in zip(seeds, ended[r]):
+                ((_, (alone,)),) = stepper.lockstep(CUT_OR_OVERFLOW, [generate(s, 8, 1.0, 4, 1)], [one])
+                assert_same_run(batched, alone)
+
     def test_convergence_matches_the_reference_loop_on_odd_factors(self):
         # factors 9 and 3: lockstep reads blocks of 1017 root steps, so they
         # start at Philox words that are not a multiple of 4, and the block
