@@ -9,21 +9,33 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
-# cores this process may run on: the most bands a call uses.  Only the CPU
-# affinity mask counts; a CPU quota narrower than the mask is not read.
-try:
-    CORES = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity API on this platform
-    CORES = os.cpu_count() or 1
-
+CORES = None  # the most bands a call uses; host_cores() at the first band_count
 MIN_WORK = 1 << 20  # elementary values a band needs to be worth a thread
+
+
+def host_cores(cgroup="/sys/fs/cgroup") -> int:
+    """Cores this process may run on: its CPU affinity mask, narrowed to
+    ceil(quota / period) by a CPU quota at the root of the cgroup tree, where
+    a container sees its own cgroup: v2's cpu.max, else v1's cpu/cpu.cfs_*."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for files in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            quota, period = " ".join(Path(cgroup, f).read_text() for f in files).split()
+        except (OSError, ValueError):  # no such files, or not two words
+            continue
+        return cores if quota in ("max", "-1") else min(cores, max(1, -(-int(quota) // int(period))))
+    return cores
 
 
 def band_count(work, cap) -> int:
     """Bands for a call of `work` elementary values: one per core, none with
     less than MIN_WORK values, and at most `cap`, the most the caller's rows
     or its memory budget allow."""
+    global CORES
+    if CORES is None:
+        CORES = host_cores()
     return max(1, min(CORES, work // MIN_WORK, cap))
 
 

@@ -36,13 +36,16 @@ b)`` therefore runs the exact same floating-point reduction as
 A grid is drawn on demand: ``increments_block`` generates the root steps it
 is asked for from the counter stream, and sums them with ``coarse_block``.
 ``generate(..., materialize=True)`` draws the whole root at once and keeps
-it, as a reference for tests and benchmarks.  A call with enough work
-splits the particles into contiguous bands (``bands.band_count``), never
-more bands than particles; each band writes the uniforms of its own rows
-straight into the returned block and maps them there in place, so a root
-read holds nothing beyond its block, and a coarsened read holds its root
-block while it sums it.  Every value is a function of its counter alone,
-so the bits do not depend on the number of bands.
+it, as a reference for tests and benchmarks.  A block is step-major, one
+step's increments of every particle together in memory, and
+``increments_block`` returns its ``(N, steps, m)`` view.  A call with enough
+work splits the particles into contiguous bands (``bands.band_count``),
+never more bands than particles.  Each band maps a tile of its rows at a
+time in cache and writes it transposed into the block; the tiles of all
+bands hold ``TILE_VALUES`` values, so a root read holds little beyond its
+block, and a coarsened read holds its root block while it sums it.  Every
+value is a function of its counter alone, so the bits do not depend on the
+number of bands.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ ndtri = None  # scipy.special.ndtri once _bind_ndtri has run; bands read it when
 _MASK64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # second key word as passed to numpy (see above)
 CHUNK_STEPS = 4096  # root steps per counter chunk, fixed for all grids
+TILE_VALUES = 1 << 16  # values the tiles of all bands of a call hold at once
 
 # purpose tags keep the increment, initial-normal and initial-uniform
 # streams of one seed disjoint in counter space
@@ -124,11 +128,11 @@ class _Streams:
 
 def coarse_block(fine, f):
     """Root increments `fine`, shape (..., steps, m) from a root step that is
-    a multiple of f, summed into coarse steps of f root steps each: the first
-    term copied and the rest added in ascending order.  f = 1 returns fine."""
+    a multiple of f, summed into coarse steps of f root steps in fine's memory
+    order: first term copied, the rest added in ascending order; f = 1 is fine."""
     if f == 1:
         return fine
-    out = fine[..., ::f, :].copy()
+    out = fine[..., ::f, :].copy(order="K")
     for j in range(1, f):
         out += fine[..., j::f, :]
     return out
@@ -163,31 +167,34 @@ class PathGrid:
         return self.T * self.factor / self.n_fine
 
     def _generate(self, r0, r1):
-        """Root increments for root steps [r0, r1), drawn from the counter
-        stream; each band maps the uniforms of its rows in place."""
-        m = self.m
+        """Root increments for root steps [r0, r1), the (N, r1 - r0, m) view of
+        a step-major block that each band writes a tile of its rows at a time."""
+        m, N = self.m, self.N
         scale = np.sqrt(self.T / self.n_fine)
-        out = np.empty((self.N, r1 - r0, m))
-        first, last = r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS
+        out = np.empty((r1 - r0, N, m))
+        count = band_count(out.size, N)
+        rows = max(1, TILE_VALUES // (count * min(r1 - r0, CHUNK_STEPS) * m or 1))
         _bind_ndtri()
 
         def band(p0, p1):
             streams = _Streams(self.seed, _TAG_INCREMENTS)
-            for c in range(first, last + 1):
-                lo = max(r0, c * CHUNK_STEPS)
-                hi = min(r1, (c + 1) * CHUNK_STEPS)
-                z = out[p0:p1, lo - r0 : hi - r0, :]
-                streams.uniforms(range(p0, p1), c, (lo - c * CHUNK_STEPS) * m, z)
-                ndtri(z, out=z)
-                z *= scale
+            for c in range(r0 // CHUNK_STEPS, (r1 - 1) // CHUNK_STEPS + 1):
+                lo, hi = max(r0, c * CHUNK_STEPS), min(r1, (c + 1) * CHUNK_STEPS)
+                tile = np.empty((rows, hi - lo, m))
+                for q0 in range(p0, p1, rows):
+                    z = tile[: p1 - q0]
+                    streams.uniforms(range(q0, q0 + len(z)), c, (lo - c * CHUNK_STEPS) * m, z)
+                    ndtri(z, out=z)
+                    z *= scale
+                    out[lo - r0 : hi - r0, q0 : q0 + len(z)] = z.transpose(1, 0, 2)
 
-        run_bands(self.N, band_count(out.size, self.N), band)
-        return out
+        run_bands(N, count, band)
+        return out.transpose(1, 0, 2)
 
     def increments_block(self, k0, k1):
-        """Increments of THIS grid for its steps [k0, k1), shape (N, k1-k0, m):
-        the root steps [k0 f, k1 f), drawn or read from the materialized
-        root, summed by `coarse_block`."""
+        """Increments of THIS grid for its steps [k0, k1), shape (N, k1-k0, m),
+        a view of step-major memory: the root steps [k0 f, k1 f), drawn or
+        read from the materialized root, summed by `coarse_block`."""
         if not 0 <= k0 <= k1 <= self.n_steps:
             raise ValueError(f"step range [{k0}, {k1}) outside [0, {self.n_steps}]")
         f = self.factor

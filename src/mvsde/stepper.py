@@ -265,12 +265,12 @@ def lockstep(model, roots, runs):
     """Step each run (op, factor, record_times, trace_ids), the scheme op on
     the B root grids of one shape coarsened by factor, as one (B, N, d)
     batch; yield (run index, a Trajectory per root) as each run ends.  Every
-    run takes each block of BLOCK_STEPS root steps, rounded down to a whole
-    multiple of the factors' lcm (one lcm at least) and summed into its own
-    coarse steps (`coarse_block`), before the next block is drawn.  So memory
-    holds one block and its sums, plus each live run's states and records.
-    Each root's start states are drawn once, and the runs share them: the
-    first Ensemble makes them read-only."""
+    run takes each step-major block (see `run`) of BLOCK_STEPS root steps,
+    rounded down to a whole multiple of the factors' lcm (one lcm at least)
+    and summed into its own coarse steps (`coarse_block`), before the next
+    block is drawn.  So memory holds one block and its sums, plus each live
+    run's states and records.  Each root's start states are drawn once, and
+    the runs share them: the first Ensemble makes them read-only."""
     N, d = roots[0].N, model.d
     x0 = np.empty((len(roots), N, d))
     for b, root in enumerate(roots):
@@ -291,8 +291,9 @@ def lockstep(model, roots, runs):
         r1 = min(r0 + width, n)
         if len(roots) == 1:  # no copy of the one root's block
             block = roots[0].increments_block(r0, r1)[None]
-        else:
-            block = np.stack([root.increments_block(r0, r1) for root in roots])
+        else:  # stacked in (steps, B, N, m) memory, like one root's block
+            block = np.stack([root.increments_block(r0, r1).swapaxes(0, 1) for root in roots], axis=1)
+            block = block.transpose(1, 2, 0, 3)
         for i, (steps, f) in list(live.items()):
             try:
                 steps.send(coarse_block(block, f))
@@ -308,11 +309,11 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     """The one step loop, a generator that `lockstep` drives: the B systems on
     root grids of one shape coarsened by factor (n steps of size h on [0, T],
     N particles, each its own seed) as a (B, N, d) Ensemble started at x0,
-    the block `lockstep` draws.  Primed with
-    next(), it is sent increment blocks of shape (B, N, steps, m), in step
-    order, and returns a Trajectory per system once the last step is taken or
-    every system is cut.  Each system's particle traces (trace_ids) are its
-    own, NaN after a cut."""
+    the block `lockstep` draws.  Primed with next(), it is sent increment
+    blocks of shape (B, N, steps, m) in (steps, B, N, m) memory, in step
+    order, so each step's (B, N, m) slice is contiguous.  It returns a
+    Trajectory per system once the last step is taken or every system is
+    cut.  Each system's particle traces (trace_ids) are its own, NaN after a cut."""
     T, N = roots[0].T, roots[0].N
     n, h = roots[0].n_fine // factor, T * factor / roots[0].n_fine  # as PathGrid computes them
     record_times = sorted(record_times)  # stable: equal times keep their order

@@ -240,6 +240,42 @@ def test_init_stream_matches_reference(seed):
     assert np.array_equal(stream.uniforms(), _reference_uniforms(uniform_words))
 
 
+def _reference_coarse(fine, f):
+    """Coarse steps of f root steps each, summed one term at a time in
+    ascending order."""
+    out = fine[:, ::f].copy()
+    for k in range(out.shape[1]):
+        acc = fine[:, k * f]
+        for j in range(1, f):
+            acc = acc + fine[:, k * f + j]
+        out[:, k] = acc
+    return out
+
+
+@pytest.mark.parametrize("read", ["on-demand", "materialized", "coarsened"])
+def test_each_step_of_a_block_is_contiguous(read):
+    # blocks are step-major: one step's increments of every particle lie
+    # together, and the values are still those of the reference streams
+    f = 3 if read == "coarsened" else 1
+    grid = coarsen(generate(11, 48, 1.0, 5, 2, materialize=read == "materialized"), f)
+    block = grid.increments_block(1, 48 // f - 2)
+    assert all(block[:, j, :].flags.c_contiguous for j in range(block.shape[1]))
+    want = _reference_increments(11, 48, 1.0, 5, 2, f, 48 - 2 * f)
+    assert np.array_equal(block, _reference_coarse(want, f))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 50])
+def test_tiles_narrower_than_a_band_keep_the_reference_values(monkeypatch, rows):
+    # 2 bands of 4 and 5 rows, each mapped 1, 2 or all rows at a time
+    # (a row is 8 steps x 2 values), across a counter chunk
+    used = _banded(monkeypatch, 2)
+    monkeypatch.setattr(brownian, "TILE_VALUES", rows * 2 * 8 * 2)
+    k0, k1 = brownian.CHUNK_STEPS - 3, brownian.CHUNK_STEPS + 5
+    grid = generate(13, k1, 1.0, 9, 2, materialize=False)
+    assert np.array_equal(grid.increments_block(k0, k1), _reference_increments(13, k1, 1.0, 9, 2, k0, k1))
+    assert used == [2]
+
+
 def test_philox_key_words_in_use():
     # numpy turns [seed, _KEY_CONST] into float64 when seed < 2**63, so the
     # second key word is rounded and large seeds lose their low bits
@@ -423,6 +459,39 @@ def test_band_count_limits(monkeypatch):
     assert bands.band_count(100 * bands.MIN_WORK, 100) == 8  # by cores
     assert bands.band_count(100 * bands.MIN_WORK, 2) == 2  # by the caller's cap
     assert bands.band_count(0, 0) == 1
+
+
+_V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+
+
+@pytest.mark.parametrize(
+    "files, cores",
+    [
+        ({}, 8),  # no cgroup files
+        ({"cpu.max": "max 100000\n"}, 8),
+        ({"cpu.max": "150000 100000\n"}, 2),  # 1.5 cores round up
+        ({"cpu.max": "20000 100000\n"}, 1),
+        ({"cpu.max": "1600000 100000\n"}, 8),  # wider than the mask
+        (dict(zip(_V1, ("-1\n", "100000\n"))), 8),
+        (dict(zip(_V1, ("300000\n", "100000\n"))), 3),
+        ({"cpu.max": "max 100000\n", **dict(zip(_V1, ("100000\n", "100000\n")))}, 8),  # v2 first
+    ],
+    ids=["none", "v2-max", "v2-1.5", "v2-0.2", "v2-16", "v1-none", "v1-3", "v2-before-v1"],
+)
+def test_host_cores_honour_a_cpu_quota(tmp_path, monkeypatch, files, cores):
+    # a cgroup tree as a container sees it, on an 8-core affinity mask
+    monkeypatch.setattr(bands.os, "sched_getaffinity", lambda pid: set(range(8)))
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert bands.host_cores(tmp_path) == cores
+
+
+def test_cores_read_at_the_first_band_count(monkeypatch):
+    monkeypatch.setattr(bands, "CORES", None)
+    monkeypatch.setattr(bands, "host_cores", lambda: 3)
+    assert bands.band_count(100 * bands.MIN_WORK, 100) == 3
+    assert bands.CORES == 3
 
 
 def test_failing_band_raises_after_joining():

@@ -530,6 +530,32 @@ class TestLockstep:
                 ((_, (alone,)),) = stepper.lockstep(CUT_OR_OVERFLOW, [generate(s, 8, 1.0, 4, 1)], [one])
                 assert_same_run(batched, alone)
 
+    @pytest.mark.parametrize(
+        "seeds, factor, op",
+        [((1,), 1, ME), ((1, 4, 5), 1, ME), ((1, 4, 5), 4, ME), ((1, 2, 3, 4), 1, SSM)],
+        ids=["one", "batch", "coarsened", "newton-cut"],
+    )
+    def test_each_step_reads_particles_at_unit_stride(self, monkeypatch, seeds, factor, op):
+        # blocks are step-major, so the dW of every step holds each system's
+        # particles together, also for the batch left after a Newton cut
+        # (seeds 2 and 3 are cut at steps 1 and 2) and across blocks of 3
+        # root steps
+        seen, step = [], stepper.step
+
+        def spy(ens, model, op, h, dW):
+            seen.append((len(dW), dW.flags.c_contiguous, all(w.flags.c_contiguous for w in dW)))
+            return step(ens, model, op, h, dW)
+
+        monkeypatch.setattr(stepper, "step", spy)
+        monkeypatch.setattr(stepper, "BLOCK_STEPS", 3 * factor)
+        roots = [generate(s, 16, 1.0, 5, 1) for s in seeds]
+        ((_, trajs),) = stepper.lockstep(CUT_OR_OVERFLOW, roots, [(op, factor, [1.0], None)])
+        assert all(per_system for _, _, per_system in seen)
+        assert all(whole for b, whole, _ in seen if b == len(seeds))
+        sizes = sorted({b for b, _, _ in seen}, reverse=True)
+        assert sizes == ([4, 3, 2] if op is SSM else [len(seeds)])
+        assert len(seen) == 16 // factor + (2 if op is SSM else 0)  # a retry per cut
+
     def test_convergence_matches_the_reference_loop_on_odd_factors(self):
         # factors 9 and 3: lockstep reads blocks of 1017 root steps, so they
         # start at Philox words that are not a multiple of 4, and the block
