@@ -19,16 +19,17 @@ Every value is checked when an ExperimentConfig is constructed, from a file
 or in library code alike.
 
 Numbers, model parameters included, accept plain decimals, scientific
-notation and exact dyadic exponents written as 2^-14.  Integer keys (n, seed,
-repetitions, orders, trace_particles, trace_stride, n_list, proxy_n) take
-integer literals, exact at any size, or integral numbers such as 1e3; the
-seed must lie in [0, 2^64).
+notation and exact dyadic exponents written as 2^-14; NaN, infinities and
+overflow are errors.  Integer keys (n, seed, repetitions, orders,
+trace_particles, trace_stride, n_list, proxy_n) take integer literals, exact
+at any size, or integral numbers such as 1e3; the seed must lie in [0, 2^64).
 Arrays are comma-separated.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -41,14 +42,16 @@ _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
 
 def parse_number(text: str) -> float:
+    """A finite number; NaN, infinities and overflow are ConfigErrors."""
     text = text.strip()
     m = _DYADIC.match(text)
-    if m:
-        return 2.0 ** int(m.group(1))
     try:
-        return float(text)
-    except ValueError:
+        value = 2.0 ** int(m.group(1)) if m else float(text)
+    except (ValueError, OverflowError):
         raise ConfigError(f"cannot parse number '{text}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number '{text}' is not finite")
+    return value
 
 
 def parse_int(text: str) -> int:
@@ -70,11 +73,12 @@ def parse_list(text: str, conv=parse_number) -> list:
 
 
 def exact_divide(a: float, b: float, what: str) -> int:
-    """a / b as an integer, rejecting a divisor <= 0 and non-integral ratios."""
+    """a / b as an integer, rejecting a divisor <= 0 and non-finite or
+    non-integral ratios."""
     if b <= 0:
         raise ConfigError(f"{what}: divisor {b!r} is not positive")
     ratio = a / b
-    n = round(ratio)
+    n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ConfigError(f"{what}: {a!r} / {b!r} = {ratio!r} is not a positive integer")
     return n

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import InitStream, PathGrid, coarse_block
+from .brownian import InitStream, PathGrid, coarse_block, coarsen
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
-from .taming import TamingOperator, _t1_raw, _t2_raw
+from .taming import TamingOperator
 
 NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
@@ -119,7 +119,7 @@ def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
     with no op; the caller holds np.errstate."""
     for r in range(1, model.m + 1):
         s = np.asarray(model.diffusion_col(t, z, mu, r), dtype=np.float64)
-        new = new + (s if op is None else _t2_raw(op, s, z, h)) * dW[..., r - 1 : r]
+        new = new + (s if op is None else op.t2(s, z, h)) * dW[..., r - 1 : r]
     return new
 
 
@@ -128,11 +128,10 @@ def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> En
     if op is None:
         raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
-    x = ens.states
-    t = ens.t
+    x, t = ens.states, ens.t
     with np.errstate(all="ignore"):
         b = np.asarray(model.drift(t, x, ens), dtype=np.float64)
-        new = _add_diffusion(x + _t1_raw(op, b, x, h) * h, model, t, x, ens, h, dW, op)
+        new = _add_diffusion(x + op.t1(b, x, h) * h, model, t, x, ens, h, dW, op)
     return _next_ensemble(new, ens, h)
 
 
@@ -196,9 +195,7 @@ def split_step(ens: Ensemble, model: ModelSpec, h, dW) -> Ensemble:
 
 
 def step(ens, model, op, h, dW) -> Ensemble:
-    if op is None:
-        return split_step(ens, model, h, dW)
-    return euler_step(ens, model, op, h, dW)
+    return split_step(ens, model, h, dW) if op is None else euler_step(ens, model, op, h, dW)
 
 
 @dataclass
@@ -314,8 +311,8 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     order, so each step's (B, N, m) slice is contiguous.  It returns a
     Trajectory per system once the last step is taken or every system is
     cut.  Each system's particle traces (trace_ids) are its own, NaN after a cut."""
-    T, N = roots[0].T, roots[0].N
-    n, h = roots[0].n_fine // factor, T * factor / roots[0].n_fine  # as PathGrid computes them
+    grid = coarsen(roots[0], factor)  # raises if factor does not divide the root
+    T, N, n, h = grid.T, grid.N, grid.n_steps, grid.h
     record_times = sorted(record_times)  # stable: equal times keep their order
     if any(t < 0 or t > T + 1e-12 for t in record_times):
         raise ValueError(f"record times must lie in [0, {T}]")
@@ -350,12 +347,11 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     k = 0
     while k < n:
         dw = yield
-        if len(alive) < len(roots):
-            dw = dw[alive]
         for j in range(dw.shape[2]):
             while True:
+                dW = dw[:, :, j, :]  # one contiguous slice; after a cut, its survivors
                 try:
-                    ens = step(ens, model, op, h, dw[:, :, j, :])
+                    ens = step(ens, model, op, h, dW if len(alive) == len(roots) else dW[alive])
                     break
                 except NewtonNonConvergence as err:
                     # cut that system here, as its own run would be; step the rest again
@@ -364,14 +360,13 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
                     traj.final = ens.replica(err.replica)
                     if not alive:
                         return trajs
-                    keep = [i for i in range(len(alive) + 1) if i != err.replica]
-                    ens, dw = ens.take(keep), dw[keep]
+                    ens = ens.take([i for i in range(len(alive) + 1) if i != err.replica])
             k += 1
             if traces is not None:
                 traces[alive, k] = ens.states[:, trace_ids, :]
             for rt in by_step.get(k, ()):
                 record(rt)
-        del dw  # released before the sender draws the next block
+        del dw, dW  # the block is released before the sender draws the next one
     for i, b in enumerate(alive):
         trajs[b].final = ens.replica(i)
     return trajs

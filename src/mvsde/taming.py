@@ -17,78 +17,20 @@ readings coincide; tanh/sin are necessarily componentwise).  The state x
 enters only through fully_tamed, whose damping depends on |x| rather than
 |v|; all operators share one interface so schemes can swap them freely.
 
-An operator is built as TamingOperator(kind, param), or from its config-file
-name (see SCHEMES) by parse_taming.
+Each kind is declared once, as its row of KINDS: config-file name, parameter
+(name, default, range), T1, whether T2 is T1, and H3 exponents.  SCHEMES is
+the table's view by config-file name.  An operator, TamingOperator(kind,
+param) or parse_taming(name), applies its maps as op.t1(v, x, h) and op.t2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .models import int_power
-
-# The scheme vocabulary, declared once: config-file name -> (kind, name of its
-# one parameter, default).  A parameter with a default is set in the config and
-# shows in the label; fte's has none, as its exponent is the model's rho.
-SCHEMES = {
-    "identity": ("identity", None, None),
-    "dte": ("drift_tamed", "lambda", 0.5),
-    "me": ("modified", None, None),
-    "te": ("tanh", "alpha", 1.0),
-    "se": ("sin", "alpha", 1.0),
-    "fte": ("fully_tamed", "rho", None),
-}
-_BY_KIND = {kind: (name, param, default) for name, (kind, param, default) in SCHEMES.items()}
-
-# parameter name -> (its range as written, membership test)
-_RANGES = {
-    "lambda": ("(0, 1/2]", lambda p: 0.0 < p <= 0.5),
-    "alpha": ("(0, 3/2)", lambda p: 0.0 < p < 1.5),
-    "rho": ("[0, inf)", lambda p: p >= 0.0),
-}
-
-# step-consistency exponents (r1, r2, r3): |T1(v,h) - v| <= h^r1 |v|^r2 and
-# |T2(v,h) - v| <= h^r3 |v|^r2 hold with constant 1 for these operators
-_DECLARED_H3 = {
-    "modified": (0.5, 2.0, 0.5),
-    "tanh": (0.5, 2.0, 0.5),
-    "sin": (0.5, 2.0, 0.5),
-}
-
-
-@dataclass(frozen=True)
-class TamingOperator:
-    kind: str
-    param: float | None = None  # the kind's one parameter, if it has one
-
-    def __post_init__(self):
-        if self.kind not in _BY_KIND:
-            raise ValueError(f"unknown taming kind '{self.kind}'")
-        name = _BY_KIND[self.kind][1]
-        if name is None:
-            if self.param is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
-        elif self.param is None or not _RANGES[name][1](self.param):
-            raise ValueError(f"{self.kind} requires {name} in {_RANGES[name][0]}")
-
-    @property
-    def declared_h3(self):
-        """(r1, r2, r3) consistency exponents, or None where not declared."""
-        return _DECLARED_H3.get(self.kind)
-
-    @property
-    def label(self) -> str:
-        """Filesystem-safe form of the config-file name, e.g. 'te_a1' for te(1)."""
-        name, param, default = _BY_KIND[self.kind]
-        return name if default is None else f"{name}_{param[0]}{self.param:g}"
-
-    @property
-    def subject(self) -> str:
-        """Name in assumption-check reports, e.g. 'tanh(alpha=1)'."""
-        param = _BY_KIND[self.kind][1]
-        return self.kind if param is None else f"{self.kind}({param}={self.param:g})"
 
 
 def _vec_norm(v):
@@ -97,33 +39,86 @@ def _vec_norm(v):
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
-def _t1_raw(op: TamingOperator, v, x, h):
-    """T1 on a value or a block of values; NaN in gives NaN out."""
-    kind = op.kind
-    if kind == "identity":
-        return v
-    if kind == "drift_tamed":
-        return v / (1.0 + h**op.param * _vec_norm(v))
-    if kind == "modified":
-        return v / (1.0 + h * np.add.reduce(v * v, axis=-1, keepdims=True))
-    if kind == "tanh":
-        ha = h**op.param
-        return np.tanh(ha * v) / ha
-    if kind == "sin":
-        ha = h**op.param
-        return np.sin(ha * v) / ha
-    # fully_tamed: damping driven by the state, not the coefficient
-    p = 4.0 * op.param
-    norm = _vec_norm(x)
+def _fully_tamed(v, x, h, rho):
+    # damping driven by the state, not the coefficient
+    p, norm = 4.0 * rho, _vec_norm(x)
     damp = int_power(norm, int(p)) if p >= 1.0 and p.is_integer() else norm**p
     return v / (1.0 + np.sqrt(h) * damp)
 
 
-def _t2_raw(op: TamingOperator, v, x, h):
-    """T2; drift_tamed leaves the diffusion untouched."""
-    if op.kind == "drift_tamed":
-        return v
-    return _t1_raw(op, v, x, h)
+class Kind(NamedTuple):
+    """One taming kind; T2 is its T1 where tames_diffusion, else the identity."""
+
+    name: str  # in config files
+    t1: Callable  # t1(v, x, h, param) on a value or a block; NaN in gives NaN out
+    param: str | None = None  # name of its one parameter
+    default: float | None = None  # set in configs, shown in labels; fte's rho is the model's
+    range: tuple | None = None  # the parameter's range: (as written, membership test)
+    tames_diffusion: bool = True
+    h3: tuple | None = None  # (r1, r2, r3): |T1 - v| <= h^r1 |v|^r2, |T2 - v| <= h^r3 |v|^r2, constant 1
+
+
+_H3 = (0.5, 2.0, 0.5)
+_ALPHA = ("(0, 3/2)", lambda p: 0.0 < p < 1.5)
+
+# the scheme vocabulary, one row per kind, in config-file order
+KINDS = {
+    "identity": Kind("identity", lambda v, x, h, p: v),
+    "drift_tamed": Kind(
+        "dte", lambda v, x, h, lam: v / (1.0 + h**lam * _vec_norm(v)), "lambda", 0.5,
+        ("(0, 1/2]", lambda p: 0.0 < p <= 0.5), tames_diffusion=False,
+    ),
+    "modified": Kind(
+        "me", lambda v, x, h, p: v / (1.0 + h * np.add.reduce(v * v, axis=-1, keepdims=True)), h3=_H3
+    ),
+    "tanh": Kind("te", lambda v, x, h, a: np.tanh((ha := h**a) * v) / ha, "alpha", 1.0, _ALPHA, h3=_H3),
+    "sin": Kind("se", lambda v, x, h, a: np.sin((ha := h**a) * v) / ha, "alpha", 1.0, _ALPHA, h3=_H3),
+    "fully_tamed": Kind("fte", _fully_tamed, "rho", None, ("[0, inf)", lambda p: p >= 0.0)),
+}
+# config-file name -> (kind, name of its one parameter, default)
+SCHEMES = {row.name: (kind, row.param, row.default) for kind, row in KINDS.items()}
+
+
+@dataclass(frozen=True)
+class TamingOperator:
+    kind: str
+    param: float | None = None  # the kind's one parameter, if it has one
+
+    def __post_init__(self):
+        row = KINDS.get(self.kind)
+        if row is None:
+            raise ValueError(f"unknown taming kind '{self.kind}'")
+        if row.param is None:
+            if self.param is not None:
+                raise ValueError(f"{self.kind} takes no parameter")
+        elif self.param is None or not row.range[1](self.param):
+            raise ValueError(f"{self.kind} requires {row.param} in {row.range[0]}")
+
+    def t1(self, v, x, h):
+        """T1 on a value or a block of values; NaN in gives NaN out."""
+        return KINDS[self.kind].t1(v, x, h, self.param)
+
+    def t2(self, v, x, h):
+        """T2 on a diffusion column."""
+        row = KINDS[self.kind]
+        return row.t1(v, x, h, self.param) if row.tames_diffusion else v
+
+    @property
+    def declared_h3(self):
+        """(r1, r2, r3) consistency exponents, or None where not declared."""
+        return KINDS[self.kind].h3
+
+    @property
+    def label(self) -> str:
+        """Filesystem-safe form of the config-file name, e.g. 'te_a1' for te(1)."""
+        row = KINDS[self.kind]
+        return row.name if row.default is None else f"{row.name}_{row.param[0]}{self.param:g}"
+
+    @property
+    def subject(self) -> str:
+        """Name in assumption-check reports, e.g. 'tanh(alpha=1)'."""
+        param = KINDS[self.kind].param
+        return self.kind if param is None else f"{self.kind}({param}={self.param:g})"
 
 
 def parse_taming(text: str, model_rho: float | None = None) -> TamingOperator:

@@ -85,6 +85,12 @@ class TestParsing:
         for divisor in (0.0, -0.5):
             with pytest.raises(ConfigError, match="not positive"):
                 exact_divide(1.0, divisor, "x")
+        # non-finite ratios from library-built configs: no round() traceback
+        for a, b in ((math.nan, 0.25), (math.inf, 0.25), (1e300, 1e-300), (1.0, math.nan)):
+            with pytest.raises(ConfigError, match="not a positive integer"):
+                exact_divide(a, b, "x")
+        with pytest.raises(ConfigError):
+            ExperimentConfig(T=math.nan, h_values=[0.25])
 
     def test_scheme_labels(self):
         # file names and check_report.csv subjects are part of the output bytes
@@ -404,6 +410,32 @@ class TestCli:
             bad.write_text(text)
             assert main([command, "--config", str(bad)]) == 2, edits
             assert "config error:" in capsys.readouterr().err, edits
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("T = 0.5", "T = nan"),
+            ("h = 2^-3, 2^-4", "h = nan"),
+            ("orders = 1, 2, 4", "orders = 1, 2, 4\nrecord_times = nan"),
+            ("T = 0.5", "T = inf"),
+            ("T = 0.5", "T = 2^99999"),
+            ("mu0 = 0", "mu0 = nan"),
+            ("orders = 1, 2, 4", "orders = 1, 2, 4\nmoment_ceiling = nan"),
+        ],
+        ids=["T-nan", "h-nan", "record_times-nan", "T-inf", "T-overflow", "mu0-nan", "moment_ceiling-nan"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, monkeypatch, old, new):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a run started despite a config error")
+
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", no_simulation)
+        text = RUN_STUDY_CONFIGS["moments"]
+        assert old in text
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(text.replace(old, new) + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["moments", "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "old, new",

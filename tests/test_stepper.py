@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -536,10 +537,9 @@ class TestLockstep:
         ids=["one", "batch", "coarsened", "newton-cut"],
     )
     def test_each_step_reads_particles_at_unit_stride(self, monkeypatch, seeds, factor, op):
-        # blocks are step-major, so the dW of every step holds each system's
-        # particles together, also for the batch left after a Newton cut
-        # (seeds 2 and 3 are cut at steps 1 and 2) and across blocks of 3
-        # root steps
+        # blocks are step-major, so the dW of every step is one contiguous
+        # slice, also for the batch left after a Newton cut (seeds 2 and 3
+        # are cut at steps 1 and 2) and across blocks of 3 root steps
         seen, step = [], stepper.step
 
         def spy(ens, model, op, h, dW):
@@ -551,10 +551,32 @@ class TestLockstep:
         roots = [generate(s, 16, 1.0, 5, 1) for s in seeds]
         ((_, trajs),) = stepper.lockstep(CUT_OR_OVERFLOW, roots, [(op, factor, [1.0], None)])
         assert all(per_system for _, _, per_system in seen)
-        assert all(whole for b, whole, _ in seen if b == len(seeds))
+        assert all(whole for _, whole, _ in seen)
         sizes = sorted({b for b, _, _ in seen}, reverse=True)
         assert sizes == ([4, 3, 2] if op is SSM else [len(seeds)])
         assert len(seen) == 16 // factor + (2 if op is SSM else 0)  # a retry per cut
+
+    @pytest.mark.parametrize("op, factor", [(ME, 1), (SSM, 2)], ids=["me", "ssm-coarsened"])
+    def test_a_block_is_released_before_the_next_is_drawn(self, monkeypatch, op, factor):
+        # memory holds one block: no step's dW keeps the last block alive
+        monkeypatch.setattr(stepper, "BLOCK_STEPS", 4)
+        root = generate(1, 16, 1.0, 5, 1)
+        draw, drawn = root.increments_block, []
+
+        def spy(r0, r1):
+            assert all(ref() is None for ref in drawn), "a block outlived its pass"
+            block = draw(r0, r1)
+            drawn.append(weakref.ref(block if block.base is None else block.base))
+            return block
+
+        monkeypatch.setattr(root, "increments_block", spy)
+        list(stepper.lockstep(cubic_interaction_model(), [root], [(op, factor, [1.0], None)]))
+        assert len(drawn) == 4
+
+    def test_a_factor_must_divide_the_root(self):
+        roots = [generate(0, 10, 1.0, 4, 1)]
+        with pytest.raises(ValueError, match="does not divide"):
+            list(stepper.lockstep(cubic_interaction_model(), roots, [(ME, 3, [0.9], None)]))
 
     def test_convergence_matches_the_reference_loop_on_odd_factors(self):
         # factors 9 and 3: lockstep reads blocks of 1017 root steps, so they

@@ -18,7 +18,7 @@ from mvsde import (
 )
 from mvsde.models import dirac
 from mvsde.stats import rmse, w2_1d_quantile
-from mvsde.taming import TamingOperator, _t1_raw, _t2_raw, parse_taming
+from mvsde.taming import TamingOperator, parse_taming
 from mvsde.verify import (
     N_PAIRS,
     PAIR_SCALES,
@@ -105,8 +105,8 @@ def _loop_check_taming(op, assumption, constants, spec, model=None):
                 v = mag * u
                 nv = _norm1(v)
                 for x in x_probes if op.kind == "fully_tamed" else [x_zero]:
-                    t1 = _t1_raw(op, v, x, h)
-                    t2 = _t2_raw(op, v, x, h)
+                    t1 = op.t1(v, x, h)
+                    t2 = op.t2(v, x, h)
                     inputs = {"h": h, "|v|": nv}
                     if op.kind == "fully_tamed":
                         inputs["|x|"] = _norm1(x)
@@ -137,7 +137,7 @@ def _loop_check_ex35(op, constants, spec, model, rng):
                         if not np.isfinite(nb):
                             continue
                         w2 = np.sqrt(mu.w2sq_to_dirac0)
-                        lhs = _norm1(_t1_raw(op, b, x, h))
+                        lhs = _norm1(op.t1(b, x, h))
                         rhs = min(L * h**-0.25 * (1.0 + mag) + w2, nb)
                         worst.update(lhs, rhs, h=h, **{"|x|": mag, "W2": float(w2)})
         if worst.value <= 0:
