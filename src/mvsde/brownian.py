@@ -36,16 +36,15 @@ b)`` therefore runs the exact same floating-point reduction as
 A grid is drawn on demand: ``increments_block`` generates the root steps it
 is asked for from the counter stream, and sums them with ``coarse_block``.
 ``generate(..., materialize=True)`` draws the whole root at once and keeps
-it, as a reference for tests and benchmarks.  A block is step-major, one
-step's increments of every particle together in memory, and
-``increments_block`` returns its ``(N, steps, m)`` view.  A call with enough
-work splits the particles into contiguous bands (``bands.band_count``),
-never more bands than particles.  Each band maps a tile of its rows at a
-time in cache and writes it transposed into the block; the tiles of all
-bands hold ``TILE_VALUES`` values, so a root read holds little beyond its
-block, and a coarsened read holds its root block while it sums it.  Every
-value is a function of its counter alone, so the bits do not depend on the
-number of bands.
+it, as a reference for tests and benchmarks.  Every block is a C-contiguous
+``(steps, N, m)`` array, so one step's increments of every particle lie
+together in memory.  A call with enough work splits the particles into
+contiguous bands (``bands.band_count``), never more bands than particles.
+Each band maps a tile of its rows at a time in cache and writes it
+transposed into the block; the tiles of all bands hold ``TILE_VALUES``
+values, so a root read holds little beyond its block, and a coarsened read
+holds its root block while it sums it.  Every value is a function of its
+counter alone, so the bits do not depend on the number of bands.
 """
 
 from __future__ import annotations
@@ -127,14 +126,14 @@ class _Streams:
 
 
 def coarse_block(fine, f):
-    """Root increments `fine`, shape (..., steps, m) from a root step that is
-    a multiple of f, summed into coarse steps of f root steps in fine's memory
-    order: first term copied, the rest added in ascending order; f = 1 is fine."""
+    """Root increments `fine`, shape (steps, ...) from a root step that is a
+    multiple of f, summed into C-contiguous coarse steps of f root steps:
+    first term copied, the rest added in ascending order; f = 1 is fine."""
     if f == 1:
         return fine
-    out = fine[..., ::f, :].copy(order="K")
+    out = fine[::f].copy()
     for j in range(1, f):
-        out += fine[..., j::f, :]
+        out += fine[j::f]
     return out
 
 
@@ -167,8 +166,8 @@ class PathGrid:
         return self.T * self.factor / self.n_fine
 
     def _generate(self, r0, r1):
-        """Root increments for root steps [r0, r1), the (N, r1 - r0, m) view of
-        a step-major block that each band writes a tile of its rows at a time."""
+        """Root increments for root steps [r0, r1), a (r1 - r0, N, m) block
+        that each band writes a tile of its rows at a time."""
         m, N = self.m, self.N
         scale = np.sqrt(self.T / self.n_fine)
         out = np.empty((r1 - r0, N, m))
@@ -189,17 +188,17 @@ class PathGrid:
                     out[lo - r0 : hi - r0, q0 : q0 + len(z)] = z.transpose(1, 0, 2)
 
         run_bands(N, count, band)
-        return out.transpose(1, 0, 2)
+        return out
 
     def increments_block(self, k0, k1):
-        """Increments of THIS grid for its steps [k0, k1), shape (N, k1-k0, m),
-        a view of step-major memory: the root steps [k0 f, k1 f), drawn or
-        read from the materialized root, summed by `coarse_block`."""
+        """Increments of THIS grid for its steps [k0, k1), C-contiguous of
+        shape (k1 - k0, N, m): the root steps [k0 f, k1 f), drawn or read
+        from the materialized root, summed by `coarse_block`."""
         if not 0 <= k0 <= k1 <= self.n_steps:
             raise ValueError(f"step range [{k0}, {k1}) outside [0, {self.n_steps}]")
         f = self.factor
         r0, r1 = k0 * f, k1 * f
-        fine = self._generate(r0, r1) if self._root is None else self._root[:, r0:r1, :]
+        fine = self._generate(r0, r1) if self._root is None else self._root[r0:r1]
         return coarse_block(fine, f)
 
 

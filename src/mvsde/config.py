@@ -20,22 +20,24 @@ or in library code alike.
 
 Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14; NaN, infinities and
-overflow are errors.  Integer keys (n, seed, repetitions, orders,
-trace_particles, trace_stride, n_list, proxy_n) take integer literals, exact
-at any size, or integral numbers such as 1e3; the seed must lie in [0, 2^64).
-Arrays are comma-separated.
+overflow are errors, in library code too.  Integer keys (n, seed,
+repetitions, orders, trace_particles, trace_stride, n_list, proxy_n) take
+integer literals, exact at any size, or integral numbers such as 1e3; the
+seed must lie in [0, 2^64).  Arrays are comma-separated.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .errors import ConfigError
 from .models import ModelSpec, make_model
+from .stepper import RECORD_TIME_SLACK
 from .taming import TamingOperator, parse_taming
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
@@ -131,6 +133,12 @@ class ExperimentConfig:
         bad = [f for f in self.formats if f not in ("csv", "svg")]
         if bad:
             raise ConfigError(f"unknown output formats: {bad}")
+        # a file's numbers are finite (parse_number), library code's may not be
+        named = [("T", self.T), ("moment_ceiling", self.moment_ceiling), *self.model_params.items()]
+        named += [("record_times", t) for t in self.record_times or ()]
+        bad = [name for name, v in named if isinstance(v, numbers.Real) and not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"{bad[0]} is not finite")
         if self.T <= 0:
             raise ConfigError("horizon T must be positive")
         # the seed keys the Brownian streams mod 2^64, so one outside [0, 2^64)
@@ -147,14 +155,17 @@ class ExperimentConfig:
             raise ConfigError(f"trace_stride must be at least 1, got {self.trace_stride}")
         if any(n < 1 for n in self.n_list or ()) or (self.proxy_n is not None and self.proxy_n < 1):
             raise ConfigError("n_list entries and proxy_n must be at least 1")
+        # a repeated N would make the nscaling fit divide by zero
+        if len(set(self.n_list or ())) != len(self.n_list or ()):
+            raise ConfigError(f"n_list {self.n_list} repeats an entry")
         # with N unset, the ids are checked again once for_study fills N in
         bad = [i for i in self.trace_particles or () if self.N is not None and not 0 <= i < self.N]
         if bad:
             raise ConfigError(f"trace_particles {bad} outside 0..{self.N - 1}")
         if self.record_times is not None and not self.record_times:
             raise ConfigError("record_times lists no time")
-        # the tolerance of stepper.run, which would reject them after set-up
-        if any(t < 0 or t > self.T + 1e-12 for t in self.record_times or ()):
+        # stepper.run would reject them after set-up
+        if any(t < 0 or t > self.T + RECORD_TIME_SLACK for t in self.record_times or ()):
             raise ConfigError(f"record_times {self.record_times} outside [0, {self.T}]")
         for h in self.h_values or ():
             exact_divide(self.T, h, "T / h")

@@ -205,7 +205,7 @@ class DensityEntry:
 
 
 def _density_record_times(cfg, n):
-    defaults = [t for t in (1.0, 3.0, 10.0) if t <= cfg.T + 1e-12]
+    defaults = [t for t in (1.0, 3.0, 10.0) if t <= cfg.T + stepper.RECORD_TIME_SLACK]
     return defaults or [cfg.T]
 
 

@@ -42,6 +42,7 @@ NEWTON_MAX_ITER = 50
 NEWTON_FD_EPS = 1e-7  # relative forward-difference bump of the Jacobian
 
 BLOCK_STEPS = 1024  # root steps of increments drawn at once by lockstep
+RECORD_TIME_SLACK = 1e-12  # record times up to T + this slack count as in [0, T]
 
 
 def scheme_label(op: TamingOperator | None) -> str:
@@ -262,12 +263,12 @@ def lockstep(model, roots, runs):
     """Step each run (op, factor, record_times, trace_ids), the scheme op on
     the B root grids of one shape coarsened by factor, as one (B, N, d)
     batch; yield (run index, a Trajectory per root) as each run ends.  Every
-    run takes each step-major block (see `run`) of BLOCK_STEPS root steps,
-    rounded down to a whole multiple of the factors' lcm (one lcm at least)
-    and summed into its own coarse steps (`coarse_block`), before the next
-    block is drawn.  So memory holds one block and its sums, plus each live
-    run's states and records.  Each root's start states are drawn once, and
-    the runs share them: the first Ensemble makes them read-only."""
+    run takes each block of BLOCK_STEPS root steps, rounded down to a whole
+    multiple of the factors' lcm (one lcm at least), a C-contiguous (steps,
+    B, N, m) array summed into its own coarse steps (`coarse_block`), before
+    the next block is drawn.  So memory holds one block and its sums, plus
+    each live run's states and records.  Each root's start states are drawn
+    once, and the runs share them: the first Ensemble makes them read-only."""
     N, d = roots[0].N, model.d
     x0 = np.empty((len(roots), N, d))
     for b, root in enumerate(roots):
@@ -287,10 +288,9 @@ def lockstep(model, roots, runs):
     for r0 in range(0, n, width):
         r1 = min(r0 + width, n)
         if len(roots) == 1:  # no copy of the one root's block
-            block = roots[0].increments_block(r0, r1)[None]
-        else:  # stacked in (steps, B, N, m) memory, like one root's block
-            block = np.stack([root.increments_block(r0, r1).swapaxes(0, 1) for root in roots], axis=1)
-            block = block.transpose(1, 2, 0, 3)
+            block = roots[0].increments_block(r0, r1)[:, None]
+        else:
+            block = np.stack([root.increments_block(r0, r1) for root in roots], axis=1)
         for i, (steps, f) in list(live.items()):
             try:
                 steps.send(coarse_block(block, f))
@@ -306,15 +306,15 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     """The one step loop, a generator that `lockstep` drives: the B systems on
     root grids of one shape coarsened by factor (n steps of size h on [0, T],
     N particles, each its own seed) as a (B, N, d) Ensemble started at x0,
-    the block `lockstep` draws.  Primed with next(), it is sent increment
-    blocks of shape (B, N, steps, m) in (steps, B, N, m) memory, in step
-    order, so each step's (B, N, m) slice is contiguous.  It returns a
-    Trajectory per system once the last step is taken or every system is
-    cut.  Each system's particle traces (trace_ids) are its own, NaN after a cut."""
+    the block `lockstep` draws.  Primed with next(), it is sent C-contiguous
+    increment blocks of shape (steps, B, N, m), in step order, so each
+    step's (B, N, m) slice is contiguous.  It returns a Trajectory per
+    system once the last step is taken or every system is cut.  Each
+    system's particle traces (trace_ids) are its own, NaN after a cut."""
     grid = coarsen(roots[0], factor)  # raises if factor does not divide the root
     T, N, n, h = grid.T, grid.N, grid.n_steps, grid.h
     record_times = sorted(record_times)  # stable: equal times keep their order
-    if any(t < 0 or t > T + 1e-12 for t in record_times):
+    if any(t < 0 or t > T + RECORD_TIME_SLACK for t in record_times):
         raise ValueError(f"record times must lie in [0, {T}]")
     by_step = {}
     for rt in record_times:
@@ -347,9 +347,8 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     k = 0
     while k < n:
         dw = yield
-        for j in range(dw.shape[2]):
+        for dW in dw:  # one contiguous slice; after a cut, its survivors
             while True:
-                dW = dw[:, :, j, :]  # one contiguous slice; after a cut, its survivors
                 try:
                     ens = step(ens, model, op, h, dW if len(alive) == len(roots) else dW[alive])
                     break

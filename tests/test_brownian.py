@@ -59,7 +59,7 @@ def test_increment_variance_within_five_percent():
 def test_particle_streams_uncorrelated():
     grid = generate(3, 50_000, 1.0, 2, 1)
     inc = grid.increments_block(0, 50_000)
-    a, b = inc[0, :, 0], inc[1, :, 0]
+    a, b = inc[:, 0, 0], inc[:, 1, 0]
     r = np.corrcoef(np.concatenate([a, a]), np.concatenate([b, np.roll(b, 1)]))[0, 1]
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
     assert abs(r) < 0.02
@@ -68,7 +68,7 @@ def test_particle_streams_uncorrelated():
 def test_values_independent_of_particle_count():
     small = generate(9, 16, 1.0, 4, 2).increments_block(0, 16)
     large = generate(9, 16, 1.0, 8, 2).increments_block(0, 16)
-    assert np.array_equal(small, large[:4])
+    assert np.array_equal(small, large[:, :4])
 
 
 def test_materialized_matches_streamed():
@@ -76,10 +76,10 @@ def test_materialized_matches_streamed():
     b = generate(5, 24, 1.0, 3, 2, materialize=False).increments_block(0, 24)
     assert np.array_equal(a, b)
     c = generate(5, 24, 1.0, 3, 2, materialize=False).increments_block(7, 13)
-    assert np.array_equal(a[:, 7:13], c)
+    assert np.array_equal(a[7:13], c)
     # an empty range is an empty block on both paths
     d = generate(5, 24, 1.0, 3, 2, materialize=False).increments_block(7, 7)
-    assert d.shape == a[:, 7:7].shape == (3, 0, 2)
+    assert d.shape == a[7:7].shape == (0, 3, 2)
 
 
 def test_streamed_crossing_chunk_boundary():
@@ -88,7 +88,7 @@ def test_streamed_crossing_chunk_boundary():
     both = grid.increments_block(brownian.CHUNK_STEPS - 3, brownian.CHUNK_STEPS + 3)
     left = grid.increments_block(brownian.CHUNK_STEPS - 3, brownian.CHUNK_STEPS)
     right = grid.increments_block(brownian.CHUNK_STEPS, brownian.CHUNK_STEPS + 3)
-    assert np.array_equal(both, np.concatenate([left, right], axis=1))
+    assert np.array_equal(both, np.concatenate([left, right]))
 
 
 def test_coarsen_factor_one_is_identity():
@@ -103,7 +103,7 @@ def test_coarsen_two_steps_sums():
     grid = generate(2, 2, 1.0, 1, 1)
     fine = grid.increments_block(0, 2)
     coarse = coarsen(grid, 2).increments_block(0, 1)
-    assert coarse[0, 0, 0] == fine[0, 0, 0] + fine[0, 1, 0]
+    assert coarse[0, 0, 0] == fine[0, 0, 0] + fine[1, 0, 0]
 
 
 def test_coarsen_rejects_non_divisor():
@@ -123,12 +123,12 @@ def test_coarse_cumsums_match_fine_at_shared_points():
     factor = 4
     coarse = coarsen(grid, factor).increments_block(0, 4)
     for i in range(2):
-        coarse_cum = np.cumsum(coarse[i, :, 0])
+        coarse_cum = np.cumsum(coarse[:, i, 0])
         running = 0.0
         for j in range(4):
             group = 0.0
             for k in range(j * factor, (j + 1) * factor):
-                group += fine[i, k, 0]
+                group += fine[k, i, 0]
             running += group
             assert running == coarse_cum[j]
 
@@ -151,10 +151,10 @@ def test_coarse_block_of_a_batch_matches_each_view(factor):
     # root blocks of two systems, read from an aligned root step, give each
     # system's coarsened-view increments bit for bit
     grids = [generate(s, 24, 1.0, 3, 2, materialize=s == 5) for s in (5, 6)]
-    block = np.stack([grid.increments_block(6, 18) for grid in grids])
+    block = np.stack([grid.increments_block(6, 18) for grid in grids], axis=1)
     got = brownian.coarse_block(block, factor)
     want = [coarsen(grid, factor).increments_block(6 // factor, 18 // factor) for grid in grids]
-    assert np.array_equal(got, np.stack(want))
+    assert np.array_equal(got, np.stack(want, axis=1))
 
 
 def test_derive_seed_distinct_and_stable():
@@ -169,7 +169,7 @@ def test_init_stream_independent_of_increments():
     assert z.shape == (4, 1)
     assert np.array_equal(z, InitStream(17, 4, 1).normals())
     inc = generate(17, 4, 1.0, 4, 1).increments_block(0, 4)
-    assert not np.allclose(z[:, 0], inc[:, 0, 0])
+    assert not np.allclose(z[:, 0], inc[0, :, 0])
     u = stream.uniforms()
     assert u.shape == (4, 1) and np.all((u > 0) & (u < 1))
 
@@ -198,12 +198,12 @@ def _reference_uniforms(raw):
 
 def _reference_increments(seed, n_fine, T, N, m, k0, k1):
     scale = np.sqrt(T / n_fine)
-    out = np.empty((N, k1 - k0, m))
+    out = np.empty((k1 - k0, N, m))
     for i in range(N):
         for k in range(k0, k1):
             c, j = divmod(k, brownian.CHUNK_STEPS)
             raw = _reference_words(seed, 0, i, c, (j + 1) * m)[j * m :]
-            out[i, k - k0] = ndtri(_reference_uniforms(raw)) * scale
+            out[k - k0, i] = ndtri(_reference_uniforms(raw)) * scale
     return out
 
 
@@ -243,24 +243,29 @@ def test_init_stream_matches_reference(seed):
 def _reference_coarse(fine, f):
     """Coarse steps of f root steps each, summed one term at a time in
     ascending order."""
-    out = fine[:, ::f].copy()
-    for k in range(out.shape[1]):
-        acc = fine[:, k * f]
+    out = fine[::f].copy()
+    for k in range(len(out)):
+        acc = fine[k * f]
         for j in range(1, f):
-            acc = acc + fine[:, k * f + j]
-        out[:, k] = acc
+            acc = acc + fine[k * f + j]
+        out[k] = acc
     return out
 
 
-@pytest.mark.parametrize("read", ["on-demand", "materialized", "coarsened"])
+@pytest.mark.parametrize("read", ["on-demand", "materialized", "coarsened", "chunk-crossing"])
 def test_each_step_of_a_block_is_contiguous(read):
-    # blocks are step-major: one step's increments of every particle lie
-    # together, and the values are still those of the reference streams
+    # every block is C-contiguous (steps, N, m): one step's increments of
+    # every particle lie together, in the shape as well as in memory, so a
+    # plain copy keeps the layout; the values are still those of the
+    # reference streams
     f = 3 if read == "coarsened" else 1
-    grid = coarsen(generate(11, 48, 1.0, 5, 2, materialize=read == "materialized"), f)
-    block = grid.increments_block(1, 48 // f - 2)
-    assert all(block[:, j, :].flags.c_contiguous for j in range(block.shape[1]))
-    want = _reference_increments(11, 48, 1.0, 5, 2, f, 48 - 2 * f)
+    k = brownian.CHUNK_STEPS
+    r0, r1 = (k - 3, k + 5) if read == "chunk-crossing" else (f, 48 - 2 * f)
+    n = r1 + 2 * f
+    grid = coarsen(generate(11, n, 1.0, 5, 2, materialize=read == "materialized"), f)
+    block = grid.increments_block(r0 // f, r1 // f)
+    assert block.shape == ((r1 - r0) // f, 5, 2) and block.flags.c_contiguous
+    want = _reference_increments(11, n, 1.0, 5, 2, r0, r1)
     assert np.array_equal(block, _reference_coarse(want, f))
 
 

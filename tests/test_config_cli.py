@@ -155,7 +155,7 @@ class TestParsing:
     def test_library_config_checked_when_constructed(self):
         for bad in (
             dict(N=0), dict(repetitions=0), dict(orders=[0]), dict(h_values=[0.3]),
-            dict(record_times=[]), dict(reference_h=1.0),
+            dict(record_times=[]), dict(reference_h=1.0), dict(n_list=[8, 8, 8]),
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
@@ -164,6 +164,25 @@ class TestParsing:
             replace(cfg, seed=2**64)
         with pytest.raises(ConfigError, match="T / h_ref"):
             paper_scale(replace(cfg, T=0.3))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(T=math.nan),
+            dict(T=math.inf),
+            dict(record_times=[math.nan]),
+            dict(moment_ceiling=math.nan),
+            dict(moment_ceiling=math.inf),
+            dict(model_params={"mu0": math.nan}),
+            dict(model_params={"sigma0sq": math.inf}),
+        ],
+        ids=["T-nan", "T-inf", "record_times-nan", "moment_ceiling-nan", "moment_ceiling-inf", "mu0-nan", "sigma0sq-inf"],
+    )
+    def test_library_config_rejects_non_finite_numbers(self, bad):
+        # a file's numbers are checked as they are parsed; library code's
+        # when the config is constructed
+        with pytest.raises(ConfigError, match="is not finite"):
+            ExperimentConfig(**bad)
 
     def test_study_fills_defaults_and_needs_its_required_keys(self):
         cfg = ExperimentConfig(h_values=[0.25]).for_study("moments")
@@ -399,6 +418,9 @@ class TestCli:
             ("density", orders, "reference_h = 2^-6"),  # no reference_scheme
             ("nscaling", "me, te(1)", "me", "2^-3, 2^-4", "2^-3",
              orders, "n_list = 0, 10\nproxy_n = 20"),
+            # a repeated N would leave the slope fit nothing to divide by
+            ("nscaling", "me, te(1)", "me", "2^-3, 2^-4", "2^-3", "n = 40\n", "",
+             orders, "n_list = 8, 8, 8\nproxy_n = 16\nrepetitions = 2"),
             # configparser's own errors: a duplicate key, text before a section
             ("moments", "name = doublewell", "name = doublewell\nname = cubic"),
             ("moments", "[model]", "n = 40\n[model]"),

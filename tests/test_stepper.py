@@ -361,7 +361,7 @@ def reference_run(model, op, grid, times):
     for k in range(n + 1):
         if k:
             try:
-                ens = stepper.step(ens, model, op, grid.h, grid.increments_block(k - 1, k)[:, 0, :])
+                ens = stepper.step(ens, model, op, grid.h, grid.increments_block(k - 1, k)[0])
             except NewtonNonConvergence as err:
                 traj.newton_failure = (k, err.particle, err.residual)
                 break
@@ -555,6 +555,32 @@ class TestLockstep:
         sizes = sorted({b for b, _, _ in seen}, reverse=True)
         assert sizes == ([4, 3, 2] if op is SSM else [len(seeds)])
         assert len(seen) == 16 // factor + (2 if op is SSM else 0)  # a retry per cut
+
+    @pytest.mark.parametrize(
+        "seeds, factor", [((1,), 1), ((1, 4, 5), 1), ((1, 4, 5), 3)], ids=["one", "batch", "factor-3"]
+    )
+    def test_run_is_sent_c_contiguous_step_major_blocks(self, monkeypatch, seeds, factor):
+        # every block lockstep sends to run is C-contiguous (steps, B, N, m),
+        # in blocks of 4 coarse steps, the last one shorter
+        sent, run = [], stepper.run
+
+        def spy(*args):
+            steps = run(*args)
+            got = next(steps)
+            try:
+                while True:
+                    dw = yield got
+                    sent.append((dw.shape, dw.flags.c_contiguous))
+                    got = steps.send(dw)
+            except StopIteration as stop:
+                return stop.value
+
+        monkeypatch.setattr(stepper, "run", spy)
+        monkeypatch.setattr(stepper, "BLOCK_STEPS", 4 * factor)
+        roots = [generate(s, 18, 1.0, 5, 1) for s in seeds]
+        list(stepper.lockstep(cubic_interaction_model(), roots, [(ME, factor, [1.0], None)]))
+        n = 18 // factor
+        assert sent == [((min(4, n - k), len(seeds), 5, 1), True) for k in range(0, n, 4)]
 
     @pytest.mark.parametrize("op, factor", [(ME, 1), (SSM, 2)], ids=["me", "ssm-coarsened"])
     def test_a_block_is_released_before_the_next_is_drawn(self, monkeypatch, op, factor):
