@@ -22,8 +22,9 @@ Numbers, model parameters included, accept plain decimals, scientific
 notation and exact dyadic exponents written as 2^-14; NaN, infinities and
 overflow are errors, in library code too.  Integer keys (n, seed,
 repetitions, orders, trace_particles, trace_stride, n_list, proxy_n) take
-integer literals, exact at any size, or integral numbers such as 1e3; the
-seed must lie in [0, 2^64).  Arrays are comma-separated.
+integer literals, exact at any size, or integral numbers such as 1e3, and
+in library code must be integers; the seed must lie in [0, 2^64).  Arrays
+are comma-separated.
 """
 
 from __future__ import annotations
@@ -139,6 +140,12 @@ class ExperimentConfig:
         bad = [name for name, v in named if isinstance(v, numbers.Real) and not math.isfinite(v)]
         if bad:
             raise ConfigError(f"{bad[0]} is not finite")
+        # and a file's integers are integers (parse_int)
+        named = [(name, getattr(self, name)) for name in ("N", "seed", "repetitions", "trace_stride", "proxy_n")]
+        named += [(name, v) for name in ("orders", "n_list", "trace_particles") for v in getattr(self, name) or ()]
+        bad = [(name, v) for name, v in named if v is not None and not isinstance(v, numbers.Integral)]
+        if bad:
+            raise ConfigError(f"{bad[0][0]} must be an integer, got {bad[0][1]!r}")
         if self.T <= 0:
             raise ConfigError("horizon T must be positive")
         # the seed keys the Brownian streams mod 2^64, so one outside [0, 2^64)

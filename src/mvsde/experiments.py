@@ -4,10 +4,11 @@ studies.
 Each study is a list of cells, and `_run_cells` plans their runs, draws
 each root once and reduces each run as it ends; `stepper.lockstep` reads
 the roots block by block and steps the runs on them, so no root is ever
-held whole.  All studies are deterministic given (config, seed):
-Brownian paths and initial data come from counter-keyed streams, a run of
-several cells is a batch whose systems each get the bits of their run alone,
-and every reduction has a fixed order.
+held whole.  The explicit schemes at one step size on one root share a run,
+so one step of it serves them all.  All studies are deterministic given
+(config, seed): Brownian paths and initial data come from counter-keyed
+streams, a run of several cells is a batch whose systems each get the bits
+of their run alone, and every reduction has a fixed order.
 """
 
 from __future__ import annotations
@@ -40,34 +41,50 @@ class _Cell(NamedTuple):
 
 def _runs(cells):
     """The runs of a study, each a list of the indices of the cells it
-    steps as one system, in plan order.  Cells are grouped by root,
-    roots in order of first use; consecutive cells that differ only in their
+    steps as one batch, a system per cell, in plan order.  Cells are grouped
+    by root, roots in order of first use.  On one root, the cells that
+    differ only in their explicit scheme form one run (the split step runs
+    alone).  Consecutive runs of one cell each that differ only in their
     root's seed form one run, with B * N no more than the largest cell's N."""
     largest = max(cell.root[2] for cell in cells)
     roots = dict.fromkeys(cell.root for cell in cells)
-    runs, last = [], None
+    runs, shared = [], {}
     for i in [i for root in roots for i, cell in enumerate(cells) if cell.root == root]:
         cell = cells[i]
-        key = (cell.scheme, cell.h, cell.root[1:], cell.factor, tuple(cell.times))
-        if key != last or len(runs[-1]) >= largest // cell.root[2]:
-            runs.append([])
-        runs[-1].append(i)
+        key = (cell.scheme is None, cell.root, cell.h, cell.factor, tuple(cell.times))
+        run = shared.get(key)
+        # a scheme the run has already (so any second split step) starts a new one
+        if run is None or cell.scheme in (cells[j].scheme for j in run):
+            run = shared[key] = []
+            runs.append(run)
+        run.append(i)
+    batches, last = [], None
+    for run in runs:
+        cell = cells[run[0]]
+        key = len(run) == 1 and (cell.scheme, cell.h, cell.root[1:], cell.factor, tuple(cell.times))
+        if key and key == last and len(batches[-1]) < largest // cell.root[2]:
+            batches[-1] += run
+        else:
+            batches.append(run)
         last = key
-    return runs
+    return batches
 
 
 def _run_cells(model, T, cells, reduce, trace_ids=None):
     """reduce(cell, trajectory) of every cell, as soon as its run (`_runs`)
     ends.  The runs on one tuple of roots share one draw of each root
     (`brownian.generate`, on demand) and step over it in lockstep
-    (`stepper.lockstep`)."""
+    (`stepper.lockstep`), each cell's scheme on its own system."""
     groups = {}
     for run in _runs(cells):
-        groups.setdefault(tuple(cells[i].root for i in run), []).append(run)
+        groups.setdefault(tuple(dict.fromkeys(cells[i].root for i in run)), []).append(run)
     results = [None] * len(cells)
     for roots, runs in groups.items():
         grids = [brownian.generate(seed, n_root, T, n, model.m) for seed, n_root, n in roots]
-        plan = [(cell.scheme, cell.factor, cell.times, trace_ids) for cell in (cells[run[0]] for run in runs)]
+        plan = [
+            (tuple(cells[i].scheme for i in run), cells[run[0]].factor, cells[run[0]].times, trace_ids)
+            for run in runs
+        ]
         for r, trajs in stepper.lockstep(model, grids, plan):
             for j, traj in zip(runs[r], trajs):
                 results[j] = reduce(cells[j], traj)

@@ -20,13 +20,19 @@ report the time of explosion.
 
 `lockstep` is the one reader of Brownian roots, for `simulate` and every
 study: the runs on one root step in lockstep over one pass of it, each
-through the step loop `run`.  B independent systems of N particles step
-together as one (B, N, d) Ensemble.  Each keeps its own measure, non-finite
-flag and Newton solve, so its bits are those of its run alone (B = 1).
+through the step loop `run`.  The S independent systems of N particles of
+a run step together as one (S, N, d) Ensemble, each with its own operator:
+one scheme on S roots, or S explicit schemes on one root, whose
+increments all systems share.  So a step evaluates the drift, each
+diffusion column and the measures once for all S systems, and each run of
+equal operators applies its T1/T2 once, to its own slice of the system
+axis.  Each system keeps its own measure, non-finite flag and Newton
+solve, so its bits are those of its run alone (S = 1).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +41,7 @@ import numpy as np
 from .brownian import InitStream, PathGrid, coarse_block, coarsen
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
-from .taming import TamingOperator
+from .taming import KINDS, TamingOperator
 
 NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
@@ -108,31 +114,69 @@ def _next_ensemble(new_states, ens, h):
 
 
 def _increments(ens, model, dW):
+    """dW as float64: (N, m), (B, N, m), or (1, N, m) shared by a batch."""
     dW = np.asarray(dW, dtype=np.float64)
     want = ens.states.shape[:-1] + (model.m,)
-    if dW.shape != want:
+    if dW.shape != want and not (len(want) == 3 and dW.shape == (1,) + want[1:]):
         raise ValueError(f"dW shape {dW.shape}, expected {want}")
     return dW
+
+
+class _PerSystem:
+    """t1(v, x, h) and t2 of a batch whose system i carries ops[i], as one
+    operator applies them: each run of equal operators maps its own slice of
+    the system axis, with its kind's map and parameter bound here, once.  A
+    single run maps the whole batch in one call."""
+
+    def __init__(self, ops):
+        t1, t2, start = [], [], 0
+        for op, same in itertools.groupby(ops):
+            n = len(list(same))
+            part, start, kind = slice(start, start + n), start + n, KINDS[op.kind]
+            t1.append((part, kind.t1, op.param))
+            t2.append((part, kind.t1 if kind.tames_diffusion else KINDS["identity"].t1, op.param))
+        self.t1, self.t2 = _sliced(t1), _sliced(t2)
+
+
+def _sliced(maps):
+    if len(maps) == 1:
+        ((_, f, param),) = maps
+        return lambda v, x, h: f(v, x, h, param)
+
+    def apply(v, x, h):
+        out = np.empty(x.shape)
+        for part, f, param in maps:
+            out[part] = f(v[part], x[part], h, param)
+        return out
+
+    return apply
 
 
 def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
     """new + sum_r T2(sigma_r(t, z, mu)) dW_r, with the T2 of op, or untamed
     with no op; the caller holds np.errstate."""
+    # each term rebinds s, so no more than three state-sized arrays are alive at once
     for r in range(1, model.m + 1):
         s = np.asarray(model.diffusion_col(t, z, mu, r), dtype=np.float64)
-        new = new + (s if op is None else op.t2(s, z, h)) * dW[..., r - 1 : r]
+        if op is not None:
+            s = op.t2(s, z, h)
+        s = s * dW[..., r - 1 : r]
+        new = new + s
     return new
 
 
 def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> Ensemble:
-    """Advance one explicit step tamed by op; dW has shape (N, m) or (B, N, m)."""
+    """Advance one explicit step tamed by op; dW has shape (N, m), (B, N, m)
+    or (1, N, m).  `run` passes, as op, the maps of an operator per system."""
     if op is None:
         raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
     x, t = ens.states, ens.t
     with np.errstate(all="ignore"):
         b = np.asarray(model.drift(t, x, ens), dtype=np.float64)
-        new = _add_diffusion(x + op.t1(b, x, h) * h, model, t, x, ens, h, dW, op)
+        new = x + op.t1(b, x, h) * h
+        del b  # not held through the diffusion
+        new = _add_diffusion(new, model, t, x, ens, h, dW, op)
     return _next_ensemble(new, ens, h)
 
 
@@ -140,16 +184,16 @@ def _implicit_matrix(model, t, y, mu, h, b0):
     """I - h * d b / d y at y, shape (N, d, d) or (B, N, d, d): from the model's
     drift_dx, or else from forward differences bumped by NEWTON_FD_EPS (1 + |y|)."""
     d = y.shape[-1]
-    eye = np.eye(d)
+    eye = np.eye(d) if d > 1 else 1.0  # no array at d = 1
     if model.drift_dx is not None:
         return eye - h * np.asarray(model.drift_dx(t, y, mu), dtype=np.float64)
     eps = NEWTON_FD_EPS * (1.0 + np.abs(y))
     a = np.empty(y.shape + (d,))
-    for c, e in enumerate(eye):
+    for c in range(d):
         bump = y.copy()
         bump[..., c] += eps[..., c]
         bc = np.asarray(model.drift(t, bump, mu), dtype=np.float64)
-        a[..., c] = e - h * (bc - b0) / eps[..., c : c + 1]
+        a[..., c] = (eye[c] if d > 1 else eye) - h * (bc - b0) / eps[..., c : c + 1]
     return a
 
 
@@ -167,8 +211,8 @@ def _newton_implicit_drift(model, t, x, mu, h):
         for _ in range(NEWTON_MAX_ITER):
             b0 = np.asarray(model.drift(t, y, mu), dtype=np.float64)
             f = y - x - h * b0
-            resid = np.abs(f).max(axis=-1)
-            done = resid.max(axis=-1) <= NEWTON_TOL  # false while any residual is NaN
+            # one reduction per system; false while any residual is NaN
+            done = np.abs(f).max(axis=(-2, -1)) <= NEWTON_TOL
             settled = np.count_nonzero(done)
             if settled == done.size:
                 return y
@@ -178,6 +222,7 @@ def _newton_implicit_drift(model, t, x, mu, h):
             else:
                 new = y - np.linalg.solve(a, f[..., None])[..., 0]
             y = np.where(done[..., None, None], y, new) if settled else new
+        resid = np.abs(f).max(axis=-1)  # per particle, at the last iterate tested
     resid = np.where(np.isfinite(resid), resid, np.inf).reshape(-1, resid.shape[-1])
     replica = int(np.argmin(np.reshape(done, -1)))
     particle = int(np.argmax(resid[replica]))
@@ -260,15 +305,17 @@ def simulate(
 
 
 def lockstep(model, roots, runs):
-    """Step each run (op, factor, record_times, trace_ids), the scheme op on
-    the B root grids of one shape coarsened by factor, as one (B, N, d)
-    batch; yield (run index, a Trajectory per root) as each run ends.  Every
-    run takes each block of BLOCK_STEPS root steps, rounded down to a whole
-    multiple of the factors' lcm (one lcm at least), a C-contiguous (steps,
-    B, N, m) array summed into its own coarse steps (`coarse_block`), before
-    the next block is drawn.  So memory holds one block and its sums, plus
-    each live run's states and records.  Each root's start states are drawn
-    once, and the runs share them: the first Ensemble makes them read-only."""
+    """Step each run (ops, factor, record_times, trace_ids) over the root
+    grids of one shape coarsened by factor, as one (S, N, d) batch, and
+    yield (run index, a Trajectory per system) as each run ends.  ops is one
+    operator (None for the split step) or a tuple of them, one per system;
+    the systems are the roots, or, on one root, the operators (see `run`).
+    Every run takes each block of BLOCK_STEPS root steps, rounded down to a
+    whole multiple of the factors' lcm (one lcm at least), a C-contiguous
+    (steps, B, N, m) array of the B roots summed into its own coarse steps
+    (`coarse_block`), before the next block is drawn.  So memory holds one
+    block and its sums, plus each live run's states and records.  Each
+    root's start states are drawn once, and the runs share them."""
     N, d = roots[0].N, model.d
     x0 = np.empty((len(roots), N, d))
     for b, root in enumerate(roots):
@@ -277,8 +324,8 @@ def lockstep(model, roots, runs):
             raise ValueError(f"initial sampler returned {x.shape}, expected {(N, d)}")
         x0[b] = x
     live = {}  # the step loop of each run not yet ended: (steps, factor)
-    for i, (op, factor, record_times, trace_ids) in enumerate(runs):
-        steps = run(model, op, roots, x0, factor, record_times, trace_ids)
+    for i, (ops, factor, record_times, trace_ids) in enumerate(runs):
+        steps = run(model, ops, roots, x0, factor, record_times, trace_ids)
         next(steps)
         live[i] = (steps, factor)
     del x0, x  # held by the runs until their first step
@@ -287,7 +334,7 @@ def lockstep(model, roots, runs):
     n = roots[0].n_fine
     for r0 in range(0, n, width):
         r1 = min(r0 + width, n)
-        if len(roots) == 1:  # no copy of the one root's block
+        if len(roots) == 1:  # no copy of the one root's block; its systems share it
             block = roots[0].increments_block(r0, r1)[:, None]
         else:
             block = np.stack([root.increments_block(r0, r1) for root in roots], axis=1)
@@ -302,15 +349,26 @@ def lockstep(model, roots, runs):
             break
 
 
-def run(model, op, roots, x0, factor, record_times, trace_ids=None):
-    """The one step loop, a generator that `lockstep` drives: the B systems on
+def run(model, ops, roots, x0, factor, record_times, trace_ids=None):
+    """The one step loop, a generator that `lockstep` drives: S systems on
     root grids of one shape coarsened by factor (n steps of size h on [0, T],
-    N particles, each its own seed) as a (B, N, d) Ensemble started at x0,
-    the block `lockstep` draws.  Primed with next(), it is sent C-contiguous
-    increment blocks of shape (steps, B, N, m), in step order, so each
-    step's (B, N, m) slice is contiguous.  It returns a Trajectory per
-    system once the last step is taken or every system is cut.  Each
+    N particles, each its own seed), stepped as one (S, N, d) Ensemble from
+    x0, the start states of the B roots.  ops is one operator, or a tuple of
+    one per system; S is the larger of their count and B, and each count is
+    1 or S: B systems on B roots, or S operators on one root, which all read
+    its increments and start from its states.  The split step (None) runs
+    with no explicit operator beside it.  Primed with next(), it is sent
+    C-contiguous increment blocks of shape (steps, B, N, m), in step order,
+    so each step's (B, N, m) slice is contiguous.  It returns a Trajectory
+    per system once the last step is taken or every system is cut.  Each
     system's particle traces (trace_ids) are its own, NaN after a cut."""
+    ops = tuple(ops) if isinstance(ops, (tuple, list)) else (ops,)
+    S = max(len(ops), len(roots))
+    if len(ops) not in (1, S) or len(roots) not in (1, S):
+        raise ValueError(f"{len(ops)} operators and {len(roots)} roots make no batch")
+    if len({op is None for op in ops}) > 1:
+        raise ValueError("the split step runs alone")
+    op = None if ops[0] is None else _PerSystem(ops)
     grid = coarsen(roots[0], factor)  # raises if factor does not divide the root
     T, N, n, h = grid.T, grid.N, grid.n_steps, grid.h
     record_times = sorted(record_times)  # stable: equal times keep their order
@@ -320,7 +378,7 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
     for rt in record_times:
         by_step.setdefault(grid_floor_step(rt, T, n), []).append(rt)
 
-    ens = Ensemble(x0)
+    ens = Ensemble(np.broadcast_to(x0, (S,) + x0.shape[1:]))  # a copy only if S > B
 
     trace_times = traces = None
     if trace_ids is not None:
@@ -329,14 +387,14 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
             if not 0 <= pid < N:
                 raise ValueError(f"trace particle {pid} outside 0..{N - 1}")
         trace_times = np.arange(n + 1) * (T / n)
-        traces = np.full((len(roots), n + 1, len(trace_ids), model.d), np.nan)
+        traces = np.full((S, n + 1, len(trace_ids), model.d), np.nan)
         traces[:, 0] = ens.states[:, trace_ids, :]
 
     trajs = [
         Trajectory(h, [], None, trace_times, None if traces is None else traces[b])
-        for b in range(len(roots))
+        for b in range(S)
     ]
-    alive = list(range(len(roots)))  # the system at each position of the batch
+    alive = list(range(S))  # the system at each position of the batch
 
     def record(rt):
         for i, b in enumerate(alive):
@@ -350,7 +408,7 @@ def run(model, op, roots, x0, factor, record_times, trace_ids=None):
         for dW in dw:  # one contiguous slice; after a cut, its survivors
             while True:
                 try:
-                    ens = step(ens, model, op, h, dW if len(alive) == len(roots) else dW[alive])
+                    ens = step(ens, model, op, h, dW if len(dW) in (1, len(alive)) else dW[alive])
                     break
                 except NewtonNonConvergence as err:
                     # cut that system here, as its own run would be; step the rest again

@@ -67,8 +67,8 @@ formats = csv
 """
 
 
-# two schemes, each a reference run and two coarse runs on one root grid:
-# 2 * (64 + 8 + 16) steps
+# two schemes, each a reference run and two coarse runs on one root grid;
+# the two schemes share each run, so 64 + 8 + 16 steps
 TINY_CONVERGE = """
 [model]
 name = cubic
@@ -150,7 +150,7 @@ def test_traced_counts_exact_under_band_threads(tmp_path):
 def test_traced_converge_draws_one_root(tmp_path):
     layers = traced_layers(tmp_path, "converge", TINY_CONVERGE)
     assert layers["experiments.grids_generated"] == 1
-    assert layers["stepper.steps"] == 2 * (64 + 8 + 16)
+    assert layers["stepper.steps"] == 64 + 8 + 16
 
 
 def test_traced_nscaling_draws_each_root_once(tmp_path):

@@ -184,6 +184,36 @@ class TestParsing:
         with pytest.raises(ConfigError, match="is not finite"):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(N=2.5),
+            dict(N=100.0),
+            dict(seed=math.nan),
+            dict(repetitions=math.nan),
+            dict(repetitions=math.inf),
+            dict(proxy_n=math.inf),
+            dict(proxy_n=8.5),
+            dict(n_list=[math.nan]),
+            dict(n_list=[4, 2.5]),
+            dict(trace_stride=math.nan),
+            dict(orders=[math.nan]),
+            dict(orders=[2, 1.5]),
+            dict(trace_particles=[0, math.inf]),
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_library_config_rejects_non_integer_counts(self, bad):
+        # a file's integer keys are parsed as integers; library code's are
+        # checked when the config is constructed, not met as a TypeError in
+        # a run
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig(**bad)
+
+    def test_library_config_takes_numpy_integers(self):
+        cfg = ExperimentConfig(N=np.int64(8), seed=np.uint64(2**63), n_list=[np.int32(4)], proxy_n=8)
+        assert (cfg.N, cfg.seed) == (8, 2**63)
+
     def test_study_fills_defaults_and_needs_its_required_keys(self):
         cfg = ExperimentConfig(h_values=[0.25]).for_study("moments")
         assert (cfg.N, tuple(cfg.orders), cfg.moment_ceiling, cfg.record_times) == (100, (2, 4), 1e4, None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde import brownian, experiments, models, stepper
+from mvsde import brownian, experiments, models, stepper, taming
 from mvsde.config import ExperimentConfig, build_scheme, load_config
 from mvsde.errors import ConfigError
 from mvsde.experiments import (
@@ -24,6 +25,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class _Planned(Exception):
     """Carries a study's planned runs out of `_run_cells`."""
+
+
+def bits(value):
+    """value with every float and array replaced by its bytes, so that ==
+    compares study results bit for bit, NaN included."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, bits(v)) for k, v in value.items())
+    return value
 
 
 @pytest.fixture
@@ -387,6 +404,44 @@ def test_no_schemes_is_config_error(run, keys, grid_calls):
     assert not grid_calls
 
 
+class TestSharedRuns:
+    # every row of taming.KINDS, fte's state-dependent damping and dte's
+    # untamed diffusion included, as one run per h; on the root at h = 1/8
+    # explicit Euler ('identity') goes non-finite and its neighbours do not
+    CFG = dict(
+        model_name="doublewell", model_params={"mu0": 0.0, "sigma0sq": 4.0},
+        schemes=[row.name for row in taming.KINDS.values()], N=4, seed=0, T=1.0,
+    )
+
+    @pytest.mark.parametrize(
+        "run, keys",
+        [
+            (run_convergence, dict(h_ref=2.0**-3, h_list=[2.0**-2, 2.0**-1])),
+            (run_density, dict(h_values=[0.25, 0.125])),
+            (run_paths, dict(h_values=[0.25, 0.125], trace_particles=[0, 3], trace_stride=2)),
+            (run_moments, dict(h_values=[0.25, 0.125])),
+        ],
+        ids=["converge", "density", "paths", "moments"],
+    )
+    def test_a_shared_run_is_each_scheme_alone(self, run, keys, monkeypatch):
+        cfg = ExperimentConfig(**self.CFG, **keys)
+        plan, sizes = experiments._runs, []
+
+        def planned(cells):
+            runs = plan(cells)
+            sizes.extend(len(run) for run in runs)
+            return runs
+
+        def one_cell_runs(cells):
+            return [[i] for run in plan(cells) for i in run]
+
+        monkeypatch.setattr(experiments, "_runs", planned)
+        shared = run(cfg)
+        assert sizes == [len(taming.KINDS)] * (3 if run is run_convergence else 2)
+        monkeypatch.setattr(experiments, "_runs", one_cell_runs)
+        assert bits(run(cfg)) == bits(shared)
+
+
 class TestRunner:
     def test_convergence_draws_one_root(self, grid_calls):
         cfg = ExperimentConfig(
@@ -448,12 +503,12 @@ class TestRunner:
         roots = [cell.root for run in runs[1:] for cell in run]
         assert roots == [(brownian.derive_seed(42, i % 16), 64, n) for i, n in enumerate(sizes)]
 
-    def test_density_runs_one_cell_each_grouped_by_root(self, plan):
+    def test_density_runs_share_each_root_among_the_schemes(self, plan):
         cfg = ExperimentConfig(
             model_name="cubic", schemes=["me", "te(1)"], T=1.0, N=8, seed=9, h_values=[0.25, 0.125],
         )
-        expected = [[("me", 0.25)], [("te_a1", 0.25)], [("me", 0.125)], [("te_a1", 0.125)]]
-        # a traced study too: its cells share one N, so a run holds one cell
+        expected = [[("me", 0.25), ("te_a1", 0.25)], [("me", 0.125), ("te_a1", 0.125)]]
+        # a traced study too: the explicit schemes at one h share its root
         for study in (run_density, run_paths):
             runs = plan(study, cfg)
             assert [[(cell.label, cell.h) for cell in run] for run in runs] == expected

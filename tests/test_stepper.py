@@ -27,7 +27,7 @@ from mvsde.stepper import (
     grid_floor_step,
     split_step,
 )
-from mvsde.taming import TamingOperator
+from mvsde.taming import KINDS, TamingOperator, parse_taming
 
 
 def make_model(drift, diffusion, init=0.0, d=1, m=1, rho=1.0, name="test"):
@@ -598,6 +598,52 @@ class TestLockstep:
         monkeypatch.setattr(root, "increments_block", spy)
         list(stepper.lockstep(cubic_interaction_model(), [root], [(op, factor, [1.0], None)]))
         assert len(drawn) == 4
+
+    def test_a_nonfinite_system_leaves_its_neighbours_alone(self):
+        # a system per scheme on one root: explicit Euler, in the middle,
+        # goes non-finite at step 7, and the systems beside it keep the
+        # records and traces of their runs alone
+        model, times, ids = double_well_model(0.0, 4.0), [0.5, 1.0], [0, 3]
+        ops = (ME, EM, TamingOperator("tanh", 1.0))
+        ((_, shared),) = stepper.lockstep(model, [generate(0, 8, 1.0, 4, 1)], [(ops, 1, times, ids)])
+        assert [traj.first_nonfinite for traj in shared] == [None, (0, 7), None]
+        for op, traj in zip(ops, shared):
+            ((_, (alone,)),) = stepper.lockstep(model, [generate(0, 8, 1.0, 4, 1)], [(op, 1, times, ids)])
+            assert_same_run(traj, alone)
+            assert np.array_equal(traj.trace_values, alone.trace_values, equal_nan=True)
+
+    def test_a_shared_run_of_every_kind_is_each_reference_loop(self):
+        # one system per row of taming.KINDS on one root, against the plain
+        # loop of each operator's own t1/t2
+        model, times = double_well_model(0.0, 4.0), [0.5, 1.0]
+        ops = tuple(parse_taming(row.name, model_rho=model.rho) for row in KINDS.values())
+        ((_, shared),) = stepper.lockstep(model, [generate(0, 8, 1.0, 4, 1)], [(ops, 1, times, None)])
+        for op, traj in zip(ops, shared):
+            assert_same_run(traj, reference_run(model, op, generate(0, 8, 1.0, 4, 1, materialize=True), times))
+
+    def test_schemes_on_one_root_share_its_increments(self, monkeypatch):
+        # one step call per step for all three systems, each reading the
+        # root's (1, N, m) slice, broadcast
+        seen, step = [], stepper.step
+
+        def spy(ens, model, op, h, dW):
+            seen.append((ens.states.shape, dW.shape))
+            return step(ens, model, op, h, dW)
+
+        monkeypatch.setattr(stepper, "step", spy)
+        ops = (ME, EM, TamingOperator("sin", 1.0))
+        list(stepper.lockstep(cubic_interaction_model(), [generate(1, 16, 1.0, 5, 1)], [(ops, 2, [1.0], None)]))
+        assert seen == [((3, 5, 1), (1, 5, 1))] * 8
+
+    @pytest.mark.parametrize(
+        "ops, seeds, match",
+        [((ME, SSM), (1,), "runs alone"), ((ME, EM), (1, 2, 3), "make no batch")],
+        ids=["split-step-beside-explicit", "two-schemes-three-roots"],
+    )
+    def test_a_run_is_one_scheme_per_root_or_schemes_on_one_root(self, ops, seeds, match):
+        roots = [generate(s, 8, 1.0, 4, 1) for s in seeds]
+        with pytest.raises(ValueError, match=match):
+            list(stepper.lockstep(cubic_interaction_model(), roots, [(ops, 1, [1.0], None)]))
 
     def test_a_factor_must_divide_the_root(self):
         roots = [generate(0, 10, 1.0, 4, 1)]

@@ -4,9 +4,9 @@
 
 With SRC first on PYTHONPATH, this runs each ``configs/*.ini`` as the study
 its file name starts with (``converge_cubic.ini`` runs ``converge``) at
-``--format csv,svg``, and ``mvsde check`` with no config and with each
-config.  Every command runs in one temporary directory with a relative
-``--out-dir``.  It prints ``sha256  path`` for every output file, and for
+``--format csv,svg``, ``converge --paper-scale`` on ``converge_cubic.ini``,
+and ``mvsde check`` with no config and with each config.  Every command
+runs in one temporary directory with a relative ``--out-dir``.  It prints ``sha256  path`` for every output file, and for
 each command's stdout as ``<out-dir>/(stdout)``, sorted by path; it exits 1
 if any command fails.  The configs are always the ones next to this tool, so
 two listings differ only where the outputs of the two source trees do:
@@ -37,6 +37,8 @@ def commands():
         study = ini.stem.split("_")[0]
         yield ini.stem, [study, "--config", str(ini), "--format", "csv,svg"]
         yield f"check_{ini.stem}", ["check", "--config", str(ini)]
+    paper = ["converge", "--config", str(CONFIGS / "converge_cubic.ini"), "--paper-scale"]
+    yield "converge_cubic_paper", [*paper, "--format", "csv,svg"]
 
 
 def main(argv) -> int:
