@@ -36,15 +36,17 @@ b)`` therefore runs the exact same floating-point reduction as
 A grid is drawn on demand: ``increments_block`` generates the root steps it
 is asked for from the counter stream, and sums them with ``coarse_block``.
 ``generate(..., materialize=True)`` draws the whole root at once and keeps
-it, as a reference for tests and benchmarks.  Every block is a C-contiguous
+it, as a reference for tests and benchmarks.  Every block is a
 ``(steps, N, m)`` array, so one step's increments of every particle lie
-together in memory.  A call with enough work splits the particles into
-contiguous bands (``bands.band_count``), never more bands than particles.
-Each band maps a tile of its rows at a time in cache and writes it
-transposed into the block; the tiles of all bands hold ``TILE_VALUES``
-values, so a root read holds little beyond its block, and a coarsened read
-holds its root block while it sums it.  Every value is a function of its
-counter alone, so the bits do not depend on the number of bands.
+together in memory: a new C-contiguous one, or the caller's ``out``, which a
+root grid draws straight into (``stepper.lockstep`` passes each root its
+slot of one ``(steps, B, N, m)`` block).  A call with enough work splits the
+particles into contiguous bands (``bands.band_count``), never more bands
+than particles.  Each band maps a tile of its rows at a time in cache and
+writes it transposed into the block; the tiles of all bands hold
+``TILE_VALUES`` values, so a root read holds little beyond its block, and a
+coarsened read holds its root block while it sums it.  Every value is a
+function of its counter alone, so the bits do not depend on the number of bands.
 """
 
 from __future__ import annotations
@@ -165,12 +167,14 @@ class PathGrid:
         """Step size of this grid."""
         return self.T * self.factor / self.n_fine
 
-    def _generate(self, r0, r1):
-        """Root increments for root steps [r0, r1), a (r1 - r0, N, m) block
-        that each band writes a tile of its rows at a time."""
+    def _generate(self, r0, r1, out=None):
+        """Root increments for root steps [r0, r1), written into out, a
+        (r1 - r0, N, m) array (a new C-contiguous one if None), a tile of
+        each band's rows at a time."""
         m, N = self.m, self.N
         scale = np.sqrt(self.T / self.n_fine)
-        out = np.empty((r1 - r0, N, m))
+        if out is None:
+            out = np.empty((r1 - r0, N, m))
         count = band_count(out.size, N)
         rows = max(1, TILE_VALUES // (count * min(r1 - r0, CHUNK_STEPS) * m or 1))
         _bind_ndtri()
@@ -190,16 +194,24 @@ class PathGrid:
         run_bands(N, count, band)
         return out
 
-    def increments_block(self, k0, k1):
-        """Increments of THIS grid for its steps [k0, k1), C-contiguous of
-        shape (k1 - k0, N, m): the root steps [k0 f, k1 f), drawn or read
-        from the materialized root, summed by `coarse_block`."""
+    def increments_block(self, k0, k1, out=None):
+        """Increments of THIS grid for its steps [k0, k1), of shape
+        (k1 - k0, N, m): the root steps [k0 f, k1 f), drawn or read from the
+        materialized root, summed by `coarse_block`.  They are written into
+        out, an array of that shape, and returned as out, which a root grid
+        draws straight into; with no out, as a C-contiguous array of their
+        own, or a view of the materialized root when f = 1."""
         if not 0 <= k0 <= k1 <= self.n_steps:
             raise ValueError(f"step range [{k0}, {k1}) outside [0, {self.n_steps}]")
         f = self.factor
         r0, r1 = k0 * f, k1 * f
+        if self._root is None and f == 1:
+            return self._generate(r0, r1, out)
         fine = self._generate(r0, r1) if self._root is None else self._root[r0:r1]
-        return coarse_block(fine, f)
+        if out is None:
+            return coarse_block(fine, f)
+        out[...] = coarse_block(fine, f)
+        return out
 
 
 def generate(seed, n_fine, T, N, m, materialize=False) -> PathGrid:

@@ -199,10 +199,11 @@ def _run_command(args) -> int:
 
     if args.command == "check":
         cfg = load_config(args.config) if args.config else None
+        out_dir = args.out_dir or (cfg.out_dir if cfg is not None else "out")
+        output.check_out_dir(out_dir)
         reports = _check_battery(cfg)
         for rep in reports:
             print(rep)
-        out_dir = args.out_dir or (cfg.out_dir if cfg is not None else "out")
         output.write_files(out_dir, output.check_files(reports))
         # equilibria oracle of the double-well drift, reported alongside
         roots = verify.doublewell_equilibria_oracle()
@@ -211,6 +212,7 @@ def _run_command(args) -> int:
         return 0
 
     cfg = _apply_overrides(load_config(args.config), args)
+    output.check_out_dir(cfg.out_dir)
     study = _STUDIES[args.command]
     result = study.run(cfg)
     files = study.csv(result, cfg) if "csv" in cfg.formats else {}

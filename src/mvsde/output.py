@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .errors import ConfigError
+
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -133,6 +135,17 @@ def check_files(reports) -> dict:
             ("subject", "assumption", "pass", "max_violation", "witness"), rows
         )
     }
+
+
+def check_out_dir(out_dir):
+    """Raise ConfigError if out_dir cannot be made a directory: it, or the
+    nearest of its parents that exists, is not a directory."""
+    path = Path(out_dir)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"output directory {str(out_dir)!r}: {part} is not a directory")
+            return
 
 
 def write_files(out_dir, files: dict):

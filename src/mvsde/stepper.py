@@ -47,7 +47,7 @@ NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
 NEWTON_FD_EPS = 1e-7  # relative forward-difference bump of the Jacobian
 
-BLOCK_STEPS = 1024  # root steps of increments drawn at once by lockstep
+BLOCK_STEPS = 512  # root steps of increments drawn at once by lockstep
 RECORD_TIME_SLACK = 1e-12  # record times up to T + this slack count as in [0, T]
 
 
@@ -312,10 +312,12 @@ def lockstep(model, roots, runs):
     the systems are the roots, or, on one root, the operators (see `run`).
     Every run takes each block of BLOCK_STEPS root steps, rounded down to a
     whole multiple of the factors' lcm (one lcm at least), a C-contiguous
-    (steps, B, N, m) array of the B roots summed into its own coarse steps
-    (`coarse_block`), before the next block is drawn.  So memory holds one
-    block and its sums, plus each live run's states and records.  Each
-    root's start states are drawn once, and the runs share them."""
+    (steps, B, N, m) array into whose slot b root b draws its steps in
+    place, summed into its own coarse steps (`coarse_block`), before the
+    next block is drawn.  So memory holds one block of at most
+    BLOCK_STEPS * B * N * m values and its sums, plus each live run's states
+    and records.  Each root's start states are drawn once, and the runs
+    share them."""
     N, d = roots[0].N, model.d
     x0 = np.empty((len(roots), N, d))
     for b, root in enumerate(roots):
@@ -331,13 +333,12 @@ def lockstep(model, roots, runs):
     del x0, x  # held by the runs until their first step
     lcm = math.lcm(*(f for _, f in live.values()))
     width = max(BLOCK_STEPS, lcm) // lcm * lcm
-    n = roots[0].n_fine
+    n, m = roots[0].n_fine, roots[0].m
     for r0 in range(0, n, width):
         r1 = min(r0 + width, n)
-        if len(roots) == 1:  # no copy of the one root's block; its systems share it
-            block = roots[0].increments_block(r0, r1)[:, None]
-        else:
-            block = np.stack([root.increments_block(r0, r1) for root in roots], axis=1)
+        block = np.empty((r1 - r0, len(roots), N, m))
+        for b, root in enumerate(roots):  # each root draws into its own slot
+            root.increments_block(r0, r1, out=block[:, b])
         for i, (steps, f) in list(live.items()):
             try:
                 steps.send(coarse_block(block, f))

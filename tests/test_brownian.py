@@ -269,6 +269,24 @@ def test_each_step_of_a_block_is_contiguous(read):
     assert np.array_equal(block, _reference_coarse(want, f))
 
 
+@pytest.mark.parametrize("read", ["on-demand", "materialized", "coarsened", "chunk-crossing"])
+def test_a_block_drawn_into_a_slot_keeps_its_values(monkeypatch, read):
+    # with out, the block goes into the caller's slot of a (steps, B, N, m)
+    # array, here split into two bands: the same values, nothing outside it
+    monkeypatch.setattr(bands, "MIN_WORK", 16)
+    monkeypatch.setattr(bands, "CORES", 2)
+    f = 3 if read == "coarsened" else 1
+    k = brownian.CHUNK_STEPS
+    r0, r1 = (k - 3, k + 5) if read == "chunk-crossing" else (f, 48 - 2 * f)
+    n = r1 + 2 * f
+    grid = coarsen(generate(11, n, 1.0, 5, 2, materialize=read == "materialized"), f)
+    block = np.full(((r1 - r0) // f, 3, 5, 2), np.nan)
+    assert grid.increments_block(r0 // f, r1 // f, out=block[:, 1]).base is block
+    want = _reference_increments(11, n, 1.0, 5, 2, r0, r1)
+    assert np.array_equal(block[:, 1], _reference_coarse(want, f))
+    assert np.isnan(block[:, ::2]).all()
+
+
 @pytest.mark.parametrize("rows", [1, 2, 50])
 def test_tiles_narrower_than_a_band_keep_the_reference_values(monkeypatch, rows):
     # 2 bands of 4 and 5 rows, each mapped 1, 2 or all rows at a time

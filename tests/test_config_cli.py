@@ -695,6 +695,30 @@ class TestCli:
         assert summary[0] == "scheme,h,max_abs_recorded,first_nonfinite_time,diverged"
         assert summary[1].startswith("ssm,0.25,") and summary[1].endswith(",,true")
 
+    def test_out_dir_naming_a_file_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # checked before any run: exit 2, not a FileExistsError after the study
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started despite a config error")
+
+        monkeypatch.setattr("mvsde.experiments.brownian.generate", no_run)
+        monkeypatch.setattr("mvsde.cli._check_battery", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        conv, nscaling = write_conv_config(tmp_path), SHIPPED_CONFIGS[0].parent / "nscaling_cubic.ini"
+        in_config = tmp_path / "in_config.ini"
+        in_config.write_text(CONV_TEMPLATE.format(out=taken, formats="csv"))
+        for argv in (
+            ["nscaling", "--config", str(nscaling), "--out-dir", str(taken)],
+            ["converge", "--config", str(conv), "--out-dir", str(taken / "sub")],
+            ["converge", "--config", str(in_config)],
+            ["check", "--out-dir", str(taken)],
+            ["check", "--config", str(in_config)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "is not a directory" in capsys.readouterr().err, argv
+        assert taken.read_text() == ""
+
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys):
         path = write_conv_config(tmp_path)
         text = path.read_text()

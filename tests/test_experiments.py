@@ -521,10 +521,10 @@ class TestRunner:
         reads = {}
         increments_block = brownian.PathGrid.increments_block
 
-        def counted(grid, k0, k1):
+        def counted(grid, k0, k1, out=None):
             f = grid.factor
             reads.setdefault((grid.seed, grid.n_fine, grid.N), []).append((k0 * f, k1 * f))
-            return increments_block(grid, k0, k1)
+            return increments_block(grid, k0, k1, out=out)
 
         monkeypatch.setattr(brownian.PathGrid, "increments_block", counted)
         return reads
@@ -555,17 +555,17 @@ class TestRunner:
             assert all(r1 - r0 <= stepper.BLOCK_STEPS for r0, r1 in ranges)
 
     def test_converge_never_holds_its_root(self):
-        # a root of 64 particles and 8 blocks of steps is 4 MiB, one block of
-        # it 512 KiB: the run's peak allocation stays under half the root
+        # a root of 64 particles and 8 blocks of steps, one block of it an
+        # eighth of the root: the run's peak allocation stays under half the root
+        n_root = 8 * stepper.BLOCK_STEPS
         cfg = ExperimentConfig(
             model_name="cubic", schemes=["me"], N=64, seed=5, T=1.0,
-            h_ref=2.0**-13, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
+            h_ref=1.0 / n_root, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
         )
-        assert 2**13 == 8 * stepper.BLOCK_STEPS
         tracemalloc.start()
         try:
             run_convergence(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**13 * 8 // 2
+        assert peak < 64 * n_root * 8 // 2

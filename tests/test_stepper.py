@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from mvsde import (
     NewtonNonConvergence,
+    brownian,
     coarsen,
     cubic_interaction_model,
     double_well_model,
@@ -589,15 +591,33 @@ class TestLockstep:
         root = generate(1, 16, 1.0, 5, 1)
         draw, drawn = root.increments_block, []
 
-        def spy(r0, r1):
+        def spy(r0, r1, out=None):
             assert all(ref() is None for ref in drawn), "a block outlived its pass"
-            block = draw(r0, r1)
-            drawn.append(weakref.ref(block if block.base is None else block.base))
-            return block
+            drawn.append(weakref.ref(out.base))  # the block lockstep allocated
+            return draw(r0, r1, out=out)
 
         monkeypatch.setattr(root, "increments_block", spy)
         list(stepper.lockstep(cubic_interaction_model(), [root], [(op, factor, [1.0], None)]))
         assert len(drawn) == 4
+
+    def test_a_batch_holds_one_block(self):
+        # B roots draw into the slots of one (steps, B, N, m) block: beyond
+        # the start states, the peak allocation is that block plus the
+        # tiles of one draw and a few state-sized arrays of the step
+        B, N, n = 4, 1000, 64
+        model = cubic_interaction_model()
+        roots = [generate(s, n, 1.0, N, model.m) for s in range(B)]
+        runs = [(ME, 1, [1.0], None)]
+        list(stepper.lockstep(model, roots, runs))  # scipy and numpy warmed up
+        block = n * B * N * model.m * 8
+        states = B * N * model.d * 8
+        tracemalloc.start()
+        try:
+            list(stepper.lockstep(model, roots, runs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - states <= block + brownian.TILE_VALUES * 8 + 16 * states
 
     def test_a_nonfinite_system_leaves_its_neighbours_alone(self):
         # a system per scheme on one root: explicit Euler, in the middle,
