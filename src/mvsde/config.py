@@ -165,6 +165,11 @@ class ExperimentConfig:
         # a repeated N would make the nscaling fit divide by zero
         if len(set(self.n_list or ())) != len(self.n_list or ()):
             raise ConfigError(f"n_list {self.n_list} repeats an entry")
+        # an empty list would trace nothing, a repeated id would repeat a column
+        if self.trace_particles is not None and not self.trace_particles:
+            raise ConfigError("trace_particles lists no particle")
+        if len(set(self.trace_particles or ())) != len(self.trace_particles or ()):
+            raise ConfigError(f"trace_particles {self.trace_particles} repeats an entry")
         # with N unset, the ids are checked again once for_study fills N in
         bad = [i for i in self.trace_particles or () if self.N is not None and not 0 <= i < self.N]
         if bad:

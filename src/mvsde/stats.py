@@ -99,7 +99,10 @@ def kde(ens, bandwidth=None) -> DensityCurve:
 
     Default bandwidth is 1.06 * std * N^(-1/5); a zero-variance sample gets
     the 1e-3 floor and the curve is flagged degenerate.  The grid has 512
-    points spanning the sample range widened by four bandwidths.
+    points spanning the sample range widened by four bandwidths.  The
+    kernel is ``np.exp``, whose x86-64 SIMD kernels differ in the last bit
+    between the X86_V4 (AVX-512) level and the lower ones: density CSVs are
+    reproducible per build and per CPU dispatch level (README "Determinism").
     """
     states = _states_of(ens)
     if states.shape[1] != 1:

@@ -24,15 +24,14 @@ through the step loop `run`.  The S independent systems of N particles of
 a run step together as one (S, N, d) Ensemble, each with its own operator:
 one scheme on S roots, or S explicit schemes on one root, whose
 increments all systems share.  So a step evaluates the drift, each
-diffusion column and the measures once for all S systems, and each run of
-equal operators applies its T1/T2 once, to its own slice of the system
-axis.  Each system keeps its own measure, non-finite flag and Newton
-solve, so its bits are those of its run alone (S = 1).
+diffusion column and the measures once for all S systems, and system i's
+slice goes through its own operator's T1/T2 (one call for one operator).
+Each system keeps its own measure, non-finite flag and Newton solve, so
+its bits are those of its run alone (S = 1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ import numpy as np
 from .brownian import InitStream, PathGrid, coarse_block, coarsen
 from .errors import NewtonNonConvergence
 from .models import MeasureView, ModelSpec
-from .taming import KINDS, TamingOperator
+from .taming import TamingOperator
 
 NEWTON_TOL = 1e-12  # absolute residual tolerance
 NEWTON_MAX_ITER = 50
@@ -123,33 +122,23 @@ def _increments(ens, model, dW):
 
 
 class _PerSystem:
-    """t1(v, x, h) and t2 of a batch whose system i carries ops[i], as one
-    operator applies them: each run of equal operators maps its own slice of
-    the system axis, with its kind's map and parameter bound here, once.  A
-    single run maps the whole batch in one call."""
+    """The operator of a batch whose system i carries ops[i]: its t1 and t2
+    send each system's slice through that system's own operator."""
 
     def __init__(self, ops):
-        t1, t2, start = [], [], 0
-        for op, same in itertools.groupby(ops):
-            n = len(list(same))
-            part, start, kind = slice(start, start + n), start + n, KINDS[op.kind]
-            t1.append((part, kind.t1, op.param))
-            t2.append((part, kind.t1 if kind.tames_diffusion else KINDS["identity"].t1, op.param))
-        self.t1, self.t2 = _sliced(t1), _sliced(t2)
+        self.ops = ops
 
-
-def _sliced(maps):
-    if len(maps) == 1:
-        ((_, f, param),) = maps
-        return lambda v, x, h: f(v, x, h, param)
-
-    def apply(v, x, h):
+    def t1(self, v, x, h):
         out = np.empty(x.shape)
-        for part, f, param in maps:
-            out[part] = f(v[part], x[part], h, param)
+        for i, op in enumerate(self.ops):
+            out[i] = op.t1(v[i], x[i], h)
         return out
 
-    return apply
+    def t2(self, v, x, h):
+        out = np.empty(x.shape)
+        for i, op in enumerate(self.ops):
+            out[i] = op.t2(v[i], x[i], h)
+        return out
 
 
 def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
@@ -166,8 +155,8 @@ def _add_diffusion(new, model, t, z, mu, h, dW, op=None):
 
 
 def euler_step(ens: Ensemble, model: ModelSpec, op: TamingOperator, h, dW) -> Ensemble:
-    """Advance one explicit step tamed by op; dW has shape (N, m), (B, N, m)
-    or (1, N, m).  `run` passes, as op, the maps of an operator per system."""
+    """Advance one explicit step tamed by op, one operator or a _PerSystem of
+    one per system; dW has shape (N, m), (B, N, m) or (1, N, m)."""
     if op is None:
         raise ValueError("euler_step requires a taming operator")
     dW = _increments(ens, model, dW)
@@ -369,7 +358,7 @@ def run(model, ops, roots, x0, factor, record_times, trace_ids=None):
         raise ValueError(f"{len(ops)} operators and {len(roots)} roots make no batch")
     if len({op is None for op in ops}) > 1:
         raise ValueError("the split step runs alone")
-    op = None if ops[0] is None else _PerSystem(ops)
+    op = ops[0] if len(set(ops)) == 1 else _PerSystem(ops)
     grid = coarsen(roots[0], factor)  # raises if factor does not divide the root
     T, N, n, h = grid.T, grid.N, grid.n_steps, grid.h
     record_times = sorted(record_times)  # stable: equal times keep their order

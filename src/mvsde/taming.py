@@ -21,6 +21,12 @@ Each kind is declared once, as its row of KINDS: config-file name, parameter
 (name, default, range), T1, whether T2 is T1, and H3 exponents.  SCHEMES is
 the table's view by config-file name.  An operator, TamingOperator(kind,
 param) or parse_taming(name), applies its maps as op.t1(v, x, h) and op.t2.
+
+tanh's maps call ``np.tanh``, whose x86-64 SIMD kernels at X86_V3 (AVX2)
+and above differ in the last bit from the baseline's: every ``te`` output
+and check_report.csv are reproducible per build and per CPU dispatch level
+(README "Determinism").  fully_tamed calls ``np.power``, which differs
+above X86_V3, only where 4 rho is not an integer (no shipped model).
 """
 
 from __future__ import annotations

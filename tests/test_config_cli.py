@@ -156,6 +156,7 @@ class TestParsing:
         for bad in (
             dict(N=0), dict(repetitions=0), dict(orders=[0]), dict(h_values=[0.3]),
             dict(record_times=[]), dict(reference_h=1.0), dict(n_list=[8, 8, 8]),
+            dict(trace_particles=[]), dict(trace_particles=[1, 1, 0]),
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
@@ -445,6 +446,8 @@ class TestCli:
             ("paths", orders, "trace_stride = 0"),
             ("paths", orders, "trace_particles = 0, 40"),
             ("paths", orders, "trace_particles = -1"),
+            ("paths", orders, "trace_particles ="),  # a CSV of `t` alone, no SVG
+            ("paths", orders, "trace_particles = 1, 1, 0"),  # a header t,p1,p1,p0
             ("density", orders, "reference_h = 2^-6"),  # no reference_scheme
             ("nscaling", "me, te(1)", "me", "2^-3, 2^-4", "2^-3",
              orders, "n_list = 0, 10\nproxy_n = 20"),

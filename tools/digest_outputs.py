@@ -11,15 +11,20 @@ workload of ``perfbench/workloads.py`` at seeds 0 and 7919, from the config
 text of its ``config_text``.  Every command runs in one temporary directory
 with a relative ``--out-dir``.  It prints ``sha256  path`` for every output
 file, and for each command's stdout as ``<out-dir>/(stdout)``, sorted by
-path; it exits 1 if any command fails.  The configs and workloads are always
-the ones next to this tool, so two listings differ only where the outputs of
-the two source trees do:
+path; it exits 1 if any command fails.  Comment lines (``# ...``) above the
+digests give the python, numpy and scipy versions and the SIMD target numpy
+dispatches ``exp``, ``log``, ``tanh`` and ``sin`` to on this host, on which
+the density and ``te`` outputs depend (README "Determinism"), so two
+listings from different hosts show why those digests differ.  The configs
+and workloads are always the ones next to this tool, so two listings from
+one host differ only where the outputs of the two source trees do:
 
     python tools/digest_outputs.py ../parent/src > before.txt
     python tools/digest_outputs.py src > after.txt
     diff before.txt after.txt
 
-Standard library only.
+Standard library only: the versions and dispatch targets are read in one
+child process.
 """
 
 from __future__ import annotations
@@ -34,6 +39,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 WORKLOAD_SEEDS = (0, 7919)  # the benchmark's default and held-out seeds
+DISPATCHED = ("exp", "log", "tanh", "sin")  # float64 ufuncs the outputs call, each with SIMD kernels
+
+BUILD_SCRIPT = f"""
+import platform, numpy, scipy
+from numpy.lib.introspect import opt_func_info
+print("# python", platform.python_version())
+print("# numpy", numpy.__version__)
+print("# scipy", scipy.__version__)
+info = opt_func_info(func_name="^({'|'.join(DISPATCHED)})$", signature="float64")
+for name in {DISPATCHED!r}:
+    print("# dispatch", name, info[name]["dd"]["current"])
+"""
 
 
 def commands(config_dir):
@@ -63,7 +80,11 @@ def main(argv) -> int:
         return 2
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(argv[1]).resolve()), env.get("PYTHONPATH")) if p)
-    digests, failed = {}, False
+    build = subprocess.run([sys.executable, "-c", BUILD_SCRIPT], env=env, capture_output=True, text=True)
+    sys.stdout.write(build.stdout)
+    digests, failed = {}, build.returncode != 0
+    if failed:
+        sys.stderr.write(build.stderr)
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as config_dir:
         for name, args in commands(config_dir):
             proc = subprocess.run(
